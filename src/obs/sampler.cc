@@ -75,29 +75,13 @@ void Sampler::sample(Nanos when) {
   // snapshot and sort-and-plan rebuild below only run on ticks where some
   // source's layout actually changed (a channel registering its metrics
   // mid-run). That plan cache is what keeps E27's <=5% overhead gate green.
-  const std::size_t nsrc = registries_.size() + extras_.size();
+  const std::size_t nsrc = registries_.size();
   if (bufs_.size() != nsrc) {
     bufs_.clear();
     bufs_.resize(nsrc);
     skeleton_.clear();
   }
   bool relayout = skeleton_.empty() && nsrc != 0;
-
-  // Extras are few and cheap: refresh their raw buffers every tick (the
-  // reuse-mode sink detects layout drift and triggers a re-plan).
-  for (std::size_t x = 0; x < extras_.size(); ++x) {
-    RegBuf& b = bufs_[registries_.size() + x];
-    const bool fresh = b.raw.empty();
-    std::size_t cur = 0;
-    MetricSink sink(extras_[x].prefix, b.raw, fresh ? nullptr : &cur);
-    extras_[x].fn(sink);
-    if (fresh || sink.fell_back()) {
-      relayout = true;
-    } else if (cur != b.raw.size()) {
-      b.raw.resize(cur);
-      relayout = true;
-    }
-  }
 
   Sample s;
   s.when = when;
@@ -147,14 +131,6 @@ void Sampler::sample(Nanos when) {
     // abandoned half-way; the skeleton copy resets every slot).
     s.metrics = skeleton_;
     for (const RegBuf& b : bufs_) {
-      for (std::size_t i = 0; i < b.raw.size(); ++i) {
-        if (b.map[i] != kNoFoldSlot) combine(s.metrics[b.map[i]], b.raw[i]);
-      }
-    }
-  } else {
-    // Extras folded from the raw buffers refreshed above.
-    for (std::size_t x = 0; x < extras_.size(); ++x) {
-      const RegBuf& b = bufs_[registries_.size() + x];
       for (std::size_t i = 0; i < b.raw.size(); ++i) {
         if (b.map[i] != kNoFoldSlot) combine(s.metrics[b.map[i]], b.raw[i]);
       }

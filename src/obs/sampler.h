@@ -102,12 +102,6 @@ class Sampler {
   /// the first sample() so every sample covers the same set.
   void add_registry(const MetricRegistry* reg) { registries_.push_back(reg); }
 
-  /// Extra pull source merged at each tick under `prefix.`, for values that
-  /// live outside any registry.
-  void add_extra(std::string prefix, MetricRegistry::SourceFn fn) {
-    extras_.push_back({std::move(prefix), std::move(fn)});
-  }
-
   void add_slo(SloSpec spec) {
     rules_.push_back(std::move(spec));
     cooldowns_.push_back(0);
@@ -144,11 +138,6 @@ class Sampler {
                                     std::string_view ref, std::uint64_t& out);
 
  private:
-  struct Extra {
-    std::string prefix;
-    MetricRegistry::SourceFn fn;
-  };
-
   /// Per-source reusable snapshot buffer: `raw` holds the source's
   /// emission-order snapshot (filled via snapshot_into / a reuse-mode
   /// MetricSink, overwritten in place), `map` the cached merge plan - raw
@@ -165,8 +154,7 @@ class Sampler {
 
   Config cfg_;
   std::vector<const MetricRegistry*> registries_;
-  std::vector<Extra> extras_;
-  std::vector<RegBuf> bufs_;   ///< registries_ then extras_, lazily sized
+  std::vector<RegBuf> bufs_;   ///< one per registry, lazily sized
   Snapshot skeleton_;          ///< merged layout, sorted by name, values zero
   std::deque<Sample> samples_;
   std::uint64_t ticks_ = 0;

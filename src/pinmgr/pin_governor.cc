@@ -10,7 +10,8 @@ namespace vialock::pinmgr {
 PinGovernor::PinGovernor(simkern::Kernel& kern, GovernorConfig config)
     : kern_(kern),
       config_(config),
-      charge_ns_(kern.metrics().histogram("pinmgr.charge_ns")) {
+      charge_ns_(kern.metrics().histogram("pinmgr.charge_ns")),
+      global_pins_(kern.phys().num_frames(), 0) {
   kern_.metrics().register_source("pinmgr", this, [this](obs::MetricSink& s) {
     s.counter("admitted", stats_.admitted);
     s.counter("rejected_quota", stats_.rejected_quota);
@@ -56,7 +57,7 @@ void PinGovernor::remove_tenant(simkern::Pid pid) {
   auto it = tenants_.find(pid);
   if (it == tenants_.end()) return;
   Tenant& t = it->second;
-  if (!t.pins.empty()) {
+  if (t.charged > 0) {
     // The caller should have deregistered everything first (KernelAgent::
     // release_tenant does), but a tenant that exits with live charges must
     // not strand its frames in the global accounting: the seed erased the
@@ -64,19 +65,19 @@ void PinGovernor::remove_tenant(simkern::Pid pid) {
     // total_charged_ forever, silently shrinking the host ceiling. Uncharge
     // the survivors, multiplicity-aware, before dropping the record.
     ++stats_.forced_tenant_removals;
-    for (const auto& [pfn, count] : t.pins) {
-      auto git = global_pins_.find(pfn);
-      if (git == global_pins_.end()) continue;
-      if (git->second <= count) {
-        global_pins_.erase(git);
+    for (simkern::Pfn pfn = 0; pfn < t.pins.size(); ++pfn) {
+      std::uint32_t& global = global_pins_[pfn];
+      if (t.pins[pfn] == 0 || global == 0) continue;
+      if (global <= t.pins[pfn]) {
+        global = 0;
         if (total_charged_ > 0) --total_charged_;
         ++stats_.forced_frames_uncharged;
       } else {
-        git->second -= count;
+        global -= t.pins[pfn];
       }
     }
     kern_.trace().record(kern_.clock().now(), TraceEvent::PinUncharged, pid,
-                         t.pins.size(), total_charged_);
+                         t.charged, total_charged_);
   }
   tenants_.erase(it);
   ++stats_.tenants_removed;
@@ -119,11 +120,11 @@ std::uint32_t PinGovernor::tier_limit(QosTier tier) const {
 }
 
 std::uint32_t PinGovernor::fresh_frames(
-    const std::map<simkern::Pfn, std::uint32_t>& pins,
+    const std::vector<std::uint32_t>& pins,
     std::span<const simkern::Pfn> pfns) {
   std::uint32_t fresh = 0;
   for (const simkern::Pfn pfn : pfns) {
-    if (!pins.contains(pfn)) ++fresh;
+    if (pins.empty() || pins[pfn] == 0) ++fresh;
   }
   return fresh;
 }
@@ -198,6 +199,7 @@ KStatus PinGovernor::charge(simkern::Pid pid,
     return reject(stats_.rejected_ceiling, KStatus::Again);
   }
 
+  if (t.pins.empty()) t.pins.assign(global_pins_.size(), 0);
   for (const simkern::Pfn pfn : pfns) {
     kern_.clock().advance(kern_.costs().pin_account_frame);
     if (t.pins[pfn]++ == 0) {
@@ -225,18 +227,16 @@ void PinGovernor::uncharge(simkern::Pid pid,
   Tenant& t = it->second;
   for (const simkern::Pfn pfn : pfns) {
     kern_.clock().advance(kern_.costs().pin_account_frame);
-    auto pit = t.pins.find(pfn);
-    assert(pit != t.pins.end() && "uncharge of uncharged frame");
-    if (pit == t.pins.end()) continue;
-    if (--pit->second == 0) {
-      t.pins.erase(pit);
+    const bool charged = pfn < t.pins.size() && t.pins[pfn] > 0;
+    assert(charged && "uncharge of uncharged frame");
+    if (!charged) continue;
+    if (--t.pins[pfn] == 0) {
       assert(t.charged > 0);
       --t.charged;
     }
-    auto git = global_pins_.find(pfn);
-    assert(git != global_pins_.end());
-    if (git != global_pins_.end() && --git->second == 0) {
-      global_pins_.erase(git);
+    std::uint32_t& global = global_pins_[pfn];
+    assert(global > 0);
+    if (global > 0 && --global == 0) {
       assert(total_charged_ > 0);
       --total_charged_;
     }

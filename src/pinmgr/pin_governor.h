@@ -24,8 +24,8 @@
 //     registered ReclaimClients (RegistrationCache) to evict cold idle
 //     entries before the kernel swaps hot pages.
 //
-// Determinism: all containers iterated here are ordered (std::map / vectors
-// in insertion order); same-seed runs are bit-identical.
+// Determinism: pin counts are per-frame arrays walked by ascending pfn, all
+// else is std::map or insertion-ordered vectors; same-seed runs bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -204,7 +204,7 @@ class PinGovernor final : public simkern::PressureHandler {
     std::uint32_t peak = 0;
     std::uint64_t admissions = 0;
     std::uint64_t rejections = 0;
-    std::map<simkern::Pfn, std::uint32_t> pins;  ///< frame -> multiplicity
+    std::vector<std::uint32_t> pins;  ///< frame -> multiplicity; sized lazily
   };
 
   [[nodiscard]] Tenant& tenant(simkern::Pid pid);  ///< get-or-create
@@ -212,7 +212,7 @@ class PinGovernor final : public simkern::PressureHandler {
   [[nodiscard]] std::uint32_t tier_limit(QosTier tier) const;
   /// Frames of `pfns` not yet charged to `t` / not yet charged anywhere.
   [[nodiscard]] static std::uint32_t fresh_frames(
-      const std::map<simkern::Pfn, std::uint32_t>& pins,
+      const std::vector<std::uint32_t>& pins,
       std::span<const simkern::Pfn> pfns);
   std::uint32_t drain();
   std::uint32_t reclaim_from_clients(std::uint32_t target_pages);
@@ -223,7 +223,7 @@ class PinGovernor final : public simkern::PressureHandler {
   /// Admission-path latency (owned by the kernel's metric registry).
   obs::Histogram& charge_ns_;
   std::map<simkern::Pid, Tenant> tenants_;
-  std::map<simkern::Pfn, std::uint32_t> global_pins_;  ///< frame -> total pins
+  std::vector<std::uint32_t> global_pins_;  ///< frame -> total pins
   std::uint32_t total_charged_ = 0;
   std::vector<PendingDereg> queue_;
   std::vector<ReclaimClient*> clients_;

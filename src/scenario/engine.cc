@@ -331,21 +331,20 @@ msg::Channel::Config ScenarioEngine::channel_config(HostId from,
 }
 
 msg::Channel* ScenarioEngine::channel(HostId from, HostId to) {
-  const auto key = std::make_pair(from, to);
-  if (const auto it = channels_.find(key); it != channels_.end())
-    return it->second.get();
+  if (channels_.empty()) channels_.resize(1ULL * spec_.hosts * spec_.hosts);
+  auto& slot = channels_[std::size_t{from} * spec_.hosts + to];
+  if (slot) return slot.get();
   auto ch = std::make_unique<msg::Channel>(*cluster_, from, to,
                                            channel_config(from, to));
-  if (!ok(ch->init())) return nullptr;  // next use retries from scratch
+  if (!ok(ch->init())) return nullptr;  // slot stays empty: next use retries
   // Stage the sender-side marker payload once; every transfer re-sends it,
   // so the receiver heap always ends up holding `from`'s marker.
   const std::uint64_t marker = kGolden * (from + 1) ^ spec_.seed;
   const auto buf = marked_payload(max_payload(), marker);
   (void)ch->stage(0, buf);
   ++counters_.channels_created;
-  msg::Channel* ptr = ch.get();
-  channels_.emplace(key, std::move(ch));
-  return ptr;
+  slot = std::move(ch);
+  return slot.get();
 }
 
 bool ScenarioEngine::do_transfer(msg::Channel* ch, std::uint32_t len,
@@ -1077,8 +1076,8 @@ void ScenarioEngine::teardown() {
   // everything, and injected failures here would fake invariant violations.
   if (faults_) cluster_->inject_faults(nullptr);
 
-  for (const auto& [key, ch] : channels_)
-    counters_.bytes_moved += ch->stats().bytes_moved;
+  for (const auto& ch : channels_)
+    if (ch) counters_.bytes_moved += ch->stats().bytes_moved;
   if (comm_) counters_.bytes_moved += comm_->stats().bytes;
 
   // kv-server pattern: capture the svc tier's accounting before destroying
@@ -1140,7 +1139,8 @@ void ScenarioEngine::teardown() {
       infra.emplace_back(r, comm_->rank_pid(r));
     comm_.reset();
   }
-  channels_.clear();
+  // Highest (from, to) first: trace exports record teardown in this order.
+  while (!channels_.empty()) channels_.pop_back();
 
   for (HostId h = 0; h < spec_.hosts; ++h)
     for (const Tenant& t : tenants_[h])

@@ -179,6 +179,8 @@ class ScenarioEngine {
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
   [[nodiscard]] via::Cluster& cluster() { return *cluster_; }
   [[nodiscard]] EventScheduler& scheduler() { return *sched_; }
+  /// The lazily created channel from -> to; nullptr if its setup failed.
+  [[nodiscard]] msg::Channel* channel(HostId from, HostId to);
 
   // --- telemetry (obs::Sampler, DESIGN.md section 16) ------------------------
   /// Force run() to create the sampler even when the spec sets no
@@ -254,7 +256,6 @@ class ScenarioEngine {
   void build_zipf();
 
   // --- channels (lazy, per ordered host pair) --------------------------------
-  [[nodiscard]] msg::Channel* channel(HostId from, HostId to);
   [[nodiscard]] msg::Channel::Config channel_config(HostId from, HostId to) const;
   [[nodiscard]] std::uint32_t max_payload() const;
 
@@ -288,7 +289,7 @@ class ScenarioEngine {
   void record_latency(Nanos ns);
   [[nodiscard]] Nanos percentile(double q) const;
 
-  /// Lazily build the sampler (registries, extras, SLO rules, flight sink,
+  /// Lazily build the sampler (registries, SLO rules, flight sink,
   /// scheduler tick) when the spec or the caller asked for telemetry.
   void setup_sampler();
 
@@ -315,7 +316,7 @@ class ScenarioEngine {
   std::vector<std::vector<Tenant>> tenants_;  ///< [host][tenant]
   std::unique_ptr<fault::FaultEngine> faults_;
 
-  std::map<std::pair<HostId, HostId>, std::unique_ptr<msg::Channel>> channels_;
+  std::vector<std::unique_ptr<msg::Channel>> channels_;  ///< [from*hosts + to]
   std::unique_ptr<msg::Mesh> mesh_;   ///< Collectives pattern
   std::unique_ptr<mp::Comm> comm_;    ///< PsAllreduce pattern
 

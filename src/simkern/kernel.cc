@@ -150,8 +150,6 @@ const Task& Kernel::task(Pid pid) const {
   return *it->second;
 }
 
-bool Kernel::task_exists(Pid pid) const { return tasks_.contains(pid); }
-
 // ---------------------------------------------------------------------------
 // Mapping syscalls
 // ---------------------------------------------------------------------------
@@ -160,8 +158,9 @@ std::optional<VAddr> Kernel::sys_mmap_anon(Pid pid, std::uint64_t len,
                                            VmFlag prot) {
   ++stats_.syscalls;
   clock_.advance(costs_.syscall);
-  if (len == 0 || !task_exists(pid)) return std::nullopt;
-  Task& t = task(pid);
+  Task* const tp = find_task(pid);
+  if (len == 0 || tp == nullptr) return std::nullopt;
+  Task& t = *tp;
   const std::uint64_t alen = page_align_up(len);
   const auto addr =
       t.mm.vmas.find_free_range(alen, t.mm.mmap_base, PageTable::kUserTop);
@@ -176,9 +175,10 @@ std::optional<VAddr> Kernel::sys_mmap_anon(Pid pid, std::uint64_t len,
 KStatus Kernel::sys_munmap(Pid pid, VAddr addr, std::uint64_t len) {
   ++stats_.syscalls;
   clock_.advance(costs_.syscall);
-  if (!task_exists(pid)) return KStatus::NoEnt;
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
   if (len == 0 || (addr & kPageMask) != 0) return KStatus::Inval;
-  Task& t = task(pid);
+  Task& t = *tp;
   const VAddr end = page_align_up(addr + len);
   t.mm.pt.clear_range(addr, end,
                       [&](VAddr v, Pte& pte) { drop_pte(t, v, pte); });
@@ -191,9 +191,10 @@ KStatus Kernel::sys_mprotect(Pid pid, VAddr addr, std::uint64_t len,
                              VmFlag prot) {
   ++stats_.syscalls;
   clock_.advance(costs_.syscall);
-  if (!task_exists(pid)) return KStatus::NoEnt;
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
   if (len == 0) return KStatus::Inval;
-  Task& t = task(pid);
+  Task& t = *tp;
   const VAddr start = page_align_down(addr);
   const VAddr end = page_align_up(addr + len);
   std::uint32_t ops = 0;
@@ -216,9 +217,10 @@ std::optional<VAddr> Kernel::map_device_page(Pid pid, Pfn dev_pfn,
                                              VmFlag prot) {
   ++stats_.syscalls;
   clock_.advance(costs_.syscall);
-  if (!task_exists(pid) || !phys_.valid(dev_pfn)) return std::nullopt;
+  Task* const tp = find_task(pid);
+  if (tp == nullptr || !phys_.valid(dev_pfn)) return std::nullopt;
   if (!phys_.page(dev_pfn).reserved()) return std::nullopt;  // devices only
-  Task& t = task(pid);
+  Task& t = *tp;
   const auto addr =
       t.mm.vmas.find_free_range(kPageSize, t.mm.mmap_base, PageTable::kUserTop);
   if (!addr) return std::nullopt;
@@ -241,9 +243,10 @@ KStatus Kernel::sys_madvise_dontfork(Pid pid, VAddr addr, std::uint64_t len,
                                      bool dontfork) {
   ++stats_.syscalls;
   clock_.advance(costs_.syscall);
-  if (!task_exists(pid)) return KStatus::NoEnt;
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
   if (len == 0) return KStatus::Inval;
-  Task& t = task(pid);
+  Task& t = *tp;
   const VAddr start = page_align_down(addr);
   const VAddr end = page_align_up(addr + len);
   std::uint32_t ops = 0;
@@ -327,8 +330,9 @@ void Kernel::put_page(Pfn pfn) {
 }
 
 std::optional<Pfn> Kernel::resolve(Pid pid, VAddr addr) const {
-  if (!task_exists(pid)) return std::nullopt;
-  const Pte* pte = task(pid).mm.pt.walk(page_align_down(addr));
+  const Task* const t = find_task(pid);
+  if (t == nullptr) return std::nullopt;
+  const Pte* pte = t->mm.pt.walk(page_align_down(addr));
   if (!pte || !pte->present) return std::nullopt;
   return pte->pfn;
 }
@@ -352,9 +356,10 @@ ShmId Kernel::shm_create(std::uint64_t bytes) {
 std::optional<VAddr> Kernel::shm_attach(Pid pid, ShmId id) {
   ++stats_.syscalls;
   clock_.advance(costs_.syscall);
-  if (!task_exists(pid) || id >= shms_.size() || !shms_[id].alive)
+  Task* const tp = find_task(pid);
+  if (tp == nullptr || id >= shms_.size() || !shms_[id].alive)
     return std::nullopt;
-  Task& t = task(pid);
+  Task& t = *tp;
   const std::uint64_t bytes = shms_[id].bytes;
   const auto addr =
       t.mm.vmas.find_free_range(bytes, t.mm.mmap_base, PageTable::kUserTop);

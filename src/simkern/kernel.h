@@ -132,7 +132,9 @@ class Kernel {
   void exit_task(Pid pid);
   [[nodiscard]] Task& task(Pid pid);
   [[nodiscard]] const Task& task(Pid pid) const;
-  [[nodiscard]] bool task_exists(Pid pid) const;
+  [[nodiscard]] bool task_exists(Pid pid) const {
+    return find_task(pid) != nullptr;
+  }
 
   // --- mapping syscalls --------------------------------------------------------
   /// Anonymous private mmap; returns the chosen address.
@@ -318,6 +320,13 @@ class Kernel {
                                      std::span<const std::byte> src,
                                      std::span<std::byte> dst);
   void drop_pte(Task& t, VAddr vaddr, Pte& pte);
+
+  /// The task for `pid`, or nullptr: one hash lookup where task_exists()
+  /// followed by task() would take two.
+  [[nodiscard]] Task* find_task(Pid pid) const {
+    const auto it = tasks_.find(pid);
+    return it == tasks_.end() ? nullptr : it->second.get();
+  }
 
   // vmscan.cc
   std::uint32_t shrink_mmap(std::uint32_t budget);

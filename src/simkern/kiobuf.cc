@@ -37,9 +37,10 @@ Kiobuf Kernel::alloc_kiovec() {
 KStatus Kernel::map_user_kiobuf(Pid pid, Kiobuf& iobuf, VAddr addr,
                                 std::uint64_t len) {
   assert(!iobuf.mapped && "kiobuf already mapped");
-  if (!task_exists(pid)) return KStatus::NoEnt;
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
   if (len == 0) return KStatus::Inval;
-  Task& t = task(pid);
+  Task& t = *tp;
 
   const VAddr start = page_align_down(addr);
   const VAddr end = page_align_up(addr + len);

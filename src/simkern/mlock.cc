@@ -23,8 +23,9 @@ KStatus Kernel::sys_mlock(Pid pid, VAddr addr, std::uint64_t len) {
   ++stats_.syscalls;
   ++stats_.mlock_calls;
   clock_.advance(costs_.syscall);
-  if (!task_exists(pid)) return KStatus::NoEnt;
-  Task& t = task(pid);
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
+  Task& t = *tp;
   if (!config_.userdma_patch && !t.capable(Capability::IpcLock)) {
     return KStatus::Perm;
   }
@@ -44,9 +45,10 @@ KStatus Kernel::sys_munlock(Pid pid, VAddr addr, std::uint64_t len) {
 }
 
 KStatus Kernel::do_mlock(Pid pid, VAddr addr, std::uint64_t len, bool lock) {
-  if (!task_exists(pid)) return KStatus::NoEnt;
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
   if (len == 0) return KStatus::Ok;
-  Task& t = task(pid);
+  Task& t = *tp;
   const VAddr start = page_align_down(addr);
   const VAddr end = page_align_up(addr + len);
 

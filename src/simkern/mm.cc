@@ -205,9 +205,10 @@ KStatus Kernel::shm_fault(Task& t, const Vma& vma, VAddr page_addr, Pte& pte,
 KStatus Kernel::access_range(Pid pid, VAddr addr, std::uint64_t len,
                              Access access, std::span<const std::byte> src,
                              std::span<std::byte> dst) {
-  if (!task_exists(pid)) return KStatus::NoEnt;
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
   if (len == 0) return KStatus::Ok;
-  Task& t = task(pid);
+  Task& t = *tp;
 
   std::uint64_t done = 0;
   while (done < len) {
@@ -260,8 +261,9 @@ KStatus Kernel::touch(Pid pid, VAddr addr, bool write) {
 }
 
 KStatus Kernel::copy_user(Pid pid, VAddr dst, VAddr src, std::uint64_t len) {
-  if (!task_exists(pid)) return KStatus::NoEnt;
-  Task& t = task(pid);
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
+  Task& t = *tp;
   std::uint64_t done = 0;
   while (done < len) {
     const VAddr s = src + done;
@@ -301,8 +303,9 @@ KStatus Kernel::copy_user(Pid pid, VAddr dst, VAddr src, std::uint64_t len) {
 }
 
 KStatus Kernel::make_present(Pid pid, VAddr addr, bool write) {
-  if (!task_exists(pid)) return KStatus::NoEnt;
-  Task& t = task(pid);
+  Task* const tp = find_task(pid);
+  if (tp == nullptr) return KStatus::NoEnt;
+  Task& t = *tp;
   const VAddr page_addr = page_align_down(addr);
   Pte* pte = t.mm.pt.walk(page_addr);
   if (!needs_fault(pte, write)) return KStatus::Ok;

@@ -130,7 +130,9 @@ TEST(FaultEngine, SameSeedSameSchedule) {
       const auto da = a.check(s);
       const auto db = b.check(s);
       ASSERT_EQ(da.has_value(), db.has_value());
-      if (da) EXPECT_EQ(da->entropy, db->entropy);
+      if (da) {
+        EXPECT_EQ(da->entropy, db->entropy);
+      }
       c1.advance(10);
       c2.advance(10);
     }

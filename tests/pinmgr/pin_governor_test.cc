@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "../via/via_util.h"
 #include "fault/fault.h"
 #include "pinmgr/pin_procfs.h"
@@ -203,6 +205,84 @@ TEST(PinGovernor, RemoveTenantSharedFramesKeepOtherTenantsCharges) {
   EXPECT_EQ(box.gov.total_charged(), 4u)
       << "the peer's charge on the shared frames must survive";
   EXPECT_EQ(box.gov.tenant_charged(p2), 4u);
+}
+
+// Two tenants charging overlapping registrations on shared frames, with
+// multiplicity > 1 both within a tenant and across tenants:
+//   A: {10,11,12,13} + {12,13,14}    B: {13,14,15} twice
+// leaves A on 5 distinct frames, B on 3 and the host on 6 (10..15).
+struct SharedCharges {
+  static constexpr std::array<simkern::Pfn, 4> kA1{10, 11, 12, 13};
+  static constexpr std::array<simkern::Pfn, 3> kA2{12, 13, 14};
+  static constexpr std::array<simkern::Pfn, 3> kB{13, 14, 15};
+
+  SharedCharges() : b(box.node.kernel().create_task("peer")) {
+    EXPECT_EQ(box.gov.charge(a, kA1), KStatus::Ok);
+    EXPECT_EQ(box.gov.charge(a, kA2), KStatus::Ok);
+    EXPECT_EQ(box.gov.charge(b, kB), KStatus::Ok);
+    EXPECT_EQ(box.gov.charge(b, kB), KStatus::Ok);
+  }
+  /// (tenant A, tenant B, host-wide) distinct charged frames.
+  [[nodiscard]] std::array<std::uint32_t, 3> counts() const {
+    return {box.gov.tenant_charged(a), box.gov.tenant_charged(b),
+            box.gov.total_charged()};
+  }
+
+  GovBox box;
+  simkern::Pid a = box.pid;
+  simkern::Pid b;
+};
+
+using Counts = std::array<std::uint32_t, 3>;
+
+TEST(PinGovernor, SharedFramesStayExactThroughPartialUncharges) {
+  SharedCharges sc;
+  EXPECT_EQ(sc.counts(), (Counts{5, 3, 6}));
+  EXPECT_EQ(sc.box.gov.stats().frames_charged, 8u);
+  EXPECT_EQ(sc.box.gov.stats().dedup_hits, 5u);
+
+  sc.box.gov.uncharge(sc.a, SharedCharges::kA1);
+  EXPECT_EQ(sc.counts(), (Counts{3, 3, 4})) << "10 and 11 were A's alone";
+  sc.box.gov.uncharge(sc.b, SharedCharges::kB);
+  EXPECT_EQ(sc.counts(), (Counts{3, 3, 4})) << "B still holds its second";
+  sc.box.gov.uncharge(sc.a, SharedCharges::kA2);
+  EXPECT_EQ(sc.counts(), (Counts{0, 3, 3}));
+  sc.box.gov.uncharge(sc.b, SharedCharges::kB);
+  EXPECT_EQ(sc.counts(), (Counts{0, 0, 0}));
+}
+
+TEST(PinGovernor, ForcedRemovalKeepsSurvivorAndGlobalExact) {
+  SharedCharges sc;
+  sc.box.gov.remove_tenant(sc.a);
+  EXPECT_EQ(sc.box.gov.stats().forced_tenant_removals, 1u);
+  EXPECT_EQ(sc.box.gov.stats().forced_frames_uncharged, 3u)
+      << "10, 11 and 12 had no other holder";
+  EXPECT_EQ(sc.counts(), (Counts{0, 3, 3}));
+
+  // The survivor's multiplicity of 2 unwinds exactly.
+  sc.box.gov.uncharge(sc.b, SharedCharges::kB);
+  EXPECT_EQ(sc.counts(), (Counts{0, 3, 3}));
+  sc.box.gov.uncharge(sc.b, SharedCharges::kB);
+  EXPECT_EQ(sc.counts(), (Counts{0, 0, 0}));
+}
+
+TEST(PinGovernor, UnchargeByTenantThatNeverChargedChangesNoCount) {
+  GovBox box;
+  const auto idle = box.node.kernel().create_task("idle");
+  box.gov.set_tenant(idle, 16, QosTier::BestEffort);  // known, no array yet
+  constexpr std::array<simkern::Pfn, 4> kPfns{10, 11, 12, 13};
+  ASSERT_EQ(box.gov.charge(box.pid, kPfns), KStatus::Ok);
+#ifdef NDEBUG
+  const Nanos before = box.clock.now();
+  box.gov.uncharge(idle, kPfns);
+  EXPECT_EQ(box.clock.now() - before, 4 * box.costs.pin_account_frame)
+      << "the per-frame accounting cost is still paid";
+  EXPECT_EQ(box.gov.tenant_charged(idle), 0u);
+  EXPECT_EQ(box.gov.tenant_charged(box.pid), 4u);
+  EXPECT_EQ(box.gov.total_charged(), 4u);
+#else
+  EXPECT_DEATH(box.gov.uncharge(idle, kPfns), "uncharge of uncharged frame");
+#endif
 }
 
 TEST(PinGovernor, TenantsSnapshotIsOrderedByPid) {

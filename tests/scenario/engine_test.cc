@@ -186,6 +186,33 @@ TEST(ScenarioEngine, FaultPlanInjectsAndStaysInvariantClean) {
   EXPECT_TRUE(r.invariants_ok) << (r.violations.empty() ? "" : r.violations[0]);
 }
 
+TEST(ScenarioEngine, ChannelIsCreatedOncePerOrderedPair) {
+  // One injected admission refusal: the first channel's slot registration
+  // fails, so its setup fails and the next use retries it from scratch.
+  const ParseResult parsed = parse_spec(
+      "name = t\npattern = pipeline\nhosts = 3\nops_per_tenant = 4\n"
+      "fault = pin-admission fail max=1\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ScenarioEngine engine(parsed.spec);
+  ASSERT_TRUE(ok(engine.build()));
+  EXPECT_EQ(engine.channel(0, 1), nullptr) << "injected admission refusal";
+  msg::Channel* const fwd = engine.channel(0, 1);
+  ASSERT_NE(fwd, nullptr) << "a failed setup leaves no slot behind";
+  EXPECT_EQ(engine.channel(0, 1), fwd);
+  msg::Channel* const back = engine.channel(1, 0);
+  ASSERT_NE(back, nullptr);
+  EXPECT_NE(back, fwd) << "(a,b) and (b,a) are distinct channels";
+  EXPECT_EQ(engine.channel(1, 0), back);
+
+  ASSERT_TRUE(ok(engine.run()));
+  // (0,1) and (1,0) from above plus the pipeline's own (1,2) hop; the
+  // refused attempt is not counted.
+  EXPECT_EQ(engine.report().counters.channels_created, 3u);
+  EXPECT_TRUE(engine.report().invariants_ok)
+      << (engine.report().violations.empty() ? ""
+                                             : engine.report().violations[0]);
+}
+
 TEST(ScenarioEngine, ReportJsonCarriesAcceptanceScalar) {
   const ParseResult parsed = parse_spec(
       "name = t\npattern = pipeline\nhosts = 3\nops_per_tenant = 4\n");
