@@ -9,8 +9,7 @@
 //
 // Since E23 the measurement itself lives in the scenario engine: this
 // driver loads examples/scenarios/e12-collectives.spec and sweeps `hosts`
-// over it. The spec pins E12's historical node sizing, so the virtual
-// times match the pre-scenario bench table exactly.
+// over it. The collectives are mp/collectives over an mp::Comm.
 #include <cstdlib>
 #include <iostream>
 

@@ -2,34 +2,35 @@
 // FEM/CFD message-passing workload the SFB 393 collection exists to serve.
 // Each rank updates a local vector, the cluster allreduces the residual, and
 // a broadcast ships updated coefficients - all over reliably locked VIA
-// memory.
+// memory. Exits 1 if any rank's reduced vector diverges.
 //
 //   ./build/examples/cluster_allreduce
 #include <cstdio>
 #include <span>
 #include <vector>
 
-#include "msg/mesh.h"
+#include "mp/collectives.h"
 #include "util/rng.h"
 
 using namespace vialock;
 
 int main() {
-  constexpr msg::Mesh::Rank kRanks = 4;
-  constexpr std::uint32_t kLocal = 64;  // u64s per rank
+  constexpr mp::Rank kRanks = 4;
+  constexpr std::uint32_t kLocal = 64;           // u64s per rank
+  constexpr std::uint64_t kScratch = 32 * 1024;  // allreduce/barrier scratch
 
   via::Cluster cluster;
   std::vector<via::NodeId> nodes;
-  for (msg::Mesh::Rank r = 0; r < kRanks; ++r) {
+  for (mp::Rank r = 0; r < kRanks; ++r) {
     via::NodeSpec spec;
     spec.policy = via::PolicyKind::Kiobuf;
     nodes.push_back(cluster.add_node(spec));
   }
-  msg::Mesh::Config cfg;
-  cfg.channel.user_heap_bytes = 256 * 1024;
-  msg::Mesh mesh(cluster, nodes, cfg);
-  if (!ok(mesh.init())) {
-    std::puts("mesh init failed");
+  mp::Comm::Config cfg;
+  cfg.heap_bytes = 256 * 1024;
+  mp::Comm comm(cluster, nodes, cfg);
+  if (!ok(comm.init())) {
+    std::puts("comm init failed");
     return 1;
   }
 
@@ -38,40 +39,37 @@ int main() {
 
   for (int iter = 0; iter < 10; ++iter) {
     // Each rank computes a local contribution...
-    for (msg::Mesh::Rank r = 0; r < kRanks; ++r) {
+    for (mp::Rank r = 0; r < kRanks; ++r) {
       for (auto& v : local) v = rng.below(1000);
-      if (!ok(mesh.stage_rank(r, 0, std::as_bytes(std::span{local})))) return 1;
+      if (!ok(comm.stage(r, 0, std::as_bytes(std::span{local})))) return 1;
     }
     // ...the residual vector is allreduced...
-    if (!ok(mesh.allreduce_sum(0, kLocal))) return 1;
+    if (!ok(mp::allreduce_sum(comm, 0, kLocal, kScratch))) return 1;
     // ...rank 0 "decides" and broadcasts an 8 KB coefficient update...
-    if (!ok(mesh.broadcast(0, 64 * 1024, 8 * 1024))) return 1;
+    if (!ok(mp::broadcast(comm, 0, 64 * 1024, 8 * 1024))) return 1;
     // ...and everyone synchronises before the next iteration.
-    if (!ok(mesh.barrier())) return 1;
+    if (!ok(mp::barrier(comm, kScratch))) return 1;
   }
 
   // Sanity: all ranks hold the same reduced vector.
   std::vector<std::uint64_t> v0(kLocal);
   std::vector<std::uint64_t> vr(kLocal);
-  if (!ok(mesh.fetch_rank(0, 0, std::as_writable_bytes(std::span{v0}))))
-    return 1;
-  for (msg::Mesh::Rank r = 1; r < kRanks; ++r) {
-    if (!ok(mesh.fetch_rank(r, 0, std::as_writable_bytes(std::span{vr}))))
-      return 1;
+  if (!ok(comm.fetch(0, 0, std::as_writable_bytes(std::span{v0})))) return 1;
+  for (mp::Rank r = 1; r < kRanks; ++r) {
+    if (!ok(comm.fetch(r, 0, std::as_writable_bytes(std::span{vr})))) return 1;
     if (vr != v0) {
       std::printf("rank %u diverged!\n", r);
       return 1;
     }
   }
 
-  const auto& st = mesh.stats();
+  const mp::CommStats& st = comm.stats();
   std::printf("cluster_allreduce OK: 10 iterations on %u ranks\n", kRanks);
-  std::printf("  p2p messages : %llu\n",
-              static_cast<unsigned long long>(st.p2p_msgs));
-  std::printf("  allreduces   : %llu, broadcasts: %llu, barriers: %llu\n",
-              static_cast<unsigned long long>(st.allreduces),
-              static_cast<unsigned long long>(st.broadcasts),
-              static_cast<unsigned long long>(st.barriers));
+  std::printf("  p2p messages : %llu (%llu eager, %llu rendezvous)\n",
+              static_cast<unsigned long long>(st.eager_sends +
+                                              st.rendezvous_sends),
+              static_cast<unsigned long long>(st.eager_sends),
+              static_cast<unsigned long long>(st.rendezvous_sends));
   std::printf("  virtual time : %.2f ms\n",
               static_cast<double>(cluster.clock().now()) / 1e6);
   return 0;

@@ -166,4 +166,31 @@ KStatus gather(Comm& comm, Rank root, std::uint64_t offset,
   return KStatus::Ok;
 }
 
+KStatus alltoall(Comm& comm, std::uint64_t offset, std::uint32_t block,
+                 std::uint64_t scratch_offset) {
+  const CollectiveScope scope(comm, "alltoall");
+  const Rank n = comm.size();
+  // Exchanging in place would let early receives overwrite blocks their
+  // owners have not shipped yet, so ship out of a per-rank snapshot.
+  std::vector<std::byte> blocks(static_cast<std::size_t>(n) * block);
+  for (Rank r = 0; r < n; ++r) {
+    if (const KStatus st = comm.fetch(r, offset, blocks); !ok(st)) return st;
+    if (const KStatus st = comm.stage(r, scratch_offset, blocks); !ok(st))
+      return st;
+  }
+  for (Rank i = 0; i < n; ++i) {
+    for (Rank j = 0; j < n; ++j) {
+      if (i == j) continue;
+      if (const KStatus st = exchange(
+              comm, i, j, kAlltoallTag,
+              scratch_offset + static_cast<std::uint64_t>(j) * block,
+              offset + static_cast<std::uint64_t>(i) * block, block);
+          !ok(st)) {
+        return st;
+      }
+    }
+  }
+  return KStatus::Ok;
+}
+
 }  // namespace vialock::mp

@@ -1,8 +1,8 @@
 // collectives.h - collective operations over the matching layer.
 //
-// Unlike msg::Mesh (which drives channels directly), these are built the way
-// real MPI implementations layer them: "a mapping of the collective
-// operations, like Barrier or Broadcast, to point-to-point communication"
+// These are built the way real MPI implementations layer them: "a mapping
+// of the collective operations, like Barrier or Broadcast, to point-to-point
+// communication"
 // (the multidevice paper's device-independent layer). They therefore work
 // transparently across the multidevice routing - ranks on one node
 // synchronise through shared memory, ranks apart through the fabric.
@@ -22,6 +22,7 @@ inline constexpr std::int32_t kBarrierTag = -100;
 inline constexpr std::int32_t kBcastTag = -101;
 inline constexpr std::int32_t kReduceTag = -102;
 inline constexpr std::int32_t kGatherTag = -103;
+inline constexpr std::int32_t kAlltoallTag = -104;
 
 /// Dissemination barrier: ceil(log2 N) rounds of token exchanges.
 /// `scratch_offset` names 16 bytes of per-rank heap used for the tokens.
@@ -47,5 +48,14 @@ inline constexpr std::int32_t kGatherTag = -103;
 /// `offset + rank*block`.
 [[nodiscard]] KStatus gather(Comm& comm, Rank root, std::uint64_t offset,
                              std::uint32_t block);
+
+/// All-to-all personalised exchange: each rank holds N blocks of `block`
+/// bytes at `offset`; block j of rank i ends up as block i of rank j.
+/// Every rank's N blocks are first snapshot to `scratch_offset` (N*block
+/// bytes, disjoint from the data), then one exchange per ordered pair ships
+/// out of the snapshots. Block i of rank i never moves.
+[[nodiscard]] KStatus alltoall(Comm& comm, std::uint64_t offset,
+                               std::uint32_t block,
+                               std::uint64_t scratch_offset);
 
 }  // namespace vialock::mp

@@ -190,7 +190,8 @@ KStatus Channel::init() {
 
   // Publish the channel's counters on the sender node's registry (one node
   // owns a channel's metrics; the sender side initiates every transfer).
-  // pid-suffixed: a Mesh builds one channel per ordered pair on shared pids.
+  // pid-suffixed: the scenario engine builds one channel per ordered host
+  // pair on shared tenant pids.
   simkern::Kernel& sk = sn.kernel();
   source_name_ = "msg.ch.p" + std::to_string(src_pid_) + ".d" +
                  std::to_string(dst_pid_);

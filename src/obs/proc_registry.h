@@ -9,8 +9,8 @@
 //
 // Owner tags make rebuild sequences safe: mounting an existing path takes it
 // over, and unmount() is a no-op unless the caller still owns the path - so
-// "construct replacement, destroy original" (Node::enable_governor, a Mesh
-// rebuilding Channels) never unmounts the replacement's node.
+// "construct replacement, destroy original" (Node::enable_governor
+// replacing a governor) never unmounts the replacement's node.
 //
 // Render callbacks run at read() time, so the text always reflects current
 // counters; paths are kept in an ordered map, so ls()/read_all() are

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "mp/collectives.h"
 #include "simkern/types.h"
 
 namespace vialock::scenario {
@@ -24,6 +25,10 @@ std::uint64_t actor_seed(std::uint64_t seed, std::uint64_t uid) {
 std::uint64_t page_round(std::uint64_t bytes) {
   return (bytes + simkern::kPageMask) & ~simkern::kPageMask;
 }
+
+// Collectives rank-heap layout (ScenarioSpec::validate bounds the payloads).
+constexpr std::uint64_t kCollReduceScratch = 64 * 1024;
+constexpr std::uint64_t kCollAlltoall = 128 * 1024;
 
 /// Payload with a recognisable 8-byte marker up front (little-endian) and a
 /// deterministic fill behind it - what the verify probes compare against.
@@ -150,20 +155,14 @@ KStatus ScenarioEngine::build_transports() {
 
   switch (spec_.pattern) {
     case Pattern::Collectives: {
-      msg::Mesh::Config mc;
-      mc.channel.user_heap_bytes = spec_.channel_heap_bytes;
-      mc.channel.reliability.enabled = spec_.reliable;
-      mc.lazy_channels = !spec_.mesh_eager_channels;
-      mesh_ = std::make_unique<msg::Mesh>(*cluster_, ids, mc);
-      if (const KStatus st = mesh_->init(); !ok(st)) return st;
-      if (spec_.governor) {
-        // Mesh rank processes are infrastructure, not QoS subjects: give
-        // them headroom so bounce-buffer pins never hit tenant quotas.
-        for (std::uint32_t r = 0; r < spec_.hosts; ++r)
-          cluster_->node(r).governor()->set_tenant(mesh_->rank_pid(r),
-                                                   spec_.host_frames,
-                                                   pinmgr::QosTier::Guaranteed);
-      }
+      // Every round ends with an alltoall, which touches every pair, so
+      // the links are built eagerly. Heap layout: broadcast payload and
+      // allreduce vector at 0, allreduce scratch at 64 KiB, then the
+      // alltoall blocks at 128 KiB followed by their snapshot (whose first
+      // 16 bytes double as the barrier's token scratch).
+      mp::Comm::Config cc;
+      cc.heap_bytes = kCollAlltoall + 2ULL * spec_.hosts * spec_.alltoall_block;
+      comm_ = std::make_unique<mp::Comm>(*cluster_, ids, cc);
       break;
     }
     case Pattern::PsAllreduce: {
@@ -174,18 +173,20 @@ KStatus ScenarioEngine::build_transports() {
           (spec_.hosts + 2ULL) * page_round(spec_.shard_bytes));
       cc.lazy_links = true;
       comm_ = std::make_unique<mp::Comm>(*cluster_, ids, cc);
-      if (const KStatus st = comm_->init(); !ok(st)) return st;
-      if (spec_.governor) {
-        for (std::uint32_t r = 0; r < spec_.hosts; ++r)
-          cluster_->node(r).governor()->set_tenant(comm_->rank_pid(r),
-                                                   spec_.host_frames,
-                                                   pinmgr::QosTier::Guaranteed);
-      }
       ps_result_reqs_.assign(spec_.hosts - 1, mp::kInvalidReq);
       break;
     }
     default:
-      break;  // RPC/KV/pipeline channels come up lazily on first use
+      return KStatus::Ok;  // RPC/KV/pipeline channels come up lazily
+  }
+  if (const KStatus st = comm_->init(); !ok(st)) return st;
+  if (spec_.governor) {
+    // Rank processes are infrastructure, not QoS subjects: give them
+    // headroom so bounce-buffer pins never hit tenant quotas.
+    for (std::uint32_t r = 0; r < spec_.hosts; ++r)
+      cluster_->node(r).governor()->set_tenant(comm_->rank_pid(r),
+                                               spec_.host_frames,
+                                               pinmgr::QosTier::Guaranteed);
   }
   return KStatus::Ok;
 }
@@ -753,50 +754,51 @@ void ScenarioEngine::run_ps_worker_check(std::uint32_t worker) {
 void ScenarioEngine::run_collectives_round() {
   const Nanos issued = sched_->now();
   const VirtualStopwatch total(cluster_->clock());
+  const std::uint64_t scratch =
+      kCollAlltoall + std::uint64_t{spec_.hosts} * spec_.alltoall_block;
 
   if (collective_round_ == 0) {
-    // Replays bench_e12 exactly: stage the root payload, one warmup
-    // barrier, then the timed sequence - same ops, same clock deltas.
+    // Stage the root payload and run one untimed warmup barrier before
+    // the timed sequence.
     const std::vector<std::byte> payload(spec_.payload_bytes, std::byte{0xAB});
-    (void)mesh_->stage_rank(0, 0, payload);
-    (void)mesh_->barrier();
+    (void)comm_->stage(0, 0, payload);
+    (void)mp::barrier(*comm_, scratch);
   }
 
   {
     const VirtualStopwatch sw(cluster_->clock());
-    const KStatus st = mesh_->barrier();
+    const KStatus st = mp::barrier(*comm_, scratch);
     report_.barrier_ns += sw.elapsed();
     ++counters_.transfers_attempted;
     ok(st) ? ++counters_.transfers_ok : ++counters_.transfers_failed;
   }
   {
-    const std::uint64_t before = mesh_->stats().p2p_msgs;
+    const mp::CommStats& cs = comm_->stats();
+    const std::uint64_t before = cs.eager_sends + cs.rendezvous_sends;
     const VirtualStopwatch sw(cluster_->clock());
-    const KStatus st = mesh_->broadcast(0, 0, spec_.payload_bytes);
+    const KStatus st = mp::broadcast(*comm_, 0, 0, spec_.payload_bytes);
     report_.broadcast_ns += sw.elapsed();
-    report_.bcast_msgs += mesh_->stats().p2p_msgs - before;
+    report_.bcast_msgs += cs.eager_sends + cs.rendezvous_sends - before;
     ++counters_.transfers_attempted;
     ok(st) ? ++counters_.transfers_ok : ++counters_.transfers_failed;
   }
   {
     const VirtualStopwatch sw(cluster_->clock());
-    const KStatus st = mesh_->allreduce_sum(0, spec_.allreduce_count);
+    const KStatus st = mp::allreduce_sum(*comm_, 0, spec_.allreduce_count,
+                                         kCollReduceScratch);
     report_.allreduce_ns += sw.elapsed();
     ++counters_.transfers_attempted;
     ok(st) ? ++counters_.transfers_ok : ++counters_.transfers_failed;
   }
   {
     const VirtualStopwatch sw(cluster_->clock());
-    const KStatus st = mesh_->alltoall(128 * 1024, spec_.alltoall_block);
+    const KStatus st = mp::alltoall(*comm_, kCollAlltoall,
+                                    spec_.alltoall_block, scratch);
     report_.alltoall_ns += sw.elapsed();
     ++counters_.transfers_attempted;
     ok(st) ? ++counters_.transfers_ok : ++counters_.transfers_failed;
   }
-  counters_.bytes_moved +=
-      static_cast<std::uint64_t>(spec_.payload_bytes) * (spec_.hosts - 1) +
-      static_cast<std::uint64_t>(spec_.alltoall_block) * spec_.hosts *
-          (spec_.hosts - 1);
-
+  // bytes_moved comes from the communicator's own count at teardown.
   const Nanos done = sched_->charge_host(0, issued, total.elapsed());
   for (HostId h = 1; h < spec_.hosts; ++h) sched_->hold_host(h, done);
   record_latency(done - issued);
@@ -1129,11 +1131,6 @@ void ScenarioEngine::teardown() {
   }
 
   std::vector<std::pair<HostId, simkern::Pid>> infra;
-  if (mesh_) {
-    for (std::uint32_t r = 0; r < spec_.hosts; ++r)
-      infra.emplace_back(r, mesh_->rank_pid(r));
-    mesh_.reset();
-  }
   if (comm_) {
     for (std::uint32_t r = 0; r < spec_.hosts; ++r)
       infra.emplace_back(r, comm_->rank_pid(r));

@@ -3,7 +3,7 @@
 //
 // build() materialises the cluster: per-host kernels/NICs sized from the
 // spec, tenant tasks with pinmgr QoS classes and quotas, an optional fault
-// engine armed cluster-wide, and (for the collective patterns) the mesh or
+// engine armed cluster-wide, and (for the collective patterns) the
 // communicator. run() seeds the traffic actors - RPC fan-out clients,
 // Zipf-skewed KV clients, parameter-server rounds, pipeline sources,
 // collective drivers, plus registration-churn actors - as events, drains
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "msg/mesh.h"
 #include "msg/transport.h"
 #include "mp/comm.h"
 #include "obs/sampler.h"
@@ -166,7 +165,7 @@ class ScenarioEngine {
   ScenarioEngine(const ScenarioEngine&) = delete;
   ScenarioEngine& operator=(const ScenarioEngine&) = delete;
 
-  /// Materialise the cluster, tenants, governors, faults, mesh/comm.
+  /// Materialise the cluster, tenants, governors, faults, communicator.
   [[nodiscard]] KStatus build();
   /// Seed actors, drain the scheduler, tear down, audit. build() first.
   [[nodiscard]] KStatus run();
@@ -317,8 +316,7 @@ class ScenarioEngine {
   std::unique_ptr<fault::FaultEngine> faults_;
 
   std::vector<std::unique_ptr<msg::Channel>> channels_;  ///< [from*hosts + to]
-  std::unique_ptr<msg::Mesh> mesh_;   ///< Collectives pattern
-  std::unique_ptr<mp::Comm> comm_;    ///< PsAllreduce pattern
+  std::unique_ptr<mp::Comm> comm_;  ///< PsAllreduce / Collectives patterns
 
   std::vector<ClientActor> clients_;
   std::vector<ChurnActor> churners_;

@@ -299,9 +299,6 @@ std::string ScenarioSpec::apply(std::string_view key, std::string_view value) {
     if (!parse_bytes32(value, alltoall_block)) return bad("alltoall_block");
   } else if (key == "channel_heap_bytes") {
     if (!parse_bytes(value, channel_heap_bytes)) return bad("channel_heap_bytes");
-  } else if (key == "mesh_eager_channels") {
-    if (!parse_bool(value, mesh_eager_channels))
-      return bad("mesh_eager_channels");
   } else if (key == "churn_regs_per_tenant") {
     if (!parse_u32(value, churn_regs_per_tenant))
       return bad("churn_regs_per_tenant");
@@ -395,6 +392,12 @@ std::string ScenarioSpec::validate() const {
       return "large_fraction must be in [0, 1]";
     if (churn_abandon_fraction < 0.0 || churn_abandon_fraction > 1.0)
       return "churn_abandon_fraction must be in [0, 1]";
+  }
+  if (pattern == Pattern::Collectives) {
+    // The rank heap layout the engine lays these out in.
+    if (payload_bytes > 64 * 1024) return "payload_bytes must be <= 64k";
+    if (allreduce_count > 8192) return "allreduce_count must be <= 8192";
+    if (alltoall_block < 8) return "alltoall_block must be >= 8";
   }
   if (guaranteed_fraction < 0.0 || guaranteed_fraction > 1.0)
     return "guaranteed_fraction must be in [0, 1]";

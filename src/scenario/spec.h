@@ -43,7 +43,7 @@ enum class Pattern : std::uint8_t {
   SkewedKv,     ///< GET/PUT to key-addressed servers, Zipf-skewed keys
   PsAllreduce,  ///< workers push shards to a parameter server (mp::Comm)
   Pipeline,     ///< records stream host 0 -> 1 -> ... -> N-1
-  Collectives,  ///< msg::Mesh barrier/broadcast/allreduce/alltoall rounds
+  Collectives,  ///< mp::Comm barrier/broadcast/allreduce/alltoall rounds
   KvService,    ///< svc::KvServer/KvClient tier: pipelined, governed, zero-copy
 };
 
@@ -120,11 +120,10 @@ struct ScenarioSpec {
   Nanos think_ns = 10'000;            ///< per-actor inter-arrival gap
 
   // --- collectives (E12 compatibility) -----------------------------------------
-  std::uint32_t payload_bytes = 64 * 1024;  ///< broadcast payload
-  std::uint32_t allreduce_count = 256;      ///< u64 elements
-  std::uint32_t alltoall_block = 8 * 1024;  ///< per-peer block
+  std::uint32_t payload_bytes = 64 * 1024;  ///< broadcast payload (<= 64k)
+  std::uint32_t allreduce_count = 256;      ///< u64 elements (<= 8192)
+  std::uint32_t alltoall_block = 8 * 1024;  ///< per-peer block (>= 8)
   std::uint64_t channel_heap_bytes = 256 * 1024;  ///< per-channel user heap
-  bool mesh_eager_channels = false;  ///< pre-build the all-pairs mesh (E12)
 
   // --- registration churn -------------------------------------------------------
   std::uint32_t churn_regs_per_tenant = 0;  ///< registrations issued per tenant

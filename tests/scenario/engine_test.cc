@@ -67,7 +67,7 @@ TEST(ScenarioEngine, PsAllreduceFoldsEveryRound) {
 TEST(ScenarioEngine, CollectivesReportsE12Scalars) {
   const ScenarioReport r = run_spec(
       "name = t\npattern = collectives\nhosts = 4\nrounds = 1\n"
-      "governor = off\nmesh_eager_channels = on\nhost_frames = 2048\n"
+      "governor = off\nhost_frames = 2048\n"
       "host_swap_slots = 16384\ntpt_entries = 8192\n");
   EXPECT_GT(r.barrier_ns, 0u);
   EXPECT_GT(r.broadcast_ns, 0u);

@@ -72,6 +72,7 @@ TEST(ScenarioSpec, RejectsBadInput) {
   EXPECT_FALSE(parse_spec("mystery_key = 1\n").ok());
   EXPECT_FALSE(parse_spec("no equals sign here\n").ok());
   EXPECT_FALSE(parse_spec("fault = nowhere drop\n").ok());
+  EXPECT_FALSE(parse_spec("mesh_eager_channels = on\n").ok());
   // Parse errors name the offending line.
   const auto bad = parse_spec("hosts = 4\nservers = x\n");
   EXPECT_NE(bad.error.find("line 2"), std::string::npos) << bad.error;
@@ -115,6 +116,16 @@ TEST(ScenarioSpec, ValidateCatchesInconsistency) {
   EXPECT_EQ(spec.validate(), "");
 
   spec.hosts = 1;
+  EXPECT_NE(spec.validate(), "");
+
+  // The collectives rank-heap layout bounds its payloads.
+  spec.pattern = Pattern::Collectives;
+  spec.hosts = 4;
+  EXPECT_EQ(spec.validate(), "");
+  spec.payload_bytes = 64 * 1024 + 1;
+  EXPECT_NE(spec.validate(), "");
+  spec.payload_bytes = 64 * 1024;
+  spec.alltoall_block = 4;
   EXPECT_NE(spec.validate(), "");
 }
 
