@@ -14,29 +14,16 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "scenario/engine.h"
-#include "scenario/spec.h"
 #include "util/table.h"
-
-#ifndef SCENARIO_SPEC_DIR
-#define SCENARIO_SPEC_DIR "examples/scenarios"
-#endif
 
 namespace vialock {
 namespace {
 
 scenario::ScenarioReport measure(std::uint32_t ranks) {
-  scenario::ParseResult parsed = scenario::load_spec_file(
-      std::string(SCENARIO_SPEC_DIR) + "/e12-collectives.spec");
-  if (!parsed.ok()) {
-    std::cerr << "spec error: " << parsed.error << "\n";
-    std::abort();
-  }
-  if (!parsed.spec.apply("hosts", std::to_string(ranks)).empty()) std::abort();
-  scenario::ScenarioEngine engine(std::move(parsed.spec));
-  if (!ok(engine.build()) || !ok(engine.run())) std::abort();
-  if (!engine.report().invariants_ok) std::abort();
-  return engine.report();
+  const auto engine = bench::run_or_die(bench::load_spec(
+      "e12-collectives.spec", {{"hosts", std::to_string(ranks)}}));
+  if (!engine->report().invariants_ok) std::abort();
+  return engine->report();
 }
 
 }  // namespace

@@ -17,7 +17,8 @@
 //      admitted and the best-effort one fails cleanly instead.
 //
 // All times are virtual-clock nanoseconds; same-seed runs are bit-identical
-// (checked at the end by replaying scenario 2 and comparing /proc/pinmgr).
+// (checked at the end by replaying scenario 2 and comparing the node's full
+// metric snapshot plus the governor's per-tenant accounting).
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -29,7 +30,6 @@
 #include "bench_util.h"
 #include "core/reg_cache.h"
 #include "experiments/pressure.h"
-#include "pinmgr/pin_procfs.h"
 #include "util/table.h"
 #include "via/vipl.h"
 
@@ -146,7 +146,8 @@ struct PressureRunResult {
   std::uint64_t tpt_stale = 0;        ///< live TPT entries vs page tables
   bool clean_exit = false;            ///< nothing pinned/charged at the end
   Nanos elapsed = 0;
-  std::string pinstat;                ///< governed runs: final /proc/pinmgr
+  std::string metrics;                ///< final metric snapshot, as text
+  std::vector<pinmgr::TenantInfo> tenants;  ///< governed runs: final tenants
 };
 
 struct Tenant {
@@ -288,12 +289,13 @@ PressureRunResult run_tenants(bool governed) {
   }
   if (gov != nullptr) {
     r.reclaim_pages = gov->stats().reclaim_pages;
-    r.pinstat = pinmgr::pinstat(*gov);
+    r.tenants = gov->tenants();
     r.clean_exit = gov->total_charged() == 0 && kern.pinned_frames() == 0 &&
                    kern.self_check().empty();
   } else {
     r.clean_exit = kern.pinned_frames() == 0 && kern.self_check().empty();
   }
+  r.metrics = obs::to_proc_text(kern.metrics().snapshot());
   r.elapsed = clock.now();
   return r;
 }
@@ -415,11 +417,13 @@ int main(int argc, char** argv) {
   vialock::qos_table(report);
 
   // Determinism: replay the governed multi-tenant run and require the virtual
-  // clock and /proc/pinmgr to be bit-identical.
+  // clock, every metric of the node and the per-tenant accounting to be
+  // bit-identical.
   const vialock::PressureRunResult replay =
       vialock::run_tenants(/*governed=*/true);
   const bool deterministic = replay.elapsed == governed.elapsed &&
-                             replay.pinstat == governed.pinstat;
+                             replay.metrics == governed.metrics &&
+                             replay.tenants == governed.tenants;
   std::cout << "\ndeterminism (replayed governed run): "
             << (deterministic ? "bit-identical" : "DIVERGED") << "\n";
   report.metric("deterministic", deterministic ? "yes" : "NO");

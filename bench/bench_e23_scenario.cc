@@ -17,13 +17,7 @@
 #include <string>
 
 #include "bench_util.h"
-#include "scenario/engine.h"
-#include "scenario/spec.h"
 #include "util/table.h"
-
-#ifndef SCENARIO_SPEC_DIR
-#define SCENARIO_SPEC_DIR "examples/scenarios"
-#endif
 
 namespace vialock {
 namespace {
@@ -34,57 +28,25 @@ struct SweepPoint {
   std::uint32_t churn_regs;
 };
 
-scenario::ScenarioSpec base_spec() {
-  scenario::ParseResult parsed = scenario::load_spec_file(
-      std::string(SCENARIO_SPEC_DIR) + "/cluster-1m.spec");
-  if (!parsed.ok()) {
-    std::cerr << "spec error: " << parsed.error << "\n";
-    std::abort();
-  }
-  return std::move(parsed.spec);
-}
-
-void apply_or_die(scenario::ScenarioSpec& spec, const std::string& key,
-                  std::uint64_t value) {
-  const std::string err = spec.apply(key, std::to_string(value));
-  if (!err.empty()) {
-    std::cerr << "override " << key << "=" << value << ": " << err << "\n";
-    std::abort();
-  }
-}
-
 scenario::ScenarioSpec sweep_spec(const SweepPoint& p) {
-  scenario::ScenarioSpec spec = base_spec();
-  apply_or_die(spec, "hosts", p.hosts);
-  apply_or_die(spec, "servers", std::max<std::uint32_t>(2, p.hosts / 16));
-  apply_or_die(spec, "ops_per_tenant", p.ops_per_tenant);
-  apply_or_die(spec, "churn_regs_per_tenant", p.churn_regs);
-  return spec;
-}
-
-scenario::ScenarioReport run_or_die(scenario::ScenarioSpec spec) {
-  scenario::ScenarioEngine engine(std::move(spec));
-  if (!ok(engine.build()) || !ok(engine.run())) {
-    std::cerr << "scenario failed to build/run\n";
-    std::abort();
-  }
-  for (const auto& v : engine.report().violations)
-    std::cerr << "violation: " << v << "\n";
-  return engine.report();
+  return bench::load_spec(
+      "cluster-1m.spec",
+      {{"hosts", std::to_string(p.hosts)},
+       {"servers", std::to_string(std::max<std::uint32_t>(2, p.hosts / 16))},
+       {"ops_per_tenant", std::to_string(p.ops_per_tenant)},
+       {"churn_regs_per_tenant", std::to_string(p.churn_regs)}});
 }
 
 /// The determinism contract, enforced: same spec + seed, byte-identical
 /// canonical JSON. Returns the (verified) report of the first run.
 std::pair<scenario::ScenarioReport, bool> run_twice(
     const scenario::ScenarioSpec& spec) {
-  scenario::ScenarioEngine first(spec);
-  if (!ok(first.build()) || !ok(first.run())) std::abort();
-  scenario::ScenarioEngine second(spec);
-  if (!ok(second.build()) || !ok(second.run())) std::abort();
+  const auto first = bench::run_or_die(spec);
+  const auto second = bench::run_or_die(spec);
   const bool identical =
-      scenario::report_json(spec, first.report()) ==
-      scenario::report_json(spec, second.report());
-  return {first.report(), identical};
+      scenario::report_json(spec, first->report()) ==
+      scenario::report_json(spec, second->report());
+  return {first->report(), identical};
 }
 
 }  // namespace
@@ -112,7 +74,8 @@ int main(int argc, char** argv) {
   for (const SweepPoint& p : sweep) {
     scenario::ScenarioSpec spec = sweep_spec(p);
     const std::uint32_t tenants = p.hosts * spec.tenants_per_host;
-    const scenario::ScenarioReport r = run_or_die(std::move(spec));
+    const scenario::ScenarioReport r =
+        bench::run_or_die(std::move(spec))->report();
     if (!r.invariants_ok) return 1;
     table.row({Table::num(std::uint64_t{p.hosts}),
                Table::num(std::uint64_t{tenants}),
@@ -125,13 +88,14 @@ int main(int argc, char** argv) {
   table.print();
 
   // Headline run: the shipped spec, twice, byte-compared.
-  scenario::ScenarioSpec headline = base_spec();
-  if (smoke) {
-    apply_or_die(headline, "hosts", 32);
-    apply_or_die(headline, "servers", 4);
-    apply_or_die(headline, "ops_per_tenant", 200);
-    apply_or_die(headline, "churn_regs_per_tenant", 50);
-  }
+  bench::SpecOverrides smoke_scale;
+  if (smoke)
+    smoke_scale = {{"hosts", "32"},
+                   {"servers", "4"},
+                   {"ops_per_tenant", "200"},
+                   {"churn_regs_per_tenant", "50"}};
+  const scenario::ScenarioSpec headline =
+      bench::load_spec("cluster-1m.spec", smoke_scale);
   const auto [r, identical] = run_twice(headline);
   std::cout << "\nheadline (" << headline.hosts << " hosts): "
             << r.registrations_plus_transfers() << " registrations+transfers, "

@@ -27,13 +27,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "scenario/engine.h"
-#include "scenario/spec.h"
 #include "util/table.h"
-
-#ifndef SCENARIO_SPEC_DIR
-#define SCENARIO_SPEC_DIR "examples/scenarios"
-#endif
 
 namespace vialock {
 namespace {
@@ -50,34 +44,9 @@ struct RunResult {
   scenario::KvServiceStats svc;
 };
 
-scenario::ScenarioSpec base_spec() {
-  scenario::ParseResult parsed = scenario::load_spec_file(
-      std::string(SCENARIO_SPEC_DIR) + "/kv-server.spec");
-  if (!parsed.ok()) {
-    std::cerr << "spec error: " << parsed.error << "\n";
-    std::abort();
-  }
-  return std::move(parsed.spec);
-}
-
-void apply_or_die(scenario::ScenarioSpec& spec, const std::string& key,
-                  const std::string& value) {
-  const std::string err = spec.apply(key, value);
-  if (!err.empty()) {
-    std::cerr << "override " << key << "=" << value << ": " << err << "\n";
-    std::abort();
-  }
-}
-
-RunResult run_or_die(scenario::ScenarioSpec spec) {
-  scenario::ScenarioEngine engine(std::move(spec));
-  if (!ok(engine.build()) || !ok(engine.run())) {
-    std::cerr << "scenario failed to build/run\n";
-    std::abort();
-  }
-  for (const auto& v : engine.report().violations)
-    std::cerr << "violation: " << v << "\n";
-  return {engine.report(), engine.kv_service_stats()};
+RunResult run(scenario::ScenarioSpec spec) {
+  const auto engine = bench::run_or_die(std::move(spec));
+  return {engine->report(), engine->kv_service_stats()};
 }
 
 /// The determinism contract for the svc tier: same spec + seed must
@@ -85,15 +54,12 @@ RunResult run_or_die(scenario::ScenarioSpec spec) {
 /// (counters, reclamation totals, the full latency tail). Returns the
 /// verified first run.
 std::pair<RunResult, bool> run_twice(const scenario::ScenarioSpec& spec) {
-  scenario::ScenarioEngine first(spec);
-  if (!ok(first.build()) || !ok(first.run())) std::abort();
-  scenario::ScenarioEngine second(spec);
-  if (!ok(second.build()) || !ok(second.run())) std::abort();
-  const bool identical =
-      scenario::report_json(spec, first.report()) ==
-          scenario::report_json(spec, second.report()) &&
-      first.kv_service_stats() == second.kv_service_stats();
-  return {{first.report(), first.kv_service_stats()}, identical};
+  const RunResult first = run(spec);
+  const RunResult second = run(spec);
+  const bool identical = scenario::report_json(spec, first.report) ==
+                             scenario::report_json(spec, second.report) &&
+                         first.svc == second.svc;
+  return {first, identical};
 }
 
 }  // namespace
@@ -131,13 +97,14 @@ int main(int argc, char** argv) {
   Table table({"variant", "conns", "tenants", "kv ops", "makespan", "p50",
                "p99", "p999", "inline B", "rdv B", "eager", "abandoned"});
   for (const SweepPoint& p : sweep) {
-    scenario::ScenarioSpec spec = base_spec();
-    apply_or_die(spec, "hosts", std::to_string(p.hosts));
-    apply_or_die(spec, "ops_per_tenant", std::to_string(ops));
-    apply_or_die(spec, "large_fraction", std::to_string(p.large_fraction));
-    apply_or_die(spec, "conn_churn_per_client", std::to_string(p.churn));
+    scenario::ScenarioSpec spec = bench::load_spec(
+        "kv-server.spec",
+        {{"hosts", std::to_string(p.hosts)},
+         {"ops_per_tenant", std::to_string(ops)},
+         {"large_fraction", std::to_string(p.large_fraction)},
+         {"conn_churn_per_client", std::to_string(p.churn)}});
     const std::uint32_t tenants = spec.servers * spec.tenants_per_host;
-    const RunResult r = run_or_die(std::move(spec));
+    const RunResult r = run(std::move(spec));
     if (!r.report.invariants_ok) return 1;
     if (std::string(p.label) == "zero-copy")
       zero_copy_proven = r.svc.eager_copies == 0 && r.svc.inline_bytes == 0 &&
@@ -161,8 +128,10 @@ int main(int argc, char** argv) {
   // Headline: the shipped spec (68 hosts, 1024 connections, 16 tenants),
   // twice, byte- and field-compared. Smoke keeps the full connection count
   // and only trims the per-connection op budget.
-  scenario::ScenarioSpec headline = base_spec();
-  if (smoke) apply_or_die(headline, "ops_per_tenant", std::to_string(ops));
+  bench::SpecOverrides smoke_scale;
+  if (smoke) smoke_scale = {{"ops_per_tenant", std::to_string(ops)}};
+  const scenario::ScenarioSpec headline =
+      bench::load_spec("kv-server.spec", smoke_scale);
   const std::uint32_t want_conns =
       (headline.hosts - headline.servers) * headline.connections_per_client;
   const std::uint32_t tenants = headline.servers * headline.tenants_per_host;

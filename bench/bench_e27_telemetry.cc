@@ -34,37 +34,10 @@
 
 #include "bench_util.h"
 #include "obs/sampler.h"
-#include "scenario/engine.h"
-#include "scenario/spec.h"
 #include "util/table.h"
-
-#ifndef SCENARIO_SPEC_DIR
-#define SCENARIO_SPEC_DIR "examples/scenarios"
-#endif
 
 namespace vialock {
 namespace {
-
-scenario::ScenarioSpec base_spec(bool smoke) {
-  scenario::ParseResult parsed = scenario::load_spec_file(
-      std::string(SCENARIO_SPEC_DIR) + "/cluster-1m.spec");
-  if (!parsed.ok()) {
-    std::cerr << "spec error: " << parsed.error << "\n";
-    std::abort();
-  }
-  scenario::ScenarioSpec spec = std::move(parsed.spec);
-  if (smoke) {
-    for (const auto& [k, v] : {std::pair<std::string, std::string>
-                                   {"hosts", "32"},
-                               {"servers", "4"},
-                               {"ops_per_tenant", "100"},
-                               {"churn_regs_per_tenant", "25"}}) {
-      const std::string err = spec.apply(k, v);
-      if (!err.empty()) std::abort();
-    }
-  }
-  return spec;
-}
 
 struct TimedRun {
   std::string report_json;
@@ -135,7 +108,14 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
   const bench::BenchFlags flags(argc, argv);
 
-  const scenario::ScenarioSpec spec = base_spec(smoke);
+  bench::SpecOverrides smoke_scale;
+  if (smoke)
+    smoke_scale = {{"hosts", "32"},
+                   {"servers", "4"},
+                   {"ops_per_tenant", "100"},
+                   {"churn_regs_per_tenant", "25"}};
+  const scenario::ScenarioSpec spec =
+      bench::load_spec("cluster-1m.spec", smoke_scale);
 
   // Dense cadence for the correctness checks; the spec's declared cadence
   // for the overhead measurement (gated at full scale, see file comment).

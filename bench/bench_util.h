@@ -13,19 +13,30 @@
 // TRACE_<experiment>.json, a chrome://tracing / Perfetto-loadable span
 // trace of the instrumented run. Both are deterministic: same seed, same
 // bytes.
+//
+// The scenario-driven benches load a bundled spec with load_spec() and run
+// it with run_or_die(); both abort with a message on any error.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/export.h"
+#include "scenario/engine.h"
+#include "scenario/spec.h"
 #include "util/table.h"
 #include "via/node.h"
+
+#ifndef SCENARIO_SPEC_DIR
+#define SCENARIO_SPEC_DIR "examples/scenarios"
+#endif
 
 namespace vialock::bench {
 
@@ -45,6 +56,44 @@ inline via::NodeSpec eval_node(via::PolicyKind policy) {
 
 inline std::string yesno(bool b) { return b ? "yes" : "NO"; }
 inline std::string passfail(bool b) { return b ? "PASS" : "FAIL"; }
+
+/// Spec key overrides, applied in order.
+using SpecOverrides = std::vector<std::pair<std::string, std::string>>;
+
+/// The bundled scenario spec `file` (e.g. "cluster-1m.spec") with
+/// `overrides` applied. Aborts on a parse error or a rejected override.
+inline scenario::ScenarioSpec load_spec(const std::string& file,
+                                        const SpecOverrides& overrides = {}) {
+  scenario::ParseResult parsed =
+      scenario::load_spec_file(std::string(SCENARIO_SPEC_DIR) + "/" + file);
+  if (!parsed.ok()) {
+    std::cerr << "spec error: " << parsed.error << "\n";
+    std::abort();
+  }
+  for (const auto& [key, value] : overrides) {
+    const std::string err = parsed.spec.apply(key, value);
+    if (!err.empty()) {
+      std::cerr << "override " << key << "=" << value << ": " << err << "\n";
+      std::abort();
+    }
+  }
+  return std::move(parsed.spec);
+}
+
+/// Build and run `spec`, aborting if either step fails. Invariant violations
+/// are echoed to stderr; the engine is returned for report() and the
+/// per-pattern stats.
+inline std::unique_ptr<scenario::ScenarioEngine> run_or_die(
+    scenario::ScenarioSpec spec) {
+  auto engine = std::make_unique<scenario::ScenarioEngine>(std::move(spec));
+  if (!ok(engine->build()) || !ok(engine->run())) {
+    std::cerr << "scenario failed to build/run\n";
+    std::abort();
+  }
+  for (const auto& v : engine->report().violations)
+    std::cerr << "violation: " << v << "\n";
+  return engine;
+}
 
 /// One pass over argv for the flags every bench shares: `--json`,
 /// `--metrics`, `--trace-export`, `--compare <baseline>` (or

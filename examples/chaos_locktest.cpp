@@ -23,7 +23,6 @@
 #include "experiments/pressure.h"
 #include "fault/fault.h"
 #include "msg/transport.h"
-#include "simkern/procfs.h"
 #include "util/rng.h"
 
 using namespace vialock;
@@ -146,17 +145,14 @@ ActResult run_act(const char* label, via::PolicyKind policy, bool reliable) {
   res.stats = ch.stats();
   res.schedule = engine.schedule_string();
 
-  // The kernel's /proc/vmstat now carries the cumulative fault counters.
-  const std::string vm = simkern::vmstat(cluster.node(n1).kernel());
-  for (const char* key : {"fault_injected_"}) {
-    std::size_t pos = 0;
-    while ((pos = vm.find(key, pos)) != std::string::npos) {
-      const std::size_t end = vm.find('\n', pos);
-      const std::string line = vm.substr(pos, end - pos);
-      if (line.back() != '0' || line[line.size() - 2] != ' ')
-        std::printf("  [vmstat] %s\n", line.c_str());
-      pos = end;
-    }
+  // Cumulative injections per fault site (the engine is shared by the
+  // fabric and both nodes).
+  for (std::size_t i = 0; i < fault::kNumFaultSites; ++i) {
+    const auto site = static_cast<fault::FaultSite>(i);
+    if (const std::uint64_t n = engine.stats().injected(site))
+      std::printf("  [faults] fault_injected_%s %llu\n",
+                  std::string(fault::to_string(site)).c_str(),
+                  static_cast<unsigned long long>(n));
   }
   return res;
 }

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "core/proc_export.h"
-
 namespace vialock::core {
 
 RegistrationCache::RegistrationCache(via::Vipl& vipl, Config config)
@@ -13,8 +11,7 @@ RegistrationCache::RegistrationCache(via::Vipl& vipl, Config config)
       config_(config),
       acquire_ns_(vipl.agent().kern().metrics().histogram(
           "core.regcache.acquire_ns")),
-      source_name_("core.regcache.p" + std::to_string(vipl.pid())),
-      proc_path_("regcache/p" + std::to_string(vipl.pid())) {
+      source_name_("core.regcache.p" + std::to_string(vipl.pid())) {
   if (config_.governor) config_.governor->add_reclaim_client(this);
   simkern::Kernel& kern = vipl_.agent().kern();
   kern.metrics().register_source(source_name_, this, [this](obs::MetricSink& s) {
@@ -31,8 +28,6 @@ RegistrationCache::RegistrationCache(via::Vipl& vipl, Config config)
     s.gauge("idle", idle_.size());
     s.gauge("live", rows_.size());
   });
-  kern.procfs().mount(proc_path_, this,
-                      [this] { return regcache_status(stats_); });
 }
 
 RegistrationCache::~RegistrationCache() {
@@ -40,7 +35,6 @@ RegistrationCache::~RegistrationCache() {
   if (config_.governor) config_.governor->remove_reclaim_client(this);
   simkern::Kernel& kern = vipl_.agent().kern();
   kern.metrics().unregister_source(source_name_, this);
-  kern.procfs().unmount(proc_path_, this);
 }
 namespace {
 

@@ -84,7 +84,7 @@ class RegistrationCache : public pinmgr::ReclaimClient {
   explicit RegistrationCache(via::Vipl& vipl)
       : RegistrationCache(vipl, Config{}) {}
   /// Registers the cache's stats with the node kernel's metric registry
-  /// (source "core.regcache.p<pid>") and mounts /proc/regcache/p<pid>.
+  /// (source "core.regcache.p<pid>").
   RegistrationCache(via::Vipl& vipl, Config config);
 
   RegistrationCache(const RegistrationCache&) = delete;
@@ -197,8 +197,9 @@ class RegistrationCache : public pinmgr::ReclaimClient {
   RegCacheStats stats_;
   /// Acquire latency distribution (hits are cheap, misses pay an ioctl).
   obs::Histogram& acquire_ns_;
-  /// The registry/procfs names this cache registered (pid-suffixed so two
-  /// processes' caches on one node do not collide).
+  /// The metric source name this cache registered (pid-suffixed so two
+  /// processes' caches on one node do not collide; two caches of one pid
+  /// still do, and the newer one takes the name over).
   std::string source_name_;
   std::string proc_path_;
   /// The owning interval index: sorted by (vaddr, id). Flat for lookup

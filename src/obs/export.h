@@ -1,8 +1,8 @@
 // export.h - the three exporters over the observability substrate
 // (DESIGN.md section 10):
 //
-//   to_proc_text   - /proc/metrics: "name value" lines in name order, the
-//                    text every other /proc node in this repo emits. A
+//   to_proc_text   - "name value" lines in name order, the text a bench's
+//                    `--metrics` prints under its /proc/metrics header. A
 //                    histogram renders as .count/.sum/.p50/.p99/.p999/.max
 //                    lines.
 //   to_json        - machine-readable snapshot, following bench::JsonReport's

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "pinmgr/pin_procfs.h"
-
 namespace vialock::pinmgr {
 
 PinGovernor::PinGovernor(simkern::Kernel& kern, GovernorConfig config)
@@ -37,13 +35,11 @@ PinGovernor::PinGovernor(simkern::Kernel& kern, GovernorConfig config)
     const std::uint32_t cap = ceiling();
     s.gauge("ceiling_headroom", cap > total_charged_ ? cap - total_charged_ : 0);
   });
-  kern_.procfs().mount("pinmgr", this, [this] { return pinstat(*this); });
 }
 
 PinGovernor::~PinGovernor() {
   drain();
   kern_.metrics().unregister_source("pinmgr", this);
-  kern_.procfs().unmount("pinmgr", this);
 }
 
 void PinGovernor::set_tenant(simkern::Pid pid, std::uint32_t quota_pages,

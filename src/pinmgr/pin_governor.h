@@ -86,7 +86,7 @@ struct GovernorStats {
   std::uint64_t forced_frames_uncharged = 0;  ///< frames rescued from the leak
 };
 
-/// Snapshot of one tenant's accounting, for procfs and tests.
+/// Snapshot of one tenant's accounting, for reports and tests.
 struct TenantInfo {
   simkern::Pid pid = simkern::kInvalidPid;
   QosTier tier = QosTier::BestEffort;
@@ -95,6 +95,8 @@ struct TenantInfo {
   std::uint32_t peak = 0;
   std::uint64_t admissions = 0;
   std::uint64_t rejections = 0;
+
+  bool operator==(const TenantInfo&) const = default;
 };
 
 /// A holder of evictable pinned state (the RegistrationCache): the governor

@@ -120,8 +120,6 @@ KStatus ScenarioEngine::build_tenants() {
     if (spec_.governor) {
       pinmgr::GovernorConfig gc;
       gc.default_quota = spec_.tenant_quota_pages;
-      gc.guaranteed_reserve = spec_.guaranteed_reserve;
-      gc.lazy_batch = spec_.lazy_dereg_batch;
       node.enable_governor(gc);
     }
     tenants_[h].reserve(spec_.tenants_per_host);

@@ -243,10 +243,6 @@ std::string ScenarioSpec::apply(std::string_view key, std::string_view value) {
     if (!parse_f64(value, guaranteed_fraction)) return bad("guaranteed_fraction");
   } else if (key == "governor") {
     if (!parse_bool(value, governor)) return bad("governor");
-  } else if (key == "guaranteed_reserve") {
-    if (!parse_u32(value, guaranteed_reserve)) return bad("guaranteed_reserve");
-  } else if (key == "lazy_dereg_batch") {
-    if (!parse_u32(value, lazy_dereg_batch)) return bad("lazy_dereg_batch");
   } else if (key == "servers") {
     if (!parse_u32(value, servers)) return bad("servers");
   } else if (key == "fanout") {

@@ -91,8 +91,6 @@ struct ScenarioSpec {
   std::uint32_t tenant_quota_pages = 512;    ///< per-tenant pin quota
   double guaranteed_fraction = 0.5;          ///< share of tenants Guaranteed
   bool governor = true;                      ///< broker pins through pinmgr
-  std::uint32_t guaranteed_reserve = 0;      ///< ceiling pages reserved
-  std::uint32_t lazy_dereg_batch = 0;        ///< pinmgr lazy batching depth
 
   // --- traffic ------------------------------------------------------------------
   std::uint32_t servers = 4;          ///< rpc/kv: hosts 0..servers-1 serve

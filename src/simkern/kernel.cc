@@ -4,9 +4,6 @@
 
 #include <cassert>
 
-#include "obs/export.h"
-#include "simkern/procfs.h"
-
 namespace vialock::simkern {
 
 Kernel::Kernel(const KernelConfig& config, Clock& clock, CostModel costs)
@@ -48,10 +45,6 @@ Kernel::Kernel(const KernelConfig& config, Clock& clock, CostModel costs)
     s.counter("spans.unbalanced_closes", spans_.unbalanced_closes());
     s.counter("flight.dumps", flight_.dumps());
   });
-  procfs_.mount("meminfo", this, [this] { return meminfo(*this); });
-  procfs_.mount("vmstat", this, [this] { return vmstat(*this); });
-  procfs_.mount("metrics", this,
-                [this] { return obs::to_proc_text(metrics_.snapshot()); });
 }
 
 void Kernel::set_fault_engine(fault::FaultEngine* engine) {

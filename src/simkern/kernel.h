@@ -23,7 +23,6 @@
 #include "fault/fault.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/proc_registry.h"
 #include "obs/span.h"
 #include "simkern/buddy.h"
 #include "simkern/kiobuf.h"
@@ -284,10 +283,6 @@ class Kernel {
   /// `spans().enable(true)` to arm, obs::chrome_trace(spans()) to export.
   [[nodiscard]] obs::SpanRecorder& spans() { return spans_; }
   [[nodiscard]] const obs::SpanRecorder& spans() const { return spans_; }
-  /// The /proc mount table: meminfo, vmstat, metrics, plus whatever the
-  /// upper layers mount (via/agent, pinmgr, regcache/<pid>, ...).
-  [[nodiscard]] obs::ProcRegistry& procfs() { return procfs_; }
-  [[nodiscard]] const obs::ProcRegistry& procfs() const { return procfs_; }
   /// Crash flight recorder (DESIGN.md section 11). flight().set_sink() arms
   /// it; flight_dump() is the trigger components call on terminal faults.
   [[nodiscard]] obs::FlightRecorder& flight() { return flight_; }
@@ -343,7 +338,6 @@ class Kernel {
   TraceRing trace_{2048};
   obs::MetricRegistry metrics_;
   obs::SpanRecorder spans_{clock_};
-  obs::ProcRegistry procfs_;
   obs::FlightRecorder flight_;
   // Cached hot-path handles into metrics_ (vmscan instrumentation).
   obs::Histogram* reclaim_ns_hist_ = nullptr;

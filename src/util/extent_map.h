@@ -112,7 +112,7 @@ class ExtentMap {
     free_.emplace(nstart, nlen);
   }
 
-  /// Number of free holes (fragmentation metric for /proc exports).
+  /// Number of free holes (a fragmentation metric).
   [[nodiscard]] std::size_t extent_count() const { return free_.size(); }
 
   /// Total free units.

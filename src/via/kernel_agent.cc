@@ -3,25 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 namespace vialock::via {
-
-std::string agent_status(const AgentStats& s) {
-  std::ostringstream os;
-  os << "registrations " << s.registrations << "\n"
-     << "deregistrations " << s.deregistrations << "\n"
-     << "pages_registered " << s.pages_registered << "\n"
-     << "lock_failures " << s.lock_failures << "\n"
-     << "tpt_full " << s.tpt_full << "\n"
-     << "admission_rejects " << s.admission_rejects << "\n"
-     << "lazy_deregs " << s.lazy_deregs << "\n"
-     << "refresh_failures " << s.refresh_failures << "\n"
-     << "tpt_entries_programmed " << s.tpt_entries_programmed << "\n"
-     << "refresh_splits " << s.refresh_splits << "\n";
-  return os.str();
-}
 
 KernelAgent::KernelAgent(simkern::Kernel& kern, Nic& nic, LockPolicy& policy)
     : kern_(kern),
@@ -45,13 +29,10 @@ KernelAgent::KernelAgent(simkern::Kernel& kern, Nic& nic, LockPolicy& policy)
         s.counter("refresh_splits", stats_.refresh_splits);
         s.gauge("live_registrations", regs_.size());
       });
-  kern_.procfs().mount("via/agent", this,
-                       [this] { return agent_status(stats_); });
 }
 
 KernelAgent::~KernelAgent() {
   kern_.metrics().unregister_source("via.agent", this);
-  kern_.procfs().unmount("via/agent", this);
 }
 
 ProtectionTag KernelAgent::create_ptag(simkern::Pid pid) {

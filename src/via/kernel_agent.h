@@ -47,9 +47,6 @@ struct AgentStats {
                                              ///< superpage decomposition
 };
 
-/// /proc/via/agent: the agent's registration counters as "key value" lines.
-[[nodiscard]] std::string agent_status(const AgentStats& stats);
-
 class KernelAgent {
  public:
   /// Attributes of a registration. Prefer the named factories over brace

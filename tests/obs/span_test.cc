@@ -1,6 +1,5 @@
 // span_test.cc - sim-clock spans: nesting, unbalanced-close handling,
-// capacity bounds, TraceRing mirroring, chrome-trace JSON well-formedness,
-// and the ProcRegistry mount/owner semantics.
+// capacity bounds, TraceRing mirroring and chrome-trace JSON well-formedness.
 #include "obs/span.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +8,6 @@
 #include <string>
 
 #include "obs/export.h"
-#include "obs/proc_registry.h"
 #include "util/clock.h"
 #include "util/trace.h"
 
@@ -444,45 +442,6 @@ TEST(ChromeTrace, SingleRecorderTraceGetsNoFlowEvents) {
   EXPECT_TRUE(JsonChecker(json).valid());
   EXPECT_EQ(json.find("\"ph\": \"s\""), std::string::npos)
       << "a trace confined to one host needs no flow arrows";
-}
-
-// --- /proc registry ----------------------------------------------------------
-
-TEST(ProcRegistry, MountReadLsUnmount) {
-  ProcRegistry proc;
-  int owner = 0;
-  proc.mount("vmstat", &owner, [] { return std::string("pgfault 3\n"); });
-  proc.mount("via/agent", &owner, [] { return std::string("registrations 1\n"); });
-  EXPECT_EQ(proc.read("vmstat").value_or(""), "pgfault 3\n");
-  EXPECT_FALSE(proc.read("nope").has_value());
-  const auto paths = proc.ls();
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_EQ(paths[0], "via/agent");
-  EXPECT_EQ(paths[1], "vmstat");
-  const std::string all = proc.read_all();
-  EXPECT_NE(all.find("== /proc/via/agent =="), std::string::npos);
-  proc.unmount("vmstat", &owner);
-  EXPECT_EQ(proc.size(), 1u);
-}
-
-TEST(ProcRegistry, RemountReplacesAndStaleUnmountIsNoop) {
-  ProcRegistry proc;
-  int old_owner = 0, new_owner = 0;
-  proc.mount("pinmgr", &old_owner, [] { return std::string("old"); });
-  proc.mount("pinmgr", &new_owner, [] { return std::string("new"); });
-  proc.unmount("pinmgr", &old_owner);  // stale owner: no-op
-  EXPECT_EQ(proc.read("pinmgr").value_or(""), "new");
-  proc.unmount("pinmgr", &new_owner);
-  EXPECT_EQ(proc.size(), 0u);
-}
-
-TEST(ProcRegistry, RenderReflectsCurrentState) {
-  ProcRegistry proc;
-  int counter = 0;
-  proc.mount("n", &counter,
-             [&counter] { return std::to_string(++counter); });
-  EXPECT_EQ(proc.read("n").value_or(""), "1");
-  EXPECT_EQ(proc.read("n").value_or(""), "2") << "render runs at read time";
 }
 
 }  // namespace

@@ -6,10 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "../via/via_util.h"
 #include "fault/fault.h"
-#include "pinmgr/pin_procfs.h"
+#include "obs/export.h"
 
 namespace vialock::pinmgr {
 namespace {
@@ -345,23 +346,45 @@ TEST(PinGovernor, InjectedReclaimFailureReleasesNothing) {
   EXPECT_EQ(box.gov.lazy_queue_depth(), 0u);
 }
 
-TEST(PinGovernor, PinstatReportsAccounting) {
+/// The governor's `pinmgr.*` metrics from its node's registry, as
+/// "name value" lines.
+std::string pinmgr_metrics(GovBox& box) {
+  obs::Snapshot snap = box.node.kernel().metrics().snapshot();
+  std::erase_if(snap, [](const obs::Metric& m) {
+    return !m.name.starts_with("pinmgr.");
+  });
+  return obs::to_proc_text(snap);
+}
+
+TEST(PinGovernor, ExportsAccounting) {
   GovBox box;
   box.gov.set_tenant(box.pid, 16, QosTier::Guaranteed);
   const auto a = must_mmap(box.node.kernel(), box.pid, 8);
   via::MemHandle mh;
   ASSERT_TRUE(ok(box.reg(a, 8, mh)));
-  const std::string s = pinstat(box.gov);
-  EXPECT_NE(s.find("charged_pages 8\n"), std::string::npos) << s;
-  EXPECT_NE(s.find("admitted 1\n"), std::string::npos) << s;
-  EXPECT_NE(s.find("tenants 1\n"), std::string::npos) << s;
-  EXPECT_NE(s.find("tier=guaranteed"), std::string::npos) << s;
+  const std::string s = pinmgr_metrics(box);
+  EXPECT_NE(s.find("pinmgr.total_charged 8\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("pinmgr.admitted 1\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("pinmgr.tenants 1\n"), std::string::npos) << s;
+  const std::vector<TenantInfo> tenants = box.gov.tenants();
+  ASSERT_EQ(tenants.size(), 1u);
+  EXPECT_EQ(tenants[0].pid, box.pid);
+  EXPECT_EQ(tenants[0].tier, QosTier::Guaranteed);
+  EXPECT_EQ(tenants[0].quota, 16u);
+  EXPECT_EQ(tenants[0].charged, 8u);
 }
 
 // Two identical runs of a governed workload (registrations, rejections, lazy
-// deregs, a pressure pass) must agree byte-for-byte in virtual time and in
-// every exported counter.
-std::pair<Nanos, std::string> governed_run() {
+// deregs, a pressure pass) must agree byte-for-byte in virtual time, in every
+// exported pinmgr metric and in the per-tenant accounting.
+struct GovernedRun {
+  Nanos now = 0;
+  std::string metrics;
+  std::vector<TenantInfo> tenants_before_release;
+  std::vector<TenantInfo> tenants;
+};
+
+GovernedRun governed_run() {
   GovernorConfig cfg;
   cfg.lazy_batch = 4;
   cfg.default_quota = 32;
@@ -377,15 +400,23 @@ std::pair<Nanos, std::string> governed_run() {
   for (std::size_t i = 0; i + 1 < live.size(); i += 2)
     (void)agent.deregister_mem(live[i]);
   (void)box.gov.on_memory_pressure(16);
+  GovernedRun run;
+  run.tenants_before_release = box.gov.tenants();
   agent.release_tenant(box.pid);
-  return {box.clock.now(), pinstat(box.gov)};
+  run.now = box.clock.now();
+  run.metrics = pinmgr_metrics(box);
+  run.tenants = box.gov.tenants();
+  return run;
 }
 
 TEST(PinGovernor, SameWorkloadIsBitIdentical) {
-  const auto [t1, s1] = governed_run();
-  const auto [t2, s2] = governed_run();
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(s1, s2);
+  const GovernedRun r1 = governed_run();
+  const GovernedRun r2 = governed_run();
+  EXPECT_EQ(r1.now, r2.now);
+  EXPECT_EQ(r1.metrics, r2.metrics);
+  EXPECT_FALSE(r1.tenants_before_release.empty());
+  EXPECT_EQ(r1.tenants_before_release, r2.tenants_before_release);
+  EXPECT_EQ(r1.tenants, r2.tenants);
 }
 
 }  // namespace

@@ -73,6 +73,8 @@ TEST(ScenarioSpec, RejectsBadInput) {
   EXPECT_FALSE(parse_spec("no equals sign here\n").ok());
   EXPECT_FALSE(parse_spec("fault = nowhere drop\n").ok());
   EXPECT_FALSE(parse_spec("mesh_eager_channels = on\n").ok());
+  EXPECT_FALSE(parse_spec("lazy_dereg_batch = 8\n").ok());
+  EXPECT_FALSE(parse_spec("guaranteed_reserve = 64\n").ok());
   // Parse errors name the offending line.
   const auto bad = parse_spec("hosts = 4\nservers = x\n");
   EXPECT_NE(bad.error.find("line 2"), std::string::npos) << bad.error;

@@ -1,5 +1,5 @@
-// util_test.cc - the utility substrate: statistics, RNG
-// determinism, table formatting, clock/cost composition, flag operations.
+// util_test.cc - the utility substrate: RNG determinism, table formatting,
+// clock/cost composition, flag operations.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,51 +8,10 @@
 #include "util/cost_model.h"
 #include "util/flags.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace vialock {
 namespace {
-
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.total(), 40.0);
-}
-
-TEST(Summary, MergeEqualsCombinedStream) {
-  Summary a;
-  Summary b;
-  Summary all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 1.7 - 20;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmptySides) {
-  Summary a;
-  Summary empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  Summary c;
-  c.merge(a);
-  EXPECT_EQ(c.count(), 1u);
-  EXPECT_DOUBLE_EQ(c.mean(), 3.0);
-}
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42);

@@ -65,7 +65,7 @@ TEST(Tpt, FragmentationPreventsLargeAlloc) {
 TEST(Tpt, ExtentIndexTracksFragmentation) {
   // The free list is an ordered extent map (DESIGN.md section 9): the hole
   // count and the largest run are O(extents) introspection, exported so
-  // procfs and experiments can watch fragmentation directly.
+  // metrics and experiments can watch fragmentation directly.
   Tpt tpt(16);
   EXPECT_EQ(tpt.free_extent_count(), 1u);
   EXPECT_EQ(tpt.largest_free_run(), 16u);
