@@ -13,18 +13,9 @@
 // column replays the seed's find_covering - an id-ordered scan over every
 // cached entry - over the same entry set and the same access stream.
 //
-// Since PR 8 the acquire path is two-tiered (DESIGN.md section 14.3): a
-// 64-slot direct-mapped lookaside serves exact-repeat acquires ahead of the
-// covering index, so small working sets are faster than the index alone and
-// a naive 16 -> 4096 growth ratio would measure the tier boundary, not the
-// index. The table reports the lookaside hit rate per row; the growth gate
-// is anchored at the first sweep point the lookaside no longer dominates
-// (hit rate < 30%, i.e. the working set far exceeds the 64 slots).
-//
 // Self-check (strict in Release/NDEBUG builds, informational in debug):
-// index-tier acquire cost grows <= 2x from that anchor to 4096 cached
-// registrations while the linear scan grows >= 50x from 16 to 4096.
-#include <algorithm>
+// indexed acquire cost grows <= 2x from 16 to 4096 cached registrations
+// while the linear scan grows >= 50x over the same sweep.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -102,7 +93,6 @@ struct SweepRow {
   double indexed_ns = 0;
   double linear_ns = 0;
   std::uint64_t hits = 0;
-  std::uint64_t lookaside_hits = 0;  ///< timed acquires served by the lookaside
 };
 
 SweepRow run_count(std::uint32_t count) {
@@ -122,7 +112,7 @@ SweepRow run_count(std::uint32_t count) {
 
   // Populate: `count` disjoint single-page registrations, each kept *live*
   // (one outstanding handle) for the duration of the sweep, so the measured
-  // acquire hits never shuffle the idle index - the timed region is the
+  // acquire hits never touch the idle count - the timed region is the
   // covering lookup itself, the operation the seed did linearly. Mirror the
   // entries into the linear model with the real ids.
   LinearModel model;
@@ -150,7 +140,6 @@ SweepRow run_count(std::uint32_t count) {
   SweepRow row;
   row.count = count;
   const std::uint64_t hits_before = cache.stats().hits;
-  const std::uint64_t lookaside_before = cache.stats().lookaside_hits;
   // A single sink handle keeps the timed loop's own footprint out of the
   // cache-vs-cache comparison (a per-iteration result array would stream a
   // megabyte of writes through L2 and charge the index for the evictions).
@@ -170,7 +159,6 @@ SweepRow run_count(std::uint32_t count) {
         cache.release(held[p]);
   }
   row.hits = cache.stats().hits - hits_before;
-  row.lookaside_hits = cache.stats().lookaside_hits - lookaside_before;
 
   std::uint64_t id_sum = 0;
   row.linear_ns = wall_ns_per_op(kIterations, [&] {
@@ -200,7 +188,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== E22 acquire (hit) cost, " << kIterations
             << " random single-page acquires ===\n";
   Table table({"cached regs", "indexed ns/acquire", "linear ns/lookup",
-               "linear/indexed", "hit rate", "lookaside"});
+               "linear/indexed", "hit rate"});
   // Discarded warmup sweep point: the first timed region otherwise runs on a
   // cold branch predictor and an unramped CPU clock, and since it is the
   // 16-entry *baseline* of the growth ratio, that noise would swing the
@@ -214,34 +202,18 @@ int main(int argc, char** argv) {
     table.row({Table::num(std::uint64_t{row.count}),
                Table::fp(row.indexed_ns, 1), Table::fp(row.linear_ns, 1),
                Table::fp(row.linear_ns / row.indexed_ns, 1) + "x",
-               Table::fp(100.0 * row.hits / (kIterations * kReps), 1) + "%",
-               Table::fp(100.0 * row.lookaside_hits / (kIterations * kReps),
-                         1) + "%"});
+               Table::fp(100.0 * row.hits / (kIterations * kReps), 1) + "%"});
   }
   table.print();
   report.add_table("acquire_scaling", table);
 
-  // Anchor the index-tier growth at the first sweep point the lookaside no
-  // longer dominates; the rows before it measure the lookaside tier (whose
-  // whole purpose is to beat the index on small repeat-heavy sets, so they
-  // would inflate a ratio taken from the 16-entry row).
-  const SweepRow* anchor = &rows.back();
-  for (const SweepRow& row : rows) {
-    if (row.lookaside_hits <
-        static_cast<std::uint64_t>(kIterations) * kReps * 3 / 10) {
-      anchor = &row;
-      break;
-    }
-  }
-  const double index_growth = rows.back().indexed_ns / anchor->indexed_ns;
+  const double index_growth = rows.back().indexed_ns / rows.front().indexed_ns;
   const double linear_growth = rows.back().linear_ns / rows.front().linear_ns;
-  report.metric("index_anchor_regs", std::uint64_t{anchor->count})
-      .metric("index_tier_growth_to_4096", index_growth)
-      .metric("linear_growth_16_to_4096", linear_growth)
-      .metric("lookaside_ns_16", rows.front().indexed_ns);
-  std::cout << "\ngrowth to 4096 cached registrations:  index tier (from "
-            << anchor->count << ") " << Table::fp(index_growth, 2)
-            << "x,  linear (from 16) " << Table::fp(linear_growth, 2) << "x\n";
+  report.metric("index_tier_growth_to_4096", index_growth)
+      .metric("linear_growth_16_to_4096", linear_growth);
+  std::cout << "\ngrowth 16 -> 4096 cached registrations:  indexed "
+            << Table::fp(index_growth, 2) << "x,  linear "
+            << Table::fp(linear_growth, 2) << "x\n";
 
   // Every populate acquire registered, every measured acquire hit.
   bool correct = true;
@@ -254,7 +226,7 @@ int main(int argc, char** argv) {
   }
 
   const bool scaling_ok = index_growth <= 2.0 && linear_growth >= 50.0;
-  std::cout << "self-check (index tier <= 2x, linear >= 50x): "
+  std::cout << "self-check (indexed <= 2x, linear >= 50x): "
             << bench::passfail(scaling_ok) << "\n";
   report.metric("scaling_ok", bench::passfail(scaling_ok));
   report.write_if(flags);

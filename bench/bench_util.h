@@ -141,7 +141,7 @@ class JsonReport {
       : experiment_(std::move(experiment)), name_(std::move(name)) {}
 
   JsonReport& param(const std::string& key, const std::string& value) {
-    params_.emplace_back(key, quote(value));
+    params_.emplace_back(key, obs::json_quote(value));
     return *this;
   }
   JsonReport& param(const std::string& key, std::uint64_t value) {
@@ -159,7 +159,7 @@ class JsonReport {
     return *this;
   }
   JsonReport& metric(const std::string& key, const std::string& value) {
-    metrics_.emplace_back(key, quote(value));
+    metrics_.emplace_back(key, obs::json_quote(value));
     return *this;
   }
 
@@ -242,13 +242,13 @@ class JsonReport {
   bool write_if(const BenchFlags& flags) const {
     if (!flags.json) return false;
     std::ofstream out("BENCH_" + experiment_ + ".json");
-    out << "{\n  \"experiment\": " << quote(experiment_)
-        << ",\n  \"name\": " << quote(name_) << ",\n  \"params\": "
+    out << "{\n  \"experiment\": " << obs::json_quote(experiment_)
+        << ",\n  \"name\": " << obs::json_quote(name_) << ",\n  \"params\": "
         << object(params_) << ",\n  \"metrics\": " << object(metrics_)
         << ",\n  \"tables\": {";
     for (std::size_t i = 0; i < tables_.size(); ++i) {
-      out << (i ? "," : "") << "\n    " << quote(tables_[i].first) << ": "
-          << tables_[i].second;
+      out << (i ? "," : "") << "\n    " << obs::json_quote(tables_[i].first)
+          << ": " << tables_[i].second;
     }
     out << (tables_.empty() ? "" : "\n  ") << "}\n}\n";
     return out.good();
@@ -288,22 +288,10 @@ class JsonReport {
     return out;
   }
 
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        default: out += c;
-      }
-    }
-    return out + "\"";
-  }
   static std::string object(const Fields& fields) {
     std::string out = "{";
     for (std::size_t i = 0; i < fields.size(); ++i) {
-      out += (i ? ", " : "") + quote(fields[i].first) + ": " +
+      out += (i ? ", " : "") + obs::json_quote(fields[i].first) + ": " +
              fields[i].second;
     }
     return out + "}";
@@ -320,7 +308,7 @@ class JsonReport {
   static std::string cells(const std::vector<std::string>& row) {
     std::string out = "[";
     for (std::size_t i = 0; i < row.size(); ++i)
-      out += (i ? ", " : "") + quote(row[i]);
+      out += (i ? ", " : "") + obs::json_quote(row[i]);
     return out + "]";
   }
 

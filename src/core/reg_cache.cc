@@ -22,10 +22,7 @@ RegistrationCache::RegistrationCache(via::Vipl& vipl, Config config)
     s.counter("deregistrations", stats_.deregistrations);
     s.counter("reclaim_evictions", stats_.reclaim_evictions);
     s.counter("bad_releases", stats_.bad_releases);
-    s.counter("lookaside_hits", stats_.lookaside_hits);
-    s.counter("lookaside_misses", stats_.lookaside_misses);
-    s.counter("lookaside_invalidations", stats_.lookaside_invalidations);
-    s.gauge("idle", idle_.size());
+    s.gauge("idle", idle_);
     s.gauge("live", rows_.size());
   });
 }
@@ -155,47 +152,28 @@ void RegistrationCache::rebuild_tops() {
     tops_[b] = keys_[std::min((b + 1) << kBlockShift, n) - 1];
 }
 
-void RegistrationCache::lookaside_fill(simkern::VAddr addr, std::uint64_t len,
-                                       std::size_t row) {
-  lookaside_[lookaside_slot(addr, len)] =
-      LookasideSlot{addr, len, static_cast<std::uint32_t>(row), generation_};
-}
-
 void RegistrationCache::insert_entry(Entry&& e) {
-  // Structural change: every row index shifts, so every lookaside entry is
-  // stale. One generation bump retires them all.
-  lookaside_invalidate_all();
   const auto pos =
       std::lower_bound(rows_.begin(), rows_.end(), e) - rows_.begin();
-  const auto [it, inserted] = ids_.emplace(e.handle.id, e.handle.vaddr);
-  assert(inserted);
-  (void)it;
-  (void)inserted;
-  lengths_.insert(e.handle.length);
-  max_len_ = *lengths_.rbegin();
+  max_len_ = std::max(max_len_, e.handle.length);
   keys_.insert(keys_.begin() + pos, e.handle.vaddr);
   rows_.insert(rows_.begin() + pos, std::move(e));
   rebuild_tops();
 }
 
-void RegistrationCache::erase_entry(
-    std::map<std::uint64_t, simkern::VAddr>::iterator it) {
-  lookaside_invalidate_all();
-  const std::size_t pos = row_of(it->second, it->first);
+void RegistrationCache::erase_entry(std::size_t pos) {
   assert(pos < rows_.size());
-  Entry& e = rows_[pos];
-  if (e.refs == 0) {
-    const auto idle = idle_.find(evict_key(e));
-    if (idle != idle_.end() && idle->second == e.handle.id) idle_.erase(idle);
-  }
-  (void)vipl_.deregister_mem(e.handle);
+  const via::MemHandle handle = rows_[pos].handle;
+  if (rows_[pos].refs == 0) --idle_;
+  (void)vipl_.deregister_mem(handle);
   ++stats_.deregistrations;
-  lengths_.erase(lengths_.find(e.handle.length));
-  max_len_ = lengths_.empty() ? 0 : *lengths_.rbegin();
   rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(pos));
   keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(pos));
   rebuild_tops();
-  ids_.erase(it);
+  if (handle.length == max_len_) {
+    max_len_ = 0;
+    for (const Entry& r : rows_) max_len_ = std::max(max_len_, r.handle.length);
+  }
 }
 
 KStatus RegistrationCache::acquire(simkern::VAddr addr, std::uint64_t len,
@@ -207,38 +185,12 @@ KStatus RegistrationCache::acquire(simkern::VAddr addr, std::uint64_t len,
     return st;
   };
   ++tick_;
-  const auto serve_hit = [&](Entry& e) {
-    ++stats_.hits;
-    if (e.refs == 0) {
-      const auto idle = idle_.find(evict_key(e));
-      if (idle != idle_.end() && idle->second == e.handle.id)
-        idle_.erase(idle);
-    }
-    ++e.refs;
-    e.last_use = tick_;
-    out = e.handle;
-  };
-
-  // Lookaside first: an exact (addr, len) repeat whose generation still
-  // matches resolves in one slot probe - no key scan at all. The stored row
-  // index is trustworthy because any insert/erase since the fill would have
-  // bumped generation_; with the entry set unchanged, find_covering would
-  // return this very row (asserted in debug builds).
-  const LookasideSlot& slot = lookaside_[lookaside_slot(addr, len)];
-  if (slot.gen == generation_ && slot.addr == addr && slot.len == len) {
-    assert(slot.row < rows_.size());
-    Entry& e = rows_[slot.row];
-    assert(find_covering(addr, len) == &e &&
-           "lookaside diverged from the authoritative index");
-    ++stats_.lookaside_hits;
-    serve_hit(e);
-    return charge(KStatus::Ok);
-  }
-  ++stats_.lookaside_misses;
-
   if (Entry* e = find_covering(addr, len)) {
-    lookaside_fill(addr, len, static_cast<std::size_t>(e - rows_.data()));
-    serve_hit(*e);
+    ++stats_.hits;
+    if (e->refs == 0) --idle_;
+    ++e->refs;
+    e->last_use = tick_;
+    out = e->handle;
     return charge(KStatus::Ok);
   }
 
@@ -256,9 +208,6 @@ KStatus RegistrationCache::acquire(simkern::VAddr addr, std::uint64_t len,
       e.last_use = tick_;
       e.seq = ++seq_;
       insert_entry(std::move(e));
-      // Fill after the insert: the bump it performed retired every older
-      // slot, and the fresh row index is valid under the new generation.
-      lookaside_fill(addr, len, row_of(handle.vaddr, handle.id));
       out = handle;
       return charge(KStatus::Ok);
     }
@@ -272,9 +221,7 @@ KStatus RegistrationCache::acquire(simkern::VAddr addr, std::uint64_t len,
 }
 
 void RegistrationCache::release(const via::MemHandle& handle) {
-  auto it = ids_.find(handle.id);
-  const std::size_t pos =
-      it == ids_.end() ? rows_.size() : row_of(it->second, it->first);
+  const std::size_t pos = row_of(handle.vaddr, handle.id);
   if (pos >= rows_.size() || rows_[pos].refs == 0) {
     // Unknown handle, or an entry already idle (double release). The seed
     // guarded these with assert only: an NDEBUG build dereferenced end() /
@@ -286,27 +233,30 @@ void RegistrationCache::release(const via::MemHandle& handle) {
   Entry& e = rows_[pos];
   e.last_use = tick_;
   if (--e.refs == 0) {
+    ++idle_;
     if (config_.policy == EvictionPolicy::None) {
-      erase_entry(it);
+      erase_entry(pos);
     } else {
-      idle_.emplace(evict_key(e), e.handle.id);
       enforce_idle_cap();
     }
   }
 }
 
 std::uint32_t RegistrationCache::evict_one() {
-  // The idle index is keyed by the eviction policy's key, so the victim -
-  // the least-recently-used (LRU) or oldest (FIFO) idle entry - is simply
-  // the first element, not a scan over every cached registration.
-  if (idle_.empty()) return 0;
-  const auto it = ids_.find(idle_.begin()->second);
-  assert(it != ids_.end());
-  const std::size_t pos = row_of(it->second, it->first);
-  assert(pos < rows_.size() && rows_[pos].refs == 0);
-  const std::uint32_t pages = rows_[pos].handle.pages;
+  // The victim is the least-recently-used (LRU) or oldest (FIFO) idle entry:
+  // the smallest eviction key, which is unique per entry.
+  if (idle_ == 0) return 0;
+  std::size_t victim = rows_.size();
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (rows_[i].refs == 0 &&
+        (victim == rows_.size() ||
+         evict_key(rows_[i]) < evict_key(rows_[victim])))
+      victim = i;
+  }
+  assert(victim < rows_.size());
+  const std::uint32_t pages = rows_[victim].handle.pages;
   ++stats_.evictions;
-  erase_entry(it);
+  erase_entry(victim);
   return pages;
 }
 
@@ -330,13 +280,12 @@ void RegistrationCache::enforce_idle_cap() {
 void RegistrationCache::flush() {
   // Id order, as the seed iterated its id-keyed map: dereg order (and with
   // it the TPT free-extent pattern and trace stream) stays bit-identical.
-  for (auto it = ids_.begin(); it != ids_.end();) {
-    auto next = std::next(it);
-    const std::size_t pos = row_of(it->second, it->first);
-    assert(pos < rows_.size());
-    if (rows_[pos].refs == 0) erase_entry(it);
-    it = next;
-  }
+  std::vector<std::pair<std::uint64_t, simkern::VAddr>> idle;
+  idle.reserve(idle_);
+  for (const Entry& e : rows_)
+    if (e.refs == 0) idle.emplace_back(e.handle.id, e.handle.vaddr);
+  std::sort(idle.begin(), idle.end());
+  for (const auto& [id, vaddr] : idle) erase_entry(row_of(vaddr, id));
 }
 
 }  // namespace vialock::core

@@ -8,13 +8,13 @@
 // request; release() keeps idle registrations cached; TPT exhaustion evicts
 // idle entries by a pluggable policy (the E9 ablation).
 //
-// The cache is dual-keyed (DESIGN.md section 9): `entries_` owns the
-// registrations keyed by id (the release/evict handle path), and a flat
-// vaddr-sorted interval index serves the covering lookup on the acquire hot
-// path - a binary search plus a short backward walk bounded by the largest
-// cached registration, instead of the seed's scan of every entry. An ordered
-// idle index keyed by the eviction policy's key makes victim selection and
-// the idle count O(log n)/O(1). E22 measures the scaling win.
+// Every cached registration lives in one place: a flat vaddr-sorted row
+// array (DESIGN.md section 9). The covering lookup on the acquire hot path is
+// a search over a dense mirror of its keys plus a short backward walk bounded
+// by the largest cached registration, instead of the seed's scan of every
+// entry. Release, eviction and flush find their row by (vaddr, id) or by a
+// scan on the miss/evict path, which already pays an O(n) row move. E22
+// measures the scaling win.
 //
 // When a PinGovernor is passed in Config, the cache registers itself as a
 // ReclaimClient: under memory pressure (or a guaranteed tenant's admission
@@ -22,10 +22,7 @@
 // pinned pages cooperatively before the kernel has to swap hot ones.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,12 +59,6 @@ struct RegCacheStats {
                                    ///< already-idle entry (caller bug, kept
                                    ///< a safe no-op - never corrupts the
                                    ///< cache, in any build type)
-  std::uint64_t lookaside_hits = 0;    ///< acquire served by the lookaside
-                                       ///< (zero index scans)
-  std::uint64_t lookaside_misses = 0;  ///< acquire fell through to the
-                                       ///< dual-keyed index
-  std::uint64_t lookaside_invalidations = 0;  ///< generation bumps (every
-                                              ///< structural change)
 };
 
 class RegistrationCache : public pinmgr::ReclaimClient {
@@ -102,23 +93,22 @@ class RegistrationCache : public pinmgr::ReclaimClient {
 
   /// Return a handle obtained from acquire(). The registration stays cached
   /// (policy != None) until evicted. Releasing a handle the cache does not
-  /// know, or one whose entry is already idle, is a counted no-op
-  /// (stats().bad_releases) - never an underflow or a wild dereference.
+  /// know by its (vaddr, id), or one whose entry is already idle, is a
+  /// counted no-op (stats().bad_releases) - never an underflow or a wild
+  /// dereference.
   void release(const via::MemHandle& handle);
 
   /// Deregister every idle cached entry.
   void flush();
 
   [[nodiscard]] const RegCacheStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t idle_cached() const { return idle_.size(); }
+  [[nodiscard]] std::size_t idle_cached() const { return idle_; }
   [[nodiscard]] std::size_t live() const { return rows_.size(); }
 
  private:
-  /// One cached registration, stored *inline* in the vaddr-sorted interval
-  /// index. The acquire hit path therefore touches exactly two arrays - the
-  /// packed key vector it binary-searched and the row it lands on - and never
-  /// chases a node of the id map (whose scattered nodes would cost a cache
-  /// miss per lookup once thousands of registrations are cached).
+  /// One cached registration, stored *inline* in the vaddr-sorted row
+  /// array. The acquire hit path therefore touches exactly two arrays - the
+  /// packed key vector it searched and the row it lands on.
   struct Entry {
     via::MemHandle handle;
     std::uint32_t refs = 0;
@@ -144,8 +134,8 @@ class RegistrationCache : public pinmgr::ReclaimClient {
     return config_.policy == EvictionPolicy::Fifo ? e.seq : e.last_use;
   }
 
-  /// Evict one idle entry per policy; returns the pages it released
-  /// (0 when nothing is evictable).
+  /// Evict the idle entry with the smallest evict_key (a scan of rows_);
+  /// returns the pages it released (0 when nothing is evictable).
   std::uint32_t evict_one();
   void enforce_idle_cap();
 
@@ -154,43 +144,12 @@ class RegistrationCache : public pinmgr::ReclaimClient {
   [[nodiscard]] std::size_t row_of(simkern::VAddr vaddr,
                                    std::uint64_t id) const;
 
-  // --- per-VI lookaside ------------------------------------------------------
-  // A direct-mapped cache keyed on the exact (addr, len) of recent acquires,
-  // sitting in front of the dual-keyed index: a hit touches one slot and one
-  // row - zero key scans. Stored row indexes are only trusted while `gen`
-  // equals generation_, which insert_entry/erase_entry bump on EVERY
-  // structural change (both shift rows_). While the generation matches, the
-  // entry set is unchanged, so find_covering(addr, len) would return exactly
-  // the row recorded at fill time - an eviction, deregistration, or
-  // refresh-relocation can therefore never serve a stale TPT index through
-  // the lookaside (DESIGN.md section 14.3; debug builds assert equivalence).
-  struct LookasideSlot {
-    simkern::VAddr addr = 0;
-    std::uint64_t len = 0;
-    std::uint32_t row = 0;
-    std::uint64_t gen = 0;  ///< valid iff == generation_
-  };
-  static constexpr std::size_t kLookasideSlots = 64;
-  [[nodiscard]] static std::size_t lookaside_slot(simkern::VAddr addr,
-                                                  std::uint64_t len) {
-    // SplitMix64-style mix of the exact request key.
-    std::uint64_t h = addr ^ (len * 0x9E3779B97F4A7C15ULL);
-    h ^= h >> 30;
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 27;
-    return static_cast<std::size_t>(h % kLookasideSlots);
-  }
-  void lookaside_fill(simkern::VAddr addr, std::uint64_t len, std::size_t row);
-  void lookaside_invalidate_all() {
-    ++generation_;
-    ++stats_.lookaside_invalidations;
-  }
   /// Rebuild tops_ from keys_ (O(n/64); runs on the insert/erase slow path).
   void rebuild_tops();
   void insert_entry(Entry&& e);
-  /// Deregister and drop `it`'s registration from every index.
-  /// Invalidates `it` and every row index/reference.
-  void erase_entry(std::map<std::uint64_t, simkern::VAddr>::iterator it);
+  /// Deregister and drop the registration in row `pos`. Invalidates every
+  /// row index and reference.
+  void erase_entry(std::size_t pos);
 
   via::Vipl& vipl_;
   Config config_;
@@ -201,10 +160,9 @@ class RegistrationCache : public pinmgr::ReclaimClient {
   /// processes' caches on one node do not collide; two caches of one pid
   /// still do, and the newer one takes the name over).
   std::string source_name_;
-  std::string proc_path_;
-  /// The owning interval index: sorted by (vaddr, id). Flat for lookup
-  /// locality; insert and erase are O(n) moves but only run on the
-  /// miss/evict slow path.
+  /// The only record of cached registrations, sorted by (vaddr, id). Flat
+  /// for lookup locality; insert and erase are O(n) moves but only run on
+  /// the miss/evict slow path.
   std::vector<Entry> rows_;
   /// rows_[i].handle.vaddr, duplicated densely and sentinel-padded to a
   /// whole number of 64-key blocks: the lookup probes only these 8-byte
@@ -217,18 +175,12 @@ class RegistrationCache : public pinmgr::ReclaimClient {
   /// branch-free scans, so lookup cost stays essentially flat as the cache
   /// grows from dozens to thousands of entries. See find_covering.
   std::vector<simkern::VAddr> tops_;
-  /// id -> vaddr, the release/evict/flush handle path (those arrive with an
-  /// id, not a position). Iterated in id order by flush().
-  std::map<std::uint64_t, simkern::VAddr> ids_;
-  /// Lengths of all cached registrations; the max bounds the covering walk.
-  std::multiset<std::uint64_t> lengths_;
-  std::uint64_t max_len_ = 0;  ///< cached *lengths_.rbegin() (hot-path copy)
-  /// Idle (refs == 0) entries keyed by eviction key: begin() is the victim.
-  std::map<std::uint64_t, std::uint64_t> idle_;  ///< evict key -> id
+  /// Largest cached registration length: bounds the covering walk. A
+  /// running max on insert, rescanned when an erase removes the maximum.
+  std::uint64_t max_len_ = 0;
+  std::size_t idle_ = 0;  ///< rows with refs == 0
   std::uint64_t tick_ = 0;
   std::uint64_t seq_ = 0;
-  std::array<LookasideSlot, kLookasideSlots> lookaside_{};
-  std::uint64_t generation_ = 1;  ///< starts above LookasideSlot::gen's 0
 };
 
 }  // namespace vialock::core

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "mp/collectives.h"
+#include "obs/export.h"
 #include "simkern/types.h"
 
 namespace vialock::scenario {
@@ -1239,31 +1240,14 @@ void ScenarioEngine::fill_report() {
   }
 }
 
-namespace {
-
-std::string jquote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out + "\"";
-}
-
-}  // namespace
-
 std::string report_json(const ScenarioSpec& spec, const ScenarioReport& r) {
   std::string out = "{\n";
   auto num = [&out](const char* key, std::uint64_t v, bool comma = true) {
     out += std::string("  \"") + key + "\": " + std::to_string(v) +
            (comma ? ",\n" : "\n");
   };
-  out += "  \"name\": " + jquote(spec.name) + ",\n";
-  out += "  \"pattern\": " + jquote(std::string(to_string(spec.pattern))) +
+  out += "  \"name\": " + obs::json_quote(spec.name) + ",\n";
+  out += "  \"pattern\": " + obs::json_quote(to_string(spec.pattern)) +
          ",\n";
   num("seed", spec.seed);
   num("hosts", spec.hosts);
@@ -1308,18 +1292,18 @@ std::string report_json(const ScenarioSpec& spec, const ScenarioReport& r) {
          (r.invariants_ok ? "true" : "false") + ",\n";
   out += "  \"violations\": [";
   for (std::size_t i = 0; i < r.violations.size(); ++i)
-    out += (i ? ", " : "") + jquote(r.violations[i]);
+    out += (i ? ", " : "") + obs::json_quote(r.violations[i]);
   out += "],\n";
   out += "  \"breakdown\": {\"headers\": [";
   const auto& headers = r.breakdown.headers();
   for (std::size_t i = 0; i < headers.size(); ++i)
-    out += (i ? ", " : "") + jquote(headers[i]);
+    out += (i ? ", " : "") + obs::json_quote(headers[i]);
   out += "], \"rows\": [";
   const auto& rows = r.breakdown.rows();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     out += (i ? ", [" : "[");
     for (std::size_t j = 0; j < rows[i].size(); ++j)
-      out += (j ? ", " : "") + jquote(rows[i][j]);
+      out += (j ? ", " : "") + obs::json_quote(rows[i][j]);
     out += "]";
   }
   out += "]}\n}\n";

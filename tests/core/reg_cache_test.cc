@@ -365,69 +365,31 @@ TEST(RegCache, IndexedLookupMatchesLinearScanOnRandomStream) {
   EXPECT_GT(model.evictions, 0u);
 }
 
-TEST(RegCache, LookasideServesExactRepeatAcquires) {
-  // The per-VI lookaside: an exact (addr, len) repeat resolves in one slot
-  // probe. Releases move entries in and out of the idle index but do not
-  // restructure the row array, so the generation holds across them.
-  CacheBox box;
-  const auto a = must_mmap(box.node.kernel(), box.pid, 8);
-  via::MemHandle h1;
-  ASSERT_TRUE(ok(box.cache->acquire(a, 4 * kPageSize, h1)));
-  EXPECT_EQ(box.cache->stats().lookaside_misses, 1u);
-  EXPECT_EQ(box.cache->stats().lookaside_hits, 0u);
-  box.cache->release(h1);
-
-  via::MemHandle h2;
-  ASSERT_TRUE(ok(box.cache->acquire(a, 4 * kPageSize, h2)));
-  EXPECT_EQ(box.cache->stats().lookaside_hits, 1u);
-  EXPECT_EQ(box.cache->stats().hits, 1u);
-  EXPECT_EQ(h2.id, h1.id);
-  via::MemHandle h3;
-  ASSERT_TRUE(ok(box.cache->acquire(a, 4 * kPageSize, h3)));
-  EXPECT_EQ(box.cache->stats().lookaside_hits, 2u);
-  EXPECT_EQ(box.cache->stats().registrations, 1u) << "all served from cache";
-  box.cache->release(h2);
-  box.cache->release(h3);
-  // Every acquire went through exactly one lookaside probe.
-  EXPECT_EQ(box.cache->stats().lookaside_hits +
-                box.cache->stats().lookaside_misses,
-            3u);
-}
-
-TEST(RegCache, LookasideNeverServesAStaleRowAfterEviction) {
-  // S3 regression: the lookaside slot survives the eviction of the entry it
-  // points at - only the generation tells it the row index is garbage. A
-  // lookaside that kept serving the slot would hand out the *deregistered*
-  // handle, whose TPT range is released (or already reused by a different
-  // registration): silent wrong-memory DMA. The generation mismatch must
-  // force the slow path and a fresh registration.
+TEST(RegCache, ReacquireAfterEvictionRegistersAnew) {
+  // An evicted entry's handle is deregistered and its TPT range released (or
+  // already reused by a different registration). A cache that kept serving
+  // it would hand out a dead handle: silent wrong-memory DMA. Reacquiring the
+  // same range must register it afresh.
   RegistrationCache::Config cfg;
-  cfg.max_idle = 0;  // every release evicts - and bumps the generation
+  cfg.max_idle = 0;  // every release evicts
   CacheBox box(/*tpt_entries=*/64, cfg);
   const auto a = must_mmap(box.node.kernel(), box.pid, 8);
   via::MemHandle h1;
   ASSERT_TRUE(ok(box.cache->acquire(a, 4 * kPageSize, h1)));
-  const std::uint64_t invalidations_at_fill =
-      box.cache->stats().lookaside_invalidations;
   box.cache->release(h1);  // evicted + deregistered
   EXPECT_EQ(box.cache->live(), 0u);
-  EXPECT_GT(box.cache->stats().lookaside_invalidations, invalidations_at_fill)
-      << "the eviction must retire the filled slot";
 
   via::MemHandle h2;
   ASSERT_TRUE(ok(box.cache->acquire(a, 4 * kPageSize, h2)));
-  EXPECT_EQ(box.cache->stats().lookaside_hits, 0u)
-      << "a generation-mismatched slot must never hit";
   EXPECT_EQ(box.cache->stats().registrations, 2u);
   EXPECT_NE(h2.id, h1.id) << "fresh registration, not the dead handle";
   EXPECT_TRUE(h2.valid());
   box.cache->release(h2);
 }
 
-TEST(RegCache, LookasideInvalidatedByInsertOfAnotherRange) {
-  // Inserting a different range shifts rows_, so the generation retires the
-  // older fill even though its entry is alive; the repeat acquire must fall
-  // through to the index - and still find the right entry (same id).
+TEST(RegCache, InsertOfAnotherRangeStillHitsLiveEntry) {
+  // Inserting a different range ahead of a live entry shifts rows_; the
+  // repeat acquire must still find the right entry (same id).
   CacheBox box;
   const auto a = must_mmap(box.node.kernel(), box.pid, 16);
   via::MemHandle h1;
@@ -439,14 +401,10 @@ TEST(RegCache, LookasideInvalidatedByInsertOfAnotherRange) {
   ASSERT_TRUE(ok(box.cache->acquire(a + 8 * kPageSize, 2 * kPageSize, h2)));
   EXPECT_EQ(h2.id, h1.id) << "the index hit must find the live entry";
   EXPECT_EQ(box.cache->stats().hits, 1u);
-  EXPECT_EQ(box.cache->stats().lookaside_hits, 0u)
-      << "all three acquires predate a valid same-generation fill";
 
-  // The index hit refilled the slot under the current generation: the next
-  // repeat is a pure lookaside hit.
   via::MemHandle h3;
   ASSERT_TRUE(ok(box.cache->acquire(a + 8 * kPageSize, 2 * kPageSize, h3)));
-  EXPECT_EQ(box.cache->stats().lookaside_hits, 1u);
+  EXPECT_EQ(box.cache->stats().hits, 2u);
   EXPECT_EQ(h3.id, h1.id);
   box.cache->release(h1);
   box.cache->release(h2);
@@ -454,34 +412,36 @@ TEST(RegCache, LookasideInvalidatedByInsertOfAnotherRange) {
   box.cache->release(other);
 }
 
-TEST(RegCache, LookasideStatsBalanceOnRandomStream) {
-  // On an arbitrary workload every acquire is exactly one lookaside probe,
-  // and a lookaside hit is always also a cache hit (never a registration).
-  CacheBox box(/*tpt_entries=*/2048);
-  const auto base = must_mmap(box.node.kernel(), box.pid, 64);
-  Rng rng(0x100ca51deULL);
-  std::vector<via::MemHandle> live;
-  std::uint64_t acquires = 0;
-  for (int step = 0; step < 500; ++step) {
-    if (live.empty() || (live.size() < 32 && rng.below(100) < 60)) {
-      const auto addr = base + rng.below(56) * kPageSize;
-      const auto len = (1 + rng.below(4)) * kPageSize;
-      via::MemHandle h;
-      ASSERT_TRUE(ok(box.cache->acquire(addr, len, h)));
-      ++acquires;
-      live.push_back(h);
-    } else {
-      const std::size_t pick = rng.below(live.size());
-      box.cache->release(live[pick]);
-      live[pick] = live.back();
-      live.pop_back();
-    }
-  }
-  const RegCacheStats& s = box.cache->stats();
-  EXPECT_EQ(s.lookaside_hits + s.lookaside_misses, acquires);
-  EXPECT_LE(s.lookaside_hits, s.hits) << "a lookaside hit is a cache hit";
-  EXPECT_GT(s.lookaside_hits, 0u) << "the stream must exercise the fast path";
-  for (const auto& h : live) box.cache->release(h);
+TEST(RegCache, ReleaseMatchesVaddrAndId) {
+  // release() identifies the registration by (vaddr, id), the key of its
+  // row. A handle that matches a live entry on one half only is a caller
+  // bug: counted and refused, the live entry untouched.
+  CacheBox box;
+  const auto a = must_mmap(box.node.kernel(), box.pid, 16);
+  via::MemHandle h;
+  ASSERT_TRUE(ok(box.cache->acquire(a, 2 * kPageSize, h)));
+  via::MemHandle other;
+  ASSERT_TRUE(ok(box.cache->acquire(a + 8 * kPageSize, 2 * kPageSize, other)));
+
+  via::MemHandle wrong_vaddr = h;
+  wrong_vaddr.vaddr = other.vaddr;  // a live vaddr, but not h's
+  box.cache->release(wrong_vaddr);
+  EXPECT_EQ(box.cache->stats().bad_releases, 1u);
+  EXPECT_EQ(box.cache->live(), 2u);
+  EXPECT_EQ(box.cache->idle_cached(), 0u);
+
+  via::MemHandle unknown_id = h;
+  unknown_id.id = 9999;  // h's live vaddr, an id the cache never issued
+  box.cache->release(unknown_id);
+  EXPECT_EQ(box.cache->stats().bad_releases, 2u);
+  EXPECT_EQ(box.cache->live(), 2u);
+  EXPECT_EQ(box.cache->idle_cached(), 0u);
+
+  // Both entries still hold exactly their one reference.
+  box.cache->release(h);
+  box.cache->release(other);
+  EXPECT_EQ(box.cache->idle_cached(), 2u);
+  EXPECT_EQ(box.cache->stats().bad_releases, 2u);
 }
 
 TEST(RegCache, RefcountedAcquireReleaseBalance) {

@@ -65,9 +65,10 @@ TEST(Kiobuf, NestedMapsStackPins) {
   box.kern.unmap_kiobuf(k2);
   EXPECT_EQ(box.kern.phys().page(k1.pfns[0]).pin_count, 2u);
   EXPECT_TRUE(box.kern.phys().page(k1.pfns[0]).pinned());
+  const Pfn first = k1.pfns[0];  // unmap_kiobuf clears k1.pfns
   box.kern.unmap_kiobuf(k1);
   box.kern.unmap_kiobuf(k3);
-  EXPECT_EQ(box.kern.phys().page(k1.pfns[0]).pin_count, 0u);
+  EXPECT_EQ(box.kern.phys().page(first).pin_count, 0u);
 }
 
 TEST(Kiobuf, MapFaultsPagesIn) {
@@ -147,8 +148,9 @@ TEST(Kiobuf, LockKiovecRefusesPagesUnderKernelIo) {
   EXPECT_FALSE(box.kern.phys().page(kb.pfns[0]).locked());
   box.kern.end_kernel_io(kb.pfns[1]);
   EXPECT_TRUE(ok(box.kern.lock_kiovec(kb)));
+  const Pfn first = kb.pfns[0];  // unmap_kiobuf clears kb.pfns
   box.kern.unmap_kiobuf(kb);  // also unlocks
-  EXPECT_FALSE(box.kern.phys().page(kb.pfns[0]).locked());
+  EXPECT_FALSE(box.kern.phys().page(first).locked());
 }
 
 TEST(Kiobuf, UnmapIsIdempotent) {
