@@ -21,7 +21,7 @@
 //   * an impossible SLO rule fires, captures a flight dump *before* the
 //     audit flips, and lands in the violation list;
 //   * full-scale Release: wall-clock sampling overhead <= 5% (best-of-N
-//     minima).
+//     minima of alternated unsampled/sampled runs; maxima printed beside).
 //
 // Wall-clock numbers go into the JSON report's *params* (documentation);
 // the compared metrics are all deterministic, so `--compare` never flakes
@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "bench_util.h"
 #include "obs/sampler.h"
@@ -88,14 +89,29 @@ TimedRun run_once(const scenario::ScenarioSpec& spec, Nanos interval_ns,
   return r;
 }
 
-/// Best wall time of `reps` runs (the overhead gate compares minima, the
-/// least noisy wall-clock statistic on a shared machine).
-double best_wall_ms(const scenario::ScenarioSpec& spec, Nanos interval_ns,
-                    int reps) {
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i)
-    best = std::min(best, run_once(spec, interval_ns).wall_ms);
-  return best;
+/// Fastest and slowest of one side's wall times.
+struct WallSpread {
+  double min_ms = 1e300;
+  double max_ms = 0;
+  void add(double ms) {
+    min_ms = std::min(min_ms, ms);
+    max_ms = std::max(max_ms, ms);
+  }
+};
+
+/// `reps` untelemetered and `reps` sampled runs, alternated (A/B/A/B...)
+/// so drift on a shared machine lands on both sides. The overhead gate
+/// compares the minima, the least noisy wall-clock statistic; the maxima
+/// are printed beside them to show the spread.
+std::pair<WallSpread, WallSpread> interleaved_wall_ms(
+    const scenario::ScenarioSpec& spec, Nanos interval_ns, int reps) {
+  WallSpread base;
+  WallSpread sampled;
+  for (int i = 0; i < reps; ++i) {
+    base.add(run_once(spec, 0).wall_ms);
+    sampled.add(run_once(spec, interval_ns).wall_ms);
+  }
+  return {base, sampled};
 }
 
 }  // namespace
@@ -151,8 +167,9 @@ int main(int argc, char** argv) {
 
   // 4. Wall-clock overhead (gated at full scale in Release builds; smoke
   //    and debug runs document the numbers without gating).
-  const double base_ms = best_wall_ms(spec, 0, gate_reps);
-  const double sampled_ms = best_wall_ms(spec, gate_ns, gate_reps);
+  const auto [base, sampled] = interleaved_wall_ms(spec, gate_ns, gate_reps);
+  const double base_ms = base.min_ms;
+  const double sampled_ms = sampled.min_ms;
   const double overhead_pct =
       base_ms > 0 ? (sampled_ms - base_ms) / base_ms * 100.0 : 0.0;
 #ifdef NDEBUG
@@ -170,8 +187,10 @@ int main(int argc, char** argv) {
   t.print();
   std::cout << "\nticks " << on.ticks << ", retained " << on.retained
             << ", makespan " << Table::nanos(on.makespan) << "\n"
-            << "wall: base " << base_ms << " ms, sampled " << sampled_ms
-            << " ms (overhead " << overhead_pct << "%)\n";
+            << "wall (" << gate_reps << " runs each, alternated): base min "
+            << base_ms << " / max " << base.max_ms << " ms, sampled min "
+            << sampled_ms << " / max " << sampled.max_ms
+            << " ms (overhead " << overhead_pct << "% on minima)\n";
 
   bench::JsonReport report("E27", "continuous telemetry overhead");
   report.param("spec", "cluster-1m")
@@ -182,6 +201,9 @@ int main(int argc, char** argv) {
       .param("gate_interval_ns", static_cast<std::uint64_t>(gate_ns))
       .param("wall_base_ms", static_cast<std::uint64_t>(base_ms * 1000))
       .param("wall_sampled_ms", static_cast<std::uint64_t>(sampled_ms * 1000))
+      .param("wall_base_max_ms", static_cast<std::uint64_t>(base.max_ms * 1000))
+      .param("wall_sampled_max_ms",
+             static_cast<std::uint64_t>(sampled.max_ms * 1000))
       .param("overhead_pct_x100",
              static_cast<std::uint64_t>(std::max(0.0, overhead_pct) * 100));
   report.metric("ticks", on.ticks)

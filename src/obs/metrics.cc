@@ -4,65 +4,6 @@
 
 namespace vialock::obs {
 
-bool MetricSink::name_matches(const std::string& full,
-                              std::string_view name) const {
-  if (prefix_.empty()) return full == name;
-  return full.size() == prefix_.size() + 1 + name.size() &&
-         full.compare(0, prefix_.size(), prefix_) == 0 &&
-         full[prefix_.size()] == '.' &&
-         full.compare(prefix_.size() + 1, name.size(), name) == 0;
-}
-
-Metric* MetricSink::reuse_slot(std::string_view name, MetricKind kind) {
-  if (cursor_ == nullptr) return nullptr;
-  if (*cursor_ < out_.size()) {
-    Metric& m = out_[*cursor_];
-    if (m.kind == kind && (trusted_ || name_matches(m.name, name))) {
-      ++*cursor_;
-      return &m;
-    }
-  }
-  // Layout diverged: drop the stale tail and append fresh from here on.
-  out_.resize(*cursor_);
-  cursor_ = nullptr;
-  fallback_ = true;
-  return nullptr;
-}
-
-void add_buckets(
-    std::vector<std::pair<std::uint32_t, std::uint64_t>>& dst,
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& src) {
-  std::size_t i = 0;
-  for (const auto& [idx, n] : src) {
-    while (i < dst.size() && dst[i].first < idx) ++i;
-    if (i < dst.size() && dst[i].first == idx) {
-      dst[i].second += n;
-    } else {
-      dst.insert(dst.begin() + static_cast<std::ptrdiff_t>(i), {idx, n});
-    }
-  }
-}
-
-void MetricSink::emit(std::string_view name, MetricKind kind,
-                      std::uint64_t v) {
-  if (fold_map_ != nullptr) {
-    const std::uint32_t t = (*fold_map_)[(*cursor_)++];
-    if (t != kNoFoldSlot) out_[t].value += v;
-    return;
-  }
-  if (Metric* m = reuse_slot(name, kind)) {
-    m->value = v;
-    return;
-  }
-  Metric m;
-  m.name.reserve(prefix_.size() + 1 + name.size());
-  if (!prefix_.empty()) m.name.append(prefix_).append(".");
-  m.name.append(name);
-  m.kind = kind;
-  m.value = v;
-  out_.push_back(std::move(m));
-}
-
 void Histogram::snapshot_to(Metric& m) const {
   std::uint64_t b[kBuckets];
   std::uint64_t n = 0;
@@ -73,7 +14,7 @@ void Histogram::snapshot_to(Metric& m) const {
   m.count = n;
   m.sum = sum_;
   m.max = n != 0 ? max_ : 0;
-  m.buckets.clear();  // keeps capacity: steady state allocates nothing
+  m.buckets.clear();
   if (n == 0) {
     m.p50 = m.p95 = m.p99 = m.p999 = 0;
     return;
@@ -105,7 +46,6 @@ Counter& MetricRegistry::counter(std::string_view name) {
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
-    ++layout_gen_;
   }
   return *it->second;
 }
@@ -114,7 +54,6 @@ Gauge& MetricRegistry::gauge(std::string_view name) {
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-    ++layout_gen_;
   }
   return *it->second;
 }
@@ -124,7 +63,6 @@ Histogram& MetricRegistry::histogram(std::string_view name) {
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
              .first;
-    ++layout_gen_;
   }
   return *it->second;
 }
@@ -132,155 +70,49 @@ Histogram& MetricRegistry::histogram(std::string_view name) {
 void MetricRegistry::register_source(std::string name, const void* owner,
                                      SourceFn fn) {
   sources_.insert_or_assign(std::move(name), Source{owner, std::move(fn)});
-  ++layout_gen_;
 }
 
 void MetricRegistry::unregister_source(std::string_view name,
                                        const void* owner) {
   const auto it = sources_.find(name);
-  if (it != sources_.end() && it->second.owner == owner) {
-    sources_.erase(it);
-    ++layout_gen_;
+  if (it != sources_.end() && it->second.owner == owner) sources_.erase(it);
+}
+
+void MetricRegistry::visit(const MetricVisitor& fn) const {
+  for (const auto& [name, c] : counters_)
+    fn({}, name, MetricKind::Counter, c->value(), nullptr);
+  for (const auto& [name, g] : gauges_)
+    fn({}, name, MetricKind::Gauge, g->value(), nullptr);
+  for (const auto& [name, h] : histograms_)
+    fn({}, name, MetricKind::Histogram, 0, h.get());
+  for (const auto& [name, src] : sources_) {
+    MetricSink sink(name, fn);
+    src.fn(sink);
   }
 }
 
 Snapshot MetricRegistry::snapshot() const {
   Snapshot out;
-  // Sources emit ~16-32 metrics each; reserving avoids the realloc ladder
-  // on the sampler's per-tick hot path (E27 overhead gate).
+  // Sources emit ~16-32 metrics each: one reserve instead of a realloc
+  // ladder.
   out.reserve(counters_.size() + gauges_.size() + histograms_.size() +
               24 * sources_.size());
-  for (const auto& [name, c] : counters_) {
-    Metric m;
-    m.name = name;
-    m.kind = MetricKind::Counter;
-    m.value = c->value();
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, g] : gauges_) {
-    Metric m;
-    m.name = name;
-    m.kind = MetricKind::Gauge;
-    m.value = g->value();
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, h] : histograms_) {
-    Metric m;
-    m.name = name;
-    m.kind = MetricKind::Histogram;
-    m.count = h->count();
-    m.sum = h->sum();
-    m.max = h->max();
-    m.p50 = h->quantile(0.50);
-    m.p95 = h->quantile(0.95);
-    m.p99 = h->quantile(0.99);
-    m.p999 = h->quantile(0.999);
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (h->bucket(i)) {
-        m.buckets.emplace_back(static_cast<std::uint32_t>(i), h->bucket(i));
-      }
+  visit([&out](std::string_view prefix, std::string_view name,
+               MetricKind kind, std::uint64_t value, const Histogram* hist) {
+    Metric& m = out.emplace_back();
+    m.name.reserve(prefix.size() + 1 + name.size());
+    if (!prefix.empty()) m.name.append(prefix).append(".");
+    m.name.append(name);
+    m.kind = kind;
+    if (hist != nullptr) {
+      hist->snapshot_to(m);
+    } else {
+      m.value = value;
     }
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, src] : sources_) {
-    MetricSink sink(name, out);
-    src.fn(sink);
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const Metric& a, const Metric& b) { return a.name < b.name; });
   return out;
-}
-
-bool MetricRegistry::snapshot_into(Snapshot& out,
-                                   std::uint64_t& layout_gen) const {
-  // The buffer was last filled from this exact layout: skip per-metric name
-  // verification (kind is still checked; a mismatch degrades to a rebuild).
-  const bool trusted = layout_gen == layout_gen_ && !out.empty();
-  std::size_t cur = 0;
-  bool reuse = !out.empty();
-
-  // In-place slot for an owned instrument, or a fresh append once the
-  // layout diverged (the tail past `cur` is stale and gets truncated).
-  const auto slot = [&out, &cur, &reuse, trusted](
-                        const std::string& name, MetricKind kind) -> Metric* {
-    if (reuse && cur < out.size() && out[cur].kind == kind &&
-        (trusted || out[cur].name == name)) {
-      return &out[cur++];
-    }
-    if (reuse) {
-      out.resize(cur);
-      reuse = false;
-    }
-    Metric m;
-    m.name = name;
-    m.kind = kind;
-    out.push_back(std::move(m));
-    return &out.back();
-  };
-
-  for (const auto& [name, c] : counters_)
-    slot(name, MetricKind::Counter)->value = c->value();
-  for (const auto& [name, ga] : gauges_)
-    slot(name, MetricKind::Gauge)->value = ga->value();
-  for (const auto& [name, h] : histograms_)
-    h->snapshot_to(*slot(name, MetricKind::Histogram));
-  for (const auto& [name, src] : sources_) {
-    MetricSink sink(name, out, reuse ? &cur : nullptr, trusted);
-    src.fn(sink);
-    if (sink.fell_back()) reuse = false;
-  }
-  if (reuse && cur != out.size()) {
-    out.resize(cur);  // sources emitted fewer metrics than last time
-    reuse = false;
-  }
-  layout_gen = layout_gen_;
-  return reuse;
-}
-
-bool MetricRegistry::fold_into(Snapshot& target,
-                               const std::vector<std::uint32_t>& map,
-                               std::uint64_t layout_gen) const {
-  if (layout_gen != layout_gen_) return false;
-  // The generation match proves `map` was planned from this exact layout
-  // (and the register_source contract keeps source emissions fixed), so
-  // every emission below lands on its planned slot positionally.
-  std::size_t cur = 0;
-  for (const auto& [name, c] : counters_) {
-    const std::uint32_t t = map[cur++];
-    if (t != kNoFoldSlot) target[t].value += c->value();
-  }
-  for (const auto& [name, ga] : gauges_) {
-    const std::uint32_t t = map[cur++];
-    if (t != kNoFoldSlot) target[t].value += ga->value();
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::uint32_t t = map[cur++];
-    if (t == kNoFoldSlot) continue;
-    Metric& d = target[t];
-    std::uint64_t n = 0;
-    std::size_t di = 0;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t bn = h->bucket(i);
-      if (bn == 0) continue;
-      n += bn;
-      const auto idx = static_cast<std::uint32_t>(i);
-      while (di < d.buckets.size() && d.buckets[di].first < idx) ++di;
-      if (di < d.buckets.size() && d.buckets[di].first == idx) {
-        d.buckets[di].second += bn;
-      } else {
-        d.buckets.insert(d.buckets.begin() + static_cast<std::ptrdiff_t>(di),
-                         {idx, bn});
-      }
-    }
-    d.count += n;
-    d.sum += h->sum();
-    if (n != 0) d.max = std::max(d.max, h->max());
-  }
-  for (const auto& [name, src] : sources_) {
-    MetricSink sink(MetricSink::FoldTag{}, name, target, map, &cur);
-    src.fn(sink);
-  }
-  return true;
 }
 
 }  // namespace vialock::obs

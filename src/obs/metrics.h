@@ -9,7 +9,7 @@
 //     handles the hot path updates directly (ioctl latency histograms, DMA
 //     byte sizes). Handles are stable for the registry's lifetime.
 //   * pull sources - register_source(name, owner, fn) adds a callback that
-//     emits a component's existing stats struct at snapshot time, so the
+//     emits a component's existing stats struct on every visit, so the
 //     long-lived per-subsystem counter structs (KernelStats, AgentStats,
 //     GovernorStats, ...) keep their cheap `++stats_.x` hot paths while still
 //     exporting through the one registry.
@@ -20,11 +20,16 @@
 // still owns the name. That makes construct-new-then-destroy-old sequences
 // safe without ordering gymnastics.
 //
-// snapshot() merges owned instruments and pulled sources into one vector
-// sorted by metric name. Every value is derived from the deterministic
-// simulation (virtual clock, seeded RNG), so same-seed runs produce
-// byte-identical snapshots - the property the exporters (src/obs/export.h)
-// and the benches' --metrics flag rely on.
+// visit() is the one walk over a registry: owned counters, gauges and
+// histograms, then each source, every metric handed to a MetricVisitor. A
+// source may emit a different list on each visit: nothing downstream keys
+// on an emission's position.
+// snapshot() is visit() plus "build a Metric, sort by name"; the sampler
+// (src/obs/sampler.h) visits every host registry directly and merges by
+// name. Every value is derived from the deterministic simulation (virtual
+// clock, seeded RNG), so same-seed runs produce byte-identical snapshots -
+// the property the exporters (src/obs/export.h) and the benches' --metrics
+// flag rely on.
 #pragma once
 
 #include <cstdint>
@@ -120,9 +125,8 @@ class Histogram {
   }
 
   /// Fill a snapshot Metric (count/sum/max, non-empty buckets, all four
-  /// tail quantiles) in a single pass over the bucket array - the sampler
-  /// calls this on every tick for every owned histogram, where the separate
-  /// quantile() walks would touch the (cache-cold) buckets six times over.
+  /// tail quantiles) in a single pass over the bucket array, where the
+  /// separate quantile() walks would touch the buckets five times over.
   void snapshot_to(struct Metric& m) const;
 
  private:
@@ -152,65 +156,33 @@ struct Metric {
 /// All metrics, sorted by name (deterministic across same-seed runs).
 using Snapshot = std::vector<Metric>;
 
-/// Merge-plan slot meaning "skip this emission" (cross-kind name clash).
-inline constexpr std::uint32_t kNoFoldSlot = ~std::uint32_t{0};
+/// Receives one metric per call from MetricRegistry::visit. `prefix` is
+/// the emitting source's registered name ("" for owned instruments); the
+/// full metric name is `prefix.name`, or `name` when the prefix is empty.
+/// `hist` is non-null exactly for histograms (whose `value` is 0).
+using MetricVisitor =
+    std::function<void(std::string_view prefix, std::string_view name,
+                       MetricKind kind, std::uint64_t value,
+                       const Histogram* hist)>;
 
-/// Add `src`'s (bucket index, count) pairs into the sorted list `dst` in
-/// place (no temporary): the cross-host histogram merge primitive.
-void add_buckets(std::vector<std::pair<std::uint32_t, std::uint64_t>>& dst,
-                 const std::vector<std::pair<std::uint32_t, std::uint64_t>>& src);
-
-/// The emit interface pull sources write through. Names are automatically
-/// prefixed with the source's registered name ("via.agent" + "hits" ->
-/// "via.agent.hits").
+/// The emit interface pull sources write through: each emission goes
+/// straight to the visitor walking the registry, tagged with the source's
+/// registered name ("via.agent" + "hits" -> "via.agent.hits").
 class MetricSink {
  public:
-  MetricSink(std::string_view prefix, Snapshot& out)
-      : prefix_(prefix), out_(out) {}
-  /// Reuse mode (snapshot_into): when `cursor` is non-null, each emit first
-  /// tries to overwrite out[*cursor] in place - matching name and kind, no
-  /// string allocation - and falls back to fresh appends (truncating the
-  /// stale tail) the moment the emission layout diverges from the buffer.
-  /// `trusted` additionally skips the name comparison (kind is still
-  /// checked): the registry passes it when its layout generation proves the
-  /// buffer was filled from the same source list, so the steady-state tick
-  /// never touches the stored name strings at all.
-  MetricSink(std::string_view prefix, Snapshot& out, std::size_t* cursor,
-             bool trusted = false)
-      : prefix_(prefix), out_(out), cursor_(cursor), trusted_(trusted) {}
-
-  /// Fold mode (MetricRegistry::fold_into): each emit combines its value
-  /// straight into `target[map[*cursor]]` - counters/gauges add, histograms
-  /// merge - and never touches names or allocates. Only safe when the
-  /// caller has proven (via the registry's layout generation) that the map
-  /// was planned from this exact emission layout.
-  struct FoldTag {};
-  MetricSink(FoldTag, std::string_view prefix, Snapshot& target,
-             const std::vector<std::uint32_t>& map, std::size_t* cursor)
-      : prefix_(prefix), out_(target), cursor_(cursor), fold_map_(&map) {}
+  MetricSink(std::string_view prefix, const MetricVisitor& visit)
+      : prefix_(prefix), visit_(visit) {}
 
   void counter(std::string_view name, std::uint64_t v) {
-    emit(name, MetricKind::Counter, v);
+    visit_(prefix_, name, MetricKind::Counter, v, nullptr);
   }
   void gauge(std::string_view name, std::uint64_t v) {
-    emit(name, MetricKind::Gauge, v);
+    visit_(prefix_, name, MetricKind::Gauge, v, nullptr);
   }
-  /// True once a reuse-mode emit had to abandon in-place overwrites.
-  [[nodiscard]] bool fell_back() const { return fallback_; }
 
  private:
-  void emit(std::string_view name, MetricKind kind, std::uint64_t v);
-  /// The in-place slot for a reuse-mode emit, or nullptr (append fresh).
-  [[nodiscard]] Metric* reuse_slot(std::string_view name, MetricKind kind);
-  [[nodiscard]] bool name_matches(const std::string& full,
-                                  std::string_view name) const;
-
   std::string_view prefix_;
-  Snapshot& out_;
-  std::size_t* cursor_ = nullptr;
-  const std::vector<std::uint32_t>* fold_map_ = nullptr;
-  bool trusted_ = false;
-  bool fallback_ = false;
+  const MetricVisitor& visit_;
 };
 
 class MetricRegistry {
@@ -226,45 +198,21 @@ class MetricRegistry {
 
   // --- pull sources -----------------------------------------------------------
   using SourceFn = std::function<void(MetricSink&)>;
-  /// Register `fn` to emit metrics under `name.` at snapshot time. A name
+  /// Register `fn` to emit metrics under `name.` on every visit. A name
   /// already registered is taken over (the previous owner's later
-  /// unregister_source becomes a no-op). Contract: `fn` emits a fixed list
-  /// of (name, kind) for the lifetime of the registration - values change,
-  /// layout does not (snapshot_into's trusted reuse depends on it; emit a
-  /// zero rather than skipping a metric conditionally).
+  /// unregister_source becomes a no-op).
   void register_source(std::string name, const void* owner, SourceFn fn);
   /// Remove `name` if - and only if - `owner` still owns it.
   void unregister_source(std::string_view name, const void* owner);
   [[nodiscard]] std::size_t num_sources() const { return sources_.size(); }
 
-  /// Merge owned instruments and pulled sources, sorted by metric name.
+  /// Hand every metric to `fn`: owned counters, gauges and histograms
+  /// (each in name order), then each source's emissions (sources in name
+  /// order, emissions in the order the source makes them).
+  void visit(const MetricVisitor& fn) const;
+
+  /// Every metric visit() yields, sorted by metric name.
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Snapshot into a caller-owned buffer in *emission* order (not sorted),
-  /// reusing it in place when the metric layout is unchanged since the
-  /// buffer was last filled - the steady state allocates nothing and, when
-  /// `layout_gen` still matches the registry's layout generation (bumped by
-  /// every instrument creation and source (un)registration), skips the
-  /// per-metric name verification entirely; both are what keep the
-  /// sampler's per-tick cost inside the E27 overhead gate. `layout_gen` is
-  /// updated to the current generation. Returns true when the whole buffer
-  /// was reused in place (same names, kinds and order); false when it was
-  /// (partially) rebuilt, telling the caller to recompute anything derived
-  /// from the layout. Note the trusted fast path relies on the
-  /// register_source() contract: a source callback emits a fixed list of
-  /// (name, kind) for the lifetime of its registration.
-  bool snapshot_into(Snapshot& out, std::uint64_t& layout_gen) const;
-
-  /// Fold current instrument values directly into `target` through the
-  /// merge plan `map` (emission index -> target slot, kNoFoldSlot skips):
-  /// counters/gauges add into the slot's value, histograms merge buckets
-  /// and running stats (quantiles are left for the caller to recompute
-  /// from the merged buckets). This is the sampler's steady-state tick -
-  /// it touches no names, writes no intermediate buffer and allocates
-  /// nothing. Returns false *without folding anything* when `layout_gen`
-  /// no longer matches; the caller must re-snapshot and re-plan.
-  bool fold_into(Snapshot& target, const std::vector<std::uint32_t>& map,
-                 std::uint64_t layout_gen) const;
 
  private:
   struct Source {
@@ -272,14 +220,8 @@ class MetricRegistry {
     SourceFn fn;
   };
 
-  /// Bumped whenever the metric *layout* can change (instrument creation,
-  /// source (un)registration); lets snapshot_into prove buffer reuse is
-  /// safe without re-verifying names. Starts at 1 so a caller's zero-
-  /// initialised cached generation never matches spuriously.
-  std::uint64_t layout_gen_ = 1;
-  // Ordered maps: iteration (and therefore snapshot order before the final
-  // sort) is deterministic. unique_ptr keeps instrument addresses stable
-  // across later insertions.
+  // Ordered maps: iteration (and therefore visit order) is deterministic.
+  // unique_ptr keeps instrument addresses stable across later insertions.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;

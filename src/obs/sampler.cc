@@ -45,98 +45,78 @@ const Metric* find_metric(const std::vector<Metric>& metrics,
   return &*it;
 }
 
-}  // namespace
-
-namespace {
-
-/// Combine a same-named, same-kind metric into the accumulator entry.
-void combine(Metric& d, const Metric& m) {
-  if (m.kind == MetricKind::Histogram) {
-    d.count += m.count;
-    d.sum += m.sum;
-    d.max = std::max(d.max, m.max);
-    add_buckets(d.buckets, m.buckets);
-  } else {
-    d.value += m.value;
+/// Merge one host histogram into a slot: add its non-empty buckets into the
+/// slot's sorted (index, count) list in place, and its running stats.
+void add_histogram(Metric& d, const Histogram& h) {
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+    const std::uint64_t n = h.bucket(i);
+    if (n == 0) continue;
+    const auto idx = static_cast<std::uint32_t>(i);
+    while (at < d.buckets.size() && d.buckets[at].first < idx) ++at;
+    if (at < d.buckets.size() && d.buckets[at].first == idx) {
+      d.buckets[at].second += n;
+    } else {
+      d.buckets.insert(d.buckets.begin() + static_cast<std::ptrdiff_t>(at),
+                       {idx, n});
+    }
   }
+  d.count += h.count();
+  d.sum += h.sum();
+  d.max = std::max(d.max, h.max());
 }
 
 }  // namespace
 
 void Sampler::sample(Nanos when) {
   ++ticks_;
-  // The merge is planned, not searched: every source keeps a cached map
-  // from its emission order to a slot in the name-sorted skeleton of the
-  // cluster-merged layout, and a registry layout generation proves the plan
-  // is still valid. A steady-state tick is therefore one skeleton copy
-  // (the retained sample has to own its data anyway) plus fold_into() on
-  // every registry - instrument values combine straight into the sample,
-  // touching no names and writing no intermediate buffers. The raw-buffer
-  // snapshot and sort-and-plan rebuild below only run on ticks where some
-  // source's layout actually changed (a channel registering its metrics
-  // mid-run). That plan cache is what keeps E27's <=5% overhead gate green.
-  const std::size_t nsrc = registries_.size();
-  if (bufs_.size() != nsrc) {
-    bufs_.clear();
-    bufs_.resize(nsrc);
-    skeleton_.clear();
-  }
-  bool relayout = skeleton_.empty() && nsrc != 0;
+  // One walk, merged by name: every registry is visited in add_registry
+  // order and each emission is looked up by its full name. A slot resets at
+  // its first emission of the tick and takes that emission's kind; a later
+  // same-named emission of another kind is dropped, so across registries
+  // (and within one, in visit order) the first emitter wins a name clash.
+  live_.clear();
+  const MetricVisitor merge = [this](std::string_view prefix,
+                                     std::string_view name, MetricKind kind,
+                                     std::uint64_t value,
+                                     const Histogram* hist) {
+    name_.assign(prefix);
+    if (!prefix.empty()) name_ += '.';
+    name_ += name;
+    auto it = index_.find(name_);
+    if (it == index_.end()) {
+      it = index_.emplace(name_, static_cast<std::uint32_t>(slots_.size()))
+               .first;
+      slots_.emplace_back().m.name = name_;
+    }
+    Slot& slot = slots_[it->second];
+    Metric& m = slot.m;
+    if (slot.tick != ticks_) {
+      slot.tick = ticks_;
+      live_.push_back(it->second);
+      m.kind = kind;
+      m.value = m.count = m.sum = m.max = 0;
+      m.buckets.clear();
+    } else if (m.kind != kind) {
+      return;
+    }
+    if (hist != nullptr) {
+      add_histogram(m, *hist);
+    } else {
+      m.value += value;
+    }
+  };
+  for (const MetricRegistry* reg : registries_) reg->visit(merge);
 
+  std::sort(live_.begin(), live_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return slots_[a].m.name < slots_[b].m.name;
+            });
   Sample s;
   s.when = when;
-  if (!relayout) {
-    s.metrics = skeleton_;
-    for (std::size_t r = 0; r < registries_.size() && !relayout; ++r) {
-      if (!registries_[r]->fold_into(s.metrics, bufs_[r].map, bufs_[r].gen))
-        relayout = true;  // registry layout changed: discard, re-plan below
-    }
-  }
-  if (relayout) {
-    ++relayouts_;
-    for (std::size_t r = 0; r < registries_.size(); ++r)
-      (void)registries_[r]->snapshot_into(bufs_[r].raw, bufs_[r].gen);
-    // Re-plan: sort refs to every raw metric by name (source order breaks
-    // ties, so the first source still wins cross-kind name clashes), then
-    // lay out the skeleton and point each raw slot at its merged slot.
-    struct Ref {
-      const Metric* m;
-      std::uint32_t src;
-      std::uint32_t idx;
-    };
-    std::vector<Ref> refs;
-    for (std::uint32_t src = 0; src < bufs_.size(); ++src) {
-      for (std::uint32_t i = 0; i < bufs_[src].raw.size(); ++i)
-        refs.push_back({&bufs_[src].raw[i], src, i});
-      bufs_[src].map.assign(bufs_[src].raw.size(), kNoFoldSlot);
-    }
-    std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-      if (a.m->name != b.m->name) return a.m->name < b.m->name;
-      return a.src != b.src ? a.src < b.src : a.idx < b.idx;
-    });
-    skeleton_.clear();
-    for (const Ref& r : refs) {
-      if (skeleton_.empty() || skeleton_.back().name != r.m->name) {
-        Metric m;
-        m.name = r.m->name;
-        m.kind = r.m->kind;
-        skeleton_.push_back(std::move(m));
-      } else if (skeleton_.back().kind != r.m->kind) {
-        continue;  // cross-kind name clash: first wins, drop the rest
-      }
-      bufs_[r.src].map[r.idx] =
-          static_cast<std::uint32_t>(skeleton_.size() - 1);
-    }
-    // Rebuild the sample from the fresh raw buffers (a fold may have been
-    // abandoned half-way; the skeleton copy resets every slot).
-    s.metrics = skeleton_;
-    for (const RegBuf& b : bufs_) {
-      for (std::size_t i = 0; i < b.raw.size(); ++i) {
-        if (b.map[i] != kNoFoldSlot) combine(s.metrics[b.map[i]], b.raw[i]);
-      }
-    }
-  }
-  for (Metric& m : s.metrics) {
+  s.metrics.reserve(live_.size());
+  for (const std::uint32_t i : live_) {
+    Metric& m = s.metrics.emplace_back(slots_[i].m);
     if (m.kind == MetricKind::Histogram && !m.buckets.empty()) {
       // Cross-host merge invalidated the per-host quantiles; recompute
       // from the merged buckets (exact for the single-host case too).

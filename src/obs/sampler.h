@@ -5,11 +5,12 @@
 // flight dump; the dynamics between t=0 and the final report - pinned-frame
 // pressure building, reclaim waking, registration churn - are invisible. A
 // Sampler closes that gap: driven from the scenario scheduler's virtual
-// clock (interval ticks, see scenario/scheduler.h), each sample() merges
-// every host's
-// MetricRegistry snapshot into one cluster-wide view - counters and gauges
-// sum, histograms merge their log2 buckets and recompute quantiles - and
-// appends it to a bounded ring of time-stamped samples.
+// clock (interval ticks, see scenario/scheduler.h), each sample() walks
+// every host's MetricRegistry (MetricRegistry::visit) and merges the
+// metrics by name into one cluster-wide view - counters and gauges sum,
+// histograms merge their log2 buckets and recompute quantiles - and
+// appends it to a bounded ring of time-stamped samples. When two emissions
+// share a name but not a kind, the first one a tick walks wins.
 //
 // Exports:
 //   timeline_json()         - the deterministic TIMELINE_*.json document:
@@ -38,6 +39,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -114,10 +116,6 @@ class Sampler {
   [[nodiscard]] const std::deque<Sample>& samples() const { return samples_; }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  /// Ticks that had to rebuild the merge plan (first tick plus every tick
-  /// where some source's metric layout changed). Steady-state ticks reuse
-  /// the cached plan; this stat is the observability for that cache.
-  [[nodiscard]] std::uint64_t relayouts() const { return relayouts_; }
   [[nodiscard]] const std::vector<SloSpec>& rules() const { return rules_; }
   [[nodiscard]] const std::vector<SloFiring>& firings() const {
     return firings_;
@@ -138,28 +136,23 @@ class Sampler {
                                     std::string_view ref, std::uint64_t& out);
 
  private:
-  /// Per-source reusable snapshot buffer: `raw` holds the source's
-  /// emission-order snapshot (filled via snapshot_into / a reuse-mode
-  /// MetricSink, overwritten in place), `map` the cached merge plan - raw
-  /// index -> index into the skeleton (kNoSlot = cross-kind name clash,
-  /// skipped). Both survive across ticks until a source's layout changes,
-  /// so the steady-state tick is buffer overwrites plus arithmetic
-  /// combines - no sorting, no per-metric allocation - which is what keeps
-  /// E27's <=5% overhead gate green.
-  struct RegBuf {
-    Snapshot raw;
-    std::vector<std::uint32_t> map;
-    std::uint64_t gen = 0;  ///< registry layout generation `raw` matches
+  /// One merged metric: reset (taking the emitter's kind) at its first
+  /// emission of a tick, then summed/merged into by the rest.
+  struct Slot {
+    Metric m;
+    std::uint64_t tick = 0;  ///< last tick that reset it
   };
 
   Config cfg_;
   std::vector<const MetricRegistry*> registries_;
-  std::vector<RegBuf> bufs_;   ///< one per registry, lazily sized
-  Snapshot skeleton_;          ///< merged layout, sorted by name, values zero
+  /// Every name any tick has emitted -> its slot (entries are never erased).
+  std::unordered_map<std::string, std::uint32_t> index_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> live_;  ///< slots emitted this tick
+  std::string name_;                 ///< full-name buffer reused per emission
   std::deque<Sample> samples_;
   std::uint64_t ticks_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t relayouts_ = 0;
   std::vector<SloSpec> rules_;
   std::vector<std::uint64_t> cooldowns_;  ///< ticks each rule still sleeps
   std::vector<SloFiring> firings_;

@@ -1,8 +1,9 @@
 // sampler_test.cc - unit tests for the continuous-telemetry sampler
-// (DESIGN.md section 16): cluster merge semantics, the cached merge plan
-// (relayouts only when a source's layout changes), the bounded sample ring,
-// metric-reference resolution, SLO once-per-window firing, and the
-// delta/rate derivation in the timeline export.
+// (DESIGN.md section 16): cluster merge semantics, the by-name merge
+// (instruments and sources appearing, changing their emissions or leaving
+// between ticks; first emitter wins a cross-kind name clash), the bounded
+// sample ring, metric-reference resolution, SLO once-per-window firing, and
+// the delta/rate derivation in the timeline export.
 #include "obs/sampler.h"
 
 #include <gtest/gtest.h>
@@ -70,7 +71,7 @@ TEST(Sampler, MergesRegistries) {
     EXPECT_LT(s.metrics[i - 1].name, s.metrics[i].name);
 }
 
-TEST(Sampler, SteadyStateReusesMergePlan) {
+TEST(Sampler, LateInstrumentAppearsFromItsTick) {
   MetricRegistry reg;
   reg.counter("ops").inc(1);
   Sampler smp;
@@ -79,24 +80,127 @@ TEST(Sampler, SteadyStateReusesMergePlan) {
   smp.sample(1);
   smp.sample(2);
   smp.sample(3);
-  EXPECT_EQ(smp.relayouts(), 1u);  // first tick plans, the rest fold
 
-  // A layout change (new instrument, e.g. a channel registering mid-run)
-  // forces exactly one re-plan; the new metric appears from that tick on.
+  // A new instrument (e.g. a channel registering mid-run) appears from the
+  // first tick after its creation on.
   reg.counter("late").inc(9);
   smp.sample(4);
   smp.sample(5);
-  EXPECT_EQ(smp.relayouts(), 2u);
   EXPECT_EQ(find(smp.samples()[2], "late"), nullptr);
   const Metric* late = find(smp.samples()[3], "late");
   ASSERT_NE(late, nullptr);
   EXPECT_EQ(late->value, 9u);
 
-  // Values keep moving through the cached plan without re-planning.
   reg.counter("ops").inc(5);
   smp.sample(6);
-  EXPECT_EQ(smp.relayouts(), 2u);
   EXPECT_EQ(find(smp.samples().back(), "ops")->value, 6u);
+}
+
+TEST(Sampler, SourceMayChangeItsEmissionsBetweenTicks) {
+  MetricRegistry reg;
+  bool both = false;
+  reg.register_source("src", &reg, [&both](MetricSink& s) {
+    if (both) s.counter("a", 1);
+    s.counter("b", 2);
+  });
+  Sampler smp;
+  smp.add_registry(&reg);
+
+  smp.sample(1);
+  EXPECT_EQ(find(smp.samples()[0], "src.a"), nullptr);
+  ASSERT_NE(find(smp.samples()[0], "src.b"), nullptr);
+  EXPECT_EQ(find(smp.samples()[0], "src.b")->value, 2u);
+
+  // Same registration, one more emission ahead of the old one: each value
+  // still lands on its own name.
+  both = true;
+  smp.sample(2);
+  const Metric* b = find(smp.samples()[1], "src.b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->value, 2u);
+  const Metric* a = find(smp.samples()[1], "src.a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->value, 1u);
+
+  // And back: the dropped emission leaves the sample.
+  both = false;
+  smp.sample(3);
+  EXPECT_EQ(find(smp.samples()[2], "src.a"), nullptr);
+  EXPECT_EQ(find(smp.samples()[2], "src.b")->value, 2u);
+}
+
+TEST(Sampler, UnregisteredSourceLeavesLaterSamples) {
+  MetricRegistry a;
+  MetricRegistry b;
+  const int owner = 0;
+  a.register_source("ch", &owner, [](MetricSink& s) { s.counter("sent", 3); });
+  b.register_source("ch", &owner, [](MetricSink& s) { s.counter("sent", 4); });
+  Sampler smp;
+  smp.add_registry(&a);
+  smp.add_registry(&b);
+
+  smp.sample(1);
+  ASSERT_NE(find(smp.samples()[0], "ch.sent"), nullptr);
+  EXPECT_EQ(find(smp.samples()[0], "ch.sent")->value, 7u);
+
+  // One host's source goes: the survivor's value alone.
+  a.unregister_source("ch", &owner);
+  smp.sample(2);
+  ASSERT_NE(find(smp.samples()[1], "ch.sent"), nullptr);
+  EXPECT_EQ(find(smp.samples()[1], "ch.sent")->value, 4u);
+
+  // Both gone: the name leaves later samples, earlier ones keep it.
+  b.unregister_source("ch", &owner);
+  smp.sample(3);
+  EXPECT_EQ(find(smp.samples()[2], "ch.sent"), nullptr);
+  EXPECT_NE(find(smp.samples()[0], "ch.sent"), nullptr);
+  for (std::size_t i = 1; i < smp.samples()[2].metrics.size(); ++i)
+    EXPECT_LT(smp.samples()[2].metrics[i - 1].name,
+              smp.samples()[2].metrics[i].name);
+}
+
+TEST(Sampler, CrossKindNameClashFirstEmitterWins) {
+  MetricRegistry a;
+  MetricRegistry b;
+  const int owner = 0;
+  // Registry order decides across hosts: a's gauge comes first.
+  a.gauge("x").set(5);
+  b.counter("x").inc(7);
+  // Visit order decides within a host: owned instruments before sources,
+  // so the owned counter "src.y" beats the sources' gauge "y".
+  a.counter("src.y").inc(2);
+  a.register_source("src", &owner, [](MetricSink& s) { s.gauge("y", 40); });
+  b.register_source("src", &owner, [](MetricSink& s) { s.gauge("y", 50); });
+  // Sources clash the same way: a's gauge "t.z" wins while a emits it.
+  a.register_source("t", &owner, [](MetricSink& s) { s.gauge("z", 1); });
+  b.register_source("t", &owner, [](MetricSink& s) { s.counter("z", 8); });
+
+  Sampler smp;
+  smp.add_registry(&a);
+  smp.add_registry(&b);
+  smp.sample(1);
+  const Metric* x = find(smp.samples()[0], "x");
+  ASSERT_NE(x, nullptr);
+  EXPECT_EQ(x->kind, MetricKind::Gauge);
+  EXPECT_EQ(x->value, 5u);  // b's counter is dropped, not added
+  const Metric* y = find(smp.samples()[0], "src.y");
+  ASSERT_NE(y, nullptr);
+  EXPECT_EQ(y->kind, MetricKind::Counter);
+  EXPECT_EQ(y->value, 2u);  // both hosts' gauges are dropped
+  const Metric* z = find(smp.samples()[0], "t.z");
+  ASSERT_NE(z, nullptr);
+  EXPECT_EQ(z->kind, MetricKind::Gauge);
+  EXPECT_EQ(z->value, 1u);
+
+  // The winner is decided afresh every tick: once a stops emitting "t.z",
+  // b's counter is the first emitter and the name changes kind.
+  a.unregister_source("t", &owner);
+  smp.sample(2);
+  z = find(smp.samples()[1], "t.z");
+  ASSERT_NE(z, nullptr);
+  EXPECT_EQ(z->kind, MetricKind::Counter);
+  EXPECT_EQ(z->value, 8u);
+  EXPECT_EQ(find(smp.samples()[1], "x")->kind, MetricKind::Gauge);
 }
 
 TEST(Sampler, RingDropsOldestBeyondBound) {
