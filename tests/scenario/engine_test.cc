@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "scenario/spec.h"
 
 namespace vialock::scenario {
@@ -158,6 +161,46 @@ TEST(ScenarioEngine, ChurnRegistersAndTearsDownClean) {
   // Teardown releases what the hold-queues still pin; the audit checks
   // pinned_frames() == 0 on every host.
   EXPECT_TRUE(r.invariants_ok) << (r.violations.empty() ? "" : r.violations[0]);
+}
+
+TEST(ScenarioEngine, ChurnUnderEveryPattern) {
+  // Each pattern's teardown runs between the channel/comm byte count and
+  // the churn deregistrations; churn must come out balanced under all six.
+  const std::string churn =
+      "churn_regs_per_tenant = 8\nchurn_hold = 2\nchurn_bytes = 16k\n";
+  const std::vector<std::string> specs = {
+      "pattern = rpc-fanout\nhosts = 6\nservers = 2\nfanout = 2\n"
+      "tenants_per_host = 1\nops_per_tenant = 8\n",
+      "pattern = skewed-kv\nhosts = 6\nservers = 2\ntenants_per_host = 2\n"
+      "ops_per_tenant = 16\nvalue_bytes = 4096\n",
+      "pattern = pipeline\nhosts = 4\nops_per_tenant = 12\n",
+      "pattern = ps-allreduce\nhosts = 4\nrounds = 2\nshard_bytes = 4096\n",
+      "pattern = collectives\nhosts = 4\nrounds = 1\ngovernor = off\n"
+      "host_frames = 2048\nhost_swap_slots = 16384\ntpt_entries = 8192\n",
+      "pattern = kv-server\nhosts = 4\nservers = 1\ntenants_per_host = 2\n"
+      "ops_per_tenant = 8\nkeys = 64\nvalue_bytes = 256\n"
+      "large_value_bytes = 4096\nlarge_fraction = 0.25\n"
+      "connections_per_client = 2\npipeline_window = 4\n"
+      "conn_churn_per_client = 1\n",
+  };
+  for (const std::string& body : specs) {
+    const ParseResult parsed = parse_spec("name = t\n" + body + churn);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    std::string json[2];
+    for (std::string& out : json) {
+      ScenarioEngine engine(parsed.spec);
+      ASSERT_TRUE(ok(engine.build())) << body;
+      ASSERT_TRUE(ok(engine.run())) << body;
+      const ScenarioReport& r = engine.report();
+      EXPECT_TRUE(r.invariants_ok)
+          << body << (r.violations.empty() ? "" : r.violations[0]);
+      EXPECT_GT(r.counters.registrations_ok, 0u) << body;
+      EXPECT_EQ(r.counters.deregistrations, r.counters.registrations_ok)
+          << body;
+      out = report_json(parsed.spec, r);
+    }
+    EXPECT_EQ(json[0], json[1]) << body;
+  }
 }
 
 TEST(ScenarioEngine, GovernorQuotaRejectsOverCommit) {
