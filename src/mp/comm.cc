@@ -15,6 +15,9 @@ using via::Descriptor;
 
 namespace {
 
+/// Shared-memory bounce buffer a local link pipelines large payloads through.
+inline constexpr std::uint64_t kLocalBounceBytes = 64 * 1024;
+
 template <typename T>
 std::span<const std::byte> bytes_of(const T& v) {
   return std::as_bytes(std::span{&v, 1});
@@ -210,7 +213,7 @@ KStatus Comm::ensure_link(Rank i, Rank j) {
   if (config_.shm_for_local && nodes_[i] == nodes_[j]) {
     simkern::Kernel& kern = cluster_.node(nodes_[i]).kernel();
     const std::uint64_t seg_bytes =
-        2ULL * config_.eager_credits * slot + config_.local_bounce_bytes;
+        2ULL * config_.eager_credits * slot + kLocalBounceBytes;
     const simkern::ShmId seg = kern.shm_create(seg_bytes);
     if (seg == simkern::kInvalidShm) return KStatus::NoMem;
     for (const Rank r : {i, j}) {
@@ -692,7 +695,7 @@ KStatus Comm::deliver_local_pull(Rank rank, const WireHeader& req,
   // req.addr carries the sender's *heap offset* on local links.
   std::uint64_t done = 0;
   while (done < req.len) {
-    const auto chunk = std::min<std::uint64_t>(config_.local_bounce_bytes,
+    const auto chunk = std::min<std::uint64_t>(kLocalBounceBytes,
                                                req.len - done);
     if (const KStatus st = kern.copy_user(snd.pid, snd_bounce,
                                           snd.heap + req.addr + done, chunk);

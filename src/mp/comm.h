@@ -75,7 +75,6 @@ class Comm {
     /// a node communicate over a shared-memory link instead of the NIC; the
     /// "Connectiontable" decides per peer at init time.
     bool shm_for_local = true;
-    std::uint32_t local_bounce_bytes = 64 * 1024;  ///< shm pipeline buffer
     /// Rank pairs WITHOUT a direct link (unordered). Traffic between them is
     /// routed through intermediate ranks using system messages - the
     /// "indirekte Kommunikation" design of the multidevice paper: one-sided

@@ -38,6 +38,10 @@ inline constexpr std::uint8_t kFrameData = 1;
 inline constexpr std::uint8_t kFrameCtrl = 2;
 inline constexpr std::uint8_t kFrameAck = 3;
 
+/// Base ack timeout; it doubles per retry, at most kBackoffCap times.
+inline constexpr Nanos kRetryTimeout = 100'000;
+inline constexpr std::uint32_t kBackoffCap = 6;
+
 struct FrameHeader {
   std::uint32_t magic = 0;
   std::uint32_t seq = 0;
@@ -169,9 +173,8 @@ KStatus Channel::init() {
       return st;
     }
     side->cache = std::make_unique<core::RegistrationCache>(
-        side->vipl, core::RegistrationCache::Config{
-                        .policy = config_.cache_policy,
-                        .max_idle = config_.cache_max_idle});
+        side->vipl,
+        core::RegistrationCache::Config{.policy = config_.cache_policy});
   }
 
   if (config_.preregister_heaps) {
@@ -303,9 +306,7 @@ KStatus Channel::eager(std::uint64_t src_off, std::uint64_t dst_off,
 // ---------------------------------------------------------------------------
 
 void Channel::charge_timeout(std::uint32_t attempt) {
-  const Reliability& rel = config_.reliability;
-  const std::uint32_t shift = std::min(attempt, rel.backoff_cap);
-  cluster_.clock().advance(rel.retry_timeout << shift);
+  cluster_.clock().advance(kRetryTimeout << std::min(attempt, kBackoffCap));
   ++stats_.send_timeouts;
   sender_node().kernel().trace().record(
       cluster_.clock().now(), TraceEvent::SendTimeout,
@@ -392,8 +393,7 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
                                    : send_spans.active_context();
   hdr.trace_id = frame_ctx.trace_id;
   hdr.span_id = frame_ctx.span_id;
-  auto frame_lease = arena_.lease(sizeof(FrameHeader) + payload.size());
-  std::vector<std::byte>& frame = *frame_lease;
+  std::vector<std::byte> frame(sizeof(FrameHeader) + payload.size());
   static_cast<void>(wire::store_pod(frame, hdr));  // frame covers the header
   if (!payload.empty())
     std::memcpy(frame.data() + sizeof hdr, payload.data(), payload.size());
@@ -449,8 +449,7 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
       continue;
     }
     const auto slot = static_cast<std::uint32_t>(rc->cookie);
-    auto rx_lease = arena_.lease(rc->transferred);
-    std::vector<std::byte>& rx = *rx_lease;
+    std::vector<std::byte> rx(rc->transferred);
     const bool readable =
         rc->done_ok() &&
         ok(to.host.kernel().read_user(to.vipl.pid(), to.slot_addr(slot), rx));
@@ -519,8 +518,8 @@ KStatus Channel::push_ctrl(Side& from, Side& to, std::span<const std::byte> msg,
                            Descriptor& completion) {
   if (!config_.reliability.enabled)
     return eager_push(from, to, msg, completion);
-  auto out_lease = arena_.lease(0);
-  return reliable_push(from, to, kFrameCtrl, msg, *out_lease);
+  std::vector<std::byte> out;
+  return reliable_push(from, to, kFrameCtrl, msg, out);
 }
 
 KStatus Channel::acquire_with_retry(Side& side, VAddr addr, std::uint32_t len,
@@ -549,8 +548,7 @@ KStatus Channel::reliable_rdma(const MemHandle& src_mh, VAddr src_addr,
   // End-to-end integrity: checksum the source payload once; the FIN exchange
   // is modelled by verifying the receiver's copy against it after every
   // write attempt.
-  auto buf_lease = arena_.lease(len);
-  std::vector<std::byte>& buf = *buf_lease;
+  std::vector<std::byte> buf(len);
   if (const KStatus st = sk.read_user(src_pid_, src_addr, buf); !ok(st))
     return st;
   const std::uint32_t want = fault::checksum32(buf);
@@ -623,16 +621,14 @@ KStatus Channel::reliable_eager(std::uint64_t src_off, std::uint64_t dst_off,
                                 std::uint32_t len) {
   if (len + sizeof(FrameHeader) > config_.eager_slot_size)
     return KStatus::Inval;
-  auto payload_lease = arena_.lease(len);
-  std::vector<std::byte>& payload = *payload_lease;
+  std::vector<std::byte> payload(len);
   if (const KStatus st =
           sender_node().kernel().read_user(src_pid_, src_heap_ + src_off,
                                            payload);
       !ok(st)) {
     return st;
   }
-  auto out_lease = arena_.lease(0);
-  std::vector<std::byte>& out = *out_lease;
+  std::vector<std::byte> out;
   if (const KStatus st = reliable_push(*src_, *dst_, kFrameData, payload, out);
       !ok(st)) {
     return st;
@@ -797,8 +793,7 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
     ++stats_.window_imports;
   }
   simkern::Kernel& sk = sender_node().kernel();
-  auto chunk_lease = arena_.lease(64 * 1024);
-  std::vector<std::byte>& chunk = *chunk_lease;
+  std::vector<std::byte> chunk(64 * 1024);
   std::uint32_t done = 0;
   while (done < len) {
     const auto n = std::min<std::uint32_t>(
@@ -825,8 +820,7 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
   //    exporter's TPT, so an injected TPT corruption can land them in the
   //    wrong frame.
   if (config_.reliability.enabled) {
-    auto chk_lease = arena_.lease(len);
-    std::vector<std::byte>& chk = *chk_lease;
+    std::vector<std::byte> chk(len);
     if (const KStatus st =
             sk.read_user(src_pid_, src_heap_ + src_off, chk);
         !ok(st)) {

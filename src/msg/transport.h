@@ -42,7 +42,6 @@
 
 #include "core/reg_cache.h"
 #include "fault/fault.h"
-#include "util/arena.h"
 #include "via/node.h"
 #include "via/vipl.h"
 
@@ -97,8 +96,6 @@ class Channel {
   struct Reliability {
     bool enabled = false;
     std::uint32_t max_retries = 8;    ///< per frame / per RDMA payload
-    Nanos retry_timeout = 100'000;    ///< base ack timeout (doubles per retry)
-    std::uint32_t backoff_cap = 6;    ///< cap on timeout doublings
   };
 
   struct Config {
@@ -106,7 +103,6 @@ class Channel {
     std::uint32_t eager_credits = 16;
     std::uint32_t eager_threshold = 4 * 1024;  ///< auto(): eager below this
     core::EvictionPolicy cache_policy = core::EvictionPolicy::Lru;
-    std::size_t cache_max_idle = 1024;
     std::uint64_t user_heap_bytes = 8ULL << 20;  ///< per-process message heap
     bool preregister_heaps = false;  ///< enable the Preregistered protocol
     /// Existing processes to attach to (kInvalidPid: create fresh tasks).
@@ -221,11 +217,6 @@ class Channel {
   std::unique_ptr<Side> src_;
   std::unique_ptr<Side> dst_;
   bool initialised_ = false;
-
-  /// Scratch buffers for frame builds, checksum verifies and staging copies:
-  /// per-transfer lifetimes nest strictly, so the arena's LIFO leases replace
-  /// a malloc/free pair per transfer on the host hot path (no simulated cost).
-  util::BufferArena arena_;
 
   /// Metrics, published on the sender node's registry at init():
   /// "msg.ch.p<sender_pid>.d<receiver_pid>". Empty until then.

@@ -5,6 +5,13 @@
 
 namespace vialock::pinmgr {
 
+namespace {
+
+/// Tier of a tenant that set_tenant() never named.
+constexpr QosTier kDefaultTier = QosTier::BestEffort;
+
+}  // namespace
+
 PinGovernor::PinGovernor(simkern::Kernel& kern, GovernorConfig config)
     : kern_(kern),
       config_(config),
@@ -103,7 +110,7 @@ PinGovernor::Tenant& PinGovernor::tenant(simkern::Pid pid) {
   auto it = tenants_.find(pid);
   if (it != tenants_.end()) return it->second;
   Tenant t;
-  t.tier = config_.default_tier;
+  t.tier = kDefaultTier;
   t.quota = config_.default_quota;
   return tenants_.emplace(pid, std::move(t)).first->second;
 }
@@ -126,7 +133,7 @@ std::uint32_t PinGovernor::fresh_frames(
 }
 
 std::uint32_t PinGovernor::admission_headroom(simkern::Pid pid) const {
-  QosTier tier = config_.default_tier;
+  QosTier tier = kDefaultTier;
   std::uint32_t quota = config_.default_quota;
   std::uint32_t charged = 0;
   if (const auto it = tenants_.find(pid); it != tenants_.end()) {

@@ -60,7 +60,6 @@ struct GovernorConfig {
   /// Per-tenant default quota in pages (the RLIMIT_MEMLOCK analogue), applied
   /// when a tenant first registers without an explicit set_tenant() call.
   std::uint32_t default_quota = 1024;
-  QosTier default_tier = QosTier::BestEffort;
   /// Pages of the ceiling only guaranteed tenants may use.
   std::uint32_t guaranteed_reserve = 0;
   /// Deferred deregistrations per batch; 0 makes every dereg eager.

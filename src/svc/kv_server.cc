@@ -19,6 +19,9 @@ namespace {
 /// dead connection's previous incarnation is recognisable on a reused VI.
 inline constexpr std::uint64_t kRdmaBit = 1ULL << 63;
 
+/// Idle registrations each tenant's arena cache keeps.
+inline constexpr std::size_t kCacheMaxIdle = 256;
+
 [[nodiscard]] constexpr std::uint64_t cookie_of(std::uint32_t gen,
                                                 std::uint32_t slot) {
   return (static_cast<std::uint64_t>(gen & 0x7FFFFFFFu) << 32) | slot;
@@ -120,7 +123,7 @@ std::uint32_t KvServer::add_tenant(const TenantConfig& cfg) {
   t->arena = arena.value_or(0);
   core::RegistrationCache::Config cc;
   cc.policy = config_.cache_policy;
-  cc.max_idle = config_.cache_max_idle;
+  cc.max_idle = kCacheMaxIdle;
   cc.governor = node_.governor();
   t->cache = std::make_unique<core::RegistrationCache>(*t->vipl, cc);
   tenants_.push_back(std::move(t));

@@ -57,7 +57,6 @@ struct KvServerConfig {
   std::uint64_t arena_bytes = 1ULL << 20;
   /// Arena registration cache (the on-the-fly registration story).
   core::EvictionPolicy cache_policy = core::EvictionPolicy::Lru;
-  std::size_t cache_max_idle = 256;
 };
 
 struct KvServerStats {
