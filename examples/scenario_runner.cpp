@@ -109,22 +109,21 @@ void print_watch(const obs::Sampler& sampler) {
             << Table::nanos(sampler.interval()) << ", " << samples.size()
             << " retained) ---\n";
   if (samples.empty()) return;
-  Table t({"t", "pinned", "free", "page_cache", "slo"});
+  Table t({"t", "pinned", "free", "slo"});
   const std::size_t stride = std::max<std::size_t>(1, samples.size() / 24);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (i % stride != 0 && i + 1 != samples.size()) continue;
     const auto& s = samples[i];
-    std::uint64_t pinned = 0, free_frames = 0, cache = 0;
+    std::uint64_t pinned = 0, free_frames = 0;
     (void)obs::Sampler::resolve(s.metrics, "simkern.mem.pinned_frames", pinned);
     (void)obs::Sampler::resolve(s.metrics, "simkern.mem.free_frames", free_frames);
-    (void)obs::Sampler::resolve(s.metrics, "simkern.mem.page_cache_pages", cache);
     std::string slo;
     for (const auto& f : sampler.firings())
       if (f.when == s.when)
         slo += (slo.empty() ? "" : " ") +
                sampler.rules()[f.rule].metric + "!";
     t.row({Table::nanos(s.when), Table::num(pinned), Table::num(free_frames),
-           Table::num(cache), slo.empty() ? "-" : slo});
+           slo.empty() ? "-" : slo});
   }
   t.print();
   for (const auto& f : sampler.firings())

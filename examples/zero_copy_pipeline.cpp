@@ -24,7 +24,6 @@ int main() {
 
   msg::Channel::Config cfg;
   cfg.user_heap_bytes = 4ULL << 20;
-  cfg.eager_threshold = 4 * 1024;  // the paper family's protocol switch point
   msg::Channel channel(cluster, n0, n1, cfg);
   if (!ok(channel.init())) {
     std::puts("channel init failed");

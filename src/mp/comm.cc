@@ -129,9 +129,7 @@ KStatus Comm::init() {
     const auto scratch = node.kernel().sys_mmap_anon(pid, slot, prot);
     if (!scratch) return KStatus::NoMem;
     side->sys_scratch = *scratch;
-    side->cache = std::make_unique<core::RegistrationCache>(
-        side->vipl, core::RegistrationCache::Config{
-                        .policy = config_.cache_policy, .max_idle = 1024});
+    side->cache = std::make_unique<core::RegistrationCache>(side->vipl);
     side->links.resize(nodes_.size());
     sides_.push_back(std::move(side));
   }
@@ -833,7 +831,7 @@ ReqId Comm::isend_internal(Rank rank, Rank dest, std::int32_t tag,
 
   const std::uint32_t eager_capacity =
       config_.eager_slot_size - static_cast<std::uint32_t>(sizeof(WireHeader));
-  if (len <= config_.eager_threshold && len <= eager_capacity) {
+  if (len <= kEagerThreshold && len <= eager_capacity) {
     header.kind = MsgKind::Eager;
     if (!ok(push_wire(rank, dest, header, offset))) {
       req->failed = true;

@@ -64,13 +64,14 @@ struct CommStats {
 
 class Comm {
  public:
+  /// Messages of at most this many bytes (that fit a slot) go eager.
+  static constexpr std::uint32_t kEagerThreshold = 4 * 1024;
+
   struct Config {
-    std::uint32_t eager_threshold = 4 * 1024;
     std::uint32_t eager_slot_size = 8 * 1024;
     std::uint32_t eager_credits = 8;     ///< pre-posted receives per VI
     std::uint32_t unexpected_slots = 64; ///< per-rank unexpected arena slots
     std::uint64_t heap_bytes = 4ULL << 20;
-    core::EvictionPolicy cache_policy = core::EvictionPolicy::Lru;
     /// Multidevice routing (the collection's first paper): ranks that share
     /// a node communicate over a shared-memory link instead of the NIC; the
     /// "Connectiontable" decides per peer at init time.

@@ -889,8 +889,8 @@ KStatus Channel::transfer(Protocol proto, std::uint64_t src_off,
 
 KStatus Channel::transfer_auto(std::uint64_t src_off, std::uint64_t dst_off,
                                std::uint32_t len) {
-  return transfer(len < config_.eager_threshold ? Protocol::Eager
-                                                : Protocol::Rendezvous,
+  return transfer(len < kEagerThreshold ? Protocol::Eager
+                                        : Protocol::Rendezvous,
                   src_off, dst_off, len);
 }
 

@@ -98,10 +98,12 @@ class Channel {
     std::uint32_t max_retries = 8;    ///< per frame / per RDMA payload
   };
 
+  /// transfer_auto() goes eager below this many bytes.
+  static constexpr std::uint32_t kEagerThreshold = 4 * 1024;
+
   struct Config {
     std::uint32_t eager_slot_size = 8 * 1024;
     std::uint32_t eager_credits = 16;
-    std::uint32_t eager_threshold = 4 * 1024;  ///< auto(): eager below this
     core::EvictionPolicy cache_policy = core::EvictionPolicy::Lru;
     std::uint64_t user_heap_bytes = 8ULL << 20;  ///< per-process message heap
     bool preregister_heaps = false;  ///< enable the Preregistered protocol

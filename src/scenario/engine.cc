@@ -15,6 +15,8 @@
 
 namespace vialock::scenario {
 
+using simkern::page_align_up;
+
 namespace {
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
@@ -24,10 +26,6 @@ constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 std::uint64_t actor_seed(std::uint64_t seed, std::uint64_t uid) {
   SplitMix64 sm(seed ^ (kGolden * (uid + 1)));
   return sm.next();
-}
-
-std::uint64_t page_round(std::uint64_t bytes) {
-  return (bytes + simkern::kPageMask) & ~simkern::kPageMask;
 }
 
 // Collectives rank-heap layout (ScenarioSpec::validate bounds the payloads).
@@ -276,7 +274,7 @@ class ScenarioEngine::PipelineDriver final : public ClientDriver {
  private:
   void op(std::size_t source) override {
     const Nanos issued = sched_.now();
-    const std::uint64_t record = page_round(spec_.record_bytes);
+    const std::uint64_t record = page_align_up(spec_.record_bytes);
     const std::uint64_t slots = std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(64, spec_.channel_heap_bytes / record));
     // Backpressure: at most `slots` records in flight end to end. With that
@@ -353,7 +351,7 @@ class ScenarioEngine::PsDriver final : public Driver {
     mp::Comm::Config cc;
     cc.eager_credits = 2;
     cc.heap_bytes = std::max<std::uint64_t>(
-        256 * 1024, (spec_.hosts + 2ULL) * page_round(spec_.shard_bytes));
+        256 * 1024, (spec_.hosts + 2ULL) * page_align_up(spec_.shard_bytes));
     cc.lazy_links = true;
     result_reqs_.assign(spec_.hosts - 1, mp::kInvalidReq);
     return e_.build_comm(cc);
@@ -386,7 +384,8 @@ class ScenarioEngine::PsDriver final : public Driver {
     for (std::uint32_t w = 1; w <= workers; ++w)
       recv_reqs_[w - 1] =
           e_.comm_->irecv(0, static_cast<std::int32_t>(w), tag(0),
-                          w * page_round(spec_.shard_bytes), spec_.shard_bytes);
+                          w * page_align_up(spec_.shard_bytes),
+                          spec_.shard_bytes);
     const Nanos done = sched_.charge_host(0, issued, sw.elapsed());
     for (std::uint32_t w = 1; w <= workers; ++w)
       sched_.post(done, w, [this, w] { push(w); });
@@ -426,7 +425,8 @@ class ScenarioEngine::PsDriver final : public Driver {
     std::vector<std::uint64_t> acc(count, 0);
     std::vector<std::byte> raw(spec_.shard_bytes);
     for (std::uint32_t w = 1; w <= workers; ++w) {
-      if (!ok(comm.fetch(0, w * page_round(spec_.shard_bytes), raw))) continue;
+      if (!ok(comm.fetch(0, w * page_align_up(spec_.shard_bytes), raw)))
+        continue;
       std::uint64_t first = 0;
       std::memcpy(&first, raw.data(), 8);
       first == fill(w) ? ++counters_.verify_ok : ++counters_.verify_failed;
@@ -940,7 +940,7 @@ KStatus ScenarioEngine::build_tenants() {
         ten.vipl = std::make_unique<via::Vipl>(node.agent(), ten.pid);
         if (const KStatus st = ten.vipl->open(); !ok(st)) return st;
         const std::uint64_t slab =
-            page_round(spec_.churn_bytes) * spec_.churn_hold;
+            page_align_up(spec_.churn_bytes) * spec_.churn_hold;
         const auto addr = node.kernel().sys_mmap_anon(
             ten.pid, slab, simkern::VmFlag::Read | simkern::VmFlag::Write);
         if (!addr) return KStatus::NoMem;
@@ -975,14 +975,14 @@ msg::Channel::Config ScenarioEngine::channel_config(HostId from,
   msg::Channel::Config cfg;
   // Slots sized to the workload, not the 8 KB default: at 256 hosts a server
   // carries hundreds of channel sides and every slot page is pinned memory.
-  // Only payloads below eager_threshold ever ride the eager path (anything
+  // Only payloads below kEagerThreshold ever ride the eager path (anything
   // larger goes rendezvous), so size the ring for the largest eager-eligible
   // payload, not for max_payload().
   std::uint32_t eager_max = 0;
   for (const std::uint32_t p :
        {spec_.request_bytes, spec_.response_bytes, spec_.value_bytes,
         spec_.record_bytes, spec_.payload_bytes})
-    if (p <= driver_->max_payload() && p < cfg.eager_threshold)
+    if (p <= driver_->max_payload() && p < msg::Channel::kEagerThreshold)
       eager_max = std::max(eager_max, p);
   cfg.eager_slot_size = ((eager_max + 128 + 511) / 512) * 512;
   cfg.eager_credits = 2;
@@ -1046,7 +1046,7 @@ void ScenarioEngine::run_churn_op(std::size_t actor) {
   const Nanos issued = sched_->now();
   const VirtualStopwatch sw(cluster_->clock());
 
-  const std::uint64_t slab_slot = page_round(spec_.churn_bytes);
+  const std::uint64_t slab_slot = page_align_up(spec_.churn_bytes);
   if (c.held.size() >= spec_.churn_hold) {
     if (ok(t.vipl->deregister_mem(c.held.front())))
       ++counters_.deregistrations;

@@ -32,11 +32,8 @@ Kernel::Kernel(const KernelConfig& config, Clock& clock, CostModel costs)
     s.counter("mlock.calls", stats_.mlock_calls);
     s.counter("kiobuf.maps", stats_.kiobuf_maps);
     s.counter("kiobuf.pages_pinned", stats_.kiobuf_pages_pinned);
-    s.counter("filecache.hits", stats_.pagecache_hits);
-    s.counter("filecache.misses", stats_.pagecache_misses);
     s.gauge("mem.free_frames", free_frames());
     s.gauge("mem.pinned_frames", pinned_frames());
-    s.gauge("mem.page_cache_pages", page_cache_pages());
   });
   metrics_.register_source("obs", this, [this](obs::MetricSink& s) {
     s.counter("spans.recorded", spans_.spans().size());

@@ -3,7 +3,7 @@
 // Owns physical memory, the buddy allocator, the swap device and the task
 // table, and implements the algorithms the paper's analysis rests on:
 //   - demand paging / COW / swap-in fault handling        (mm.cc)
-//   - page reclaim: shrink_mmap clock scan + swap_out     (vmscan.cc)
+//   - page reclaim: shrink_mmap scan cost + swap_out      (vmscan.cc)
 //   - mlock / munlock with capability checks              (mlock.cc)
 //   - kiobuf map/unmap/lock                               (kiobuf.cc)
 //   - task + mapping syscalls, kernel-I/O page locking    (kernel.cc)
@@ -43,7 +43,6 @@ struct KernelConfig {
   std::uint32_t swap_slots = 16384;     ///< swap partition size (64 MB)
   std::uint32_t free_pages_min = 16;    ///< reclaim watermark (freepages.min)
   std::uint32_t swap_cluster = 32;      ///< reclaim target per try_to_free_pages
-  std::uint32_t reclaim_scan_divisor = 4;  ///< clock scan budget = frames/div
   bool userdma_patch = false;  ///< User-DMA patch applied: sys_mlock skips the
                                ///< uid/capability check (paper section 3.2)
   /// Upper bound on frames pinned via kiobufs (0 = 3/4 of frames). Pinned
@@ -81,13 +80,6 @@ struct KernelStats {
   std::uint64_t kiobuf_pages_pinned = 0;
   std::uint64_t kiobuf_pin_rejections = 0;    ///< maps refused at the pin budget
   std::uint64_t kiobuf_fault_rejections = 0;  ///< maps refused by injection
-  // Page cache / file I/O (filecache.cc):
-  std::uint64_t file_reads = 0;
-  std::uint64_t file_writes = 0;
-  std::uint64_t pagecache_hits = 0;
-  std::uint64_t pagecache_misses = 0;
-  std::uint64_t pagecache_reclaimed = 0;  ///< cache pages freed by shrink_mmap
-  std::uint64_t pagecache_writebacks = 0;
   // Hazard counters for the page-flag (Giganet-style) approach, experiment E7:
   std::uint64_t io_flag_collisions = 0;  ///< driver set PG_locked over live I/O
   std::uint64_t io_lock_clobbered = 0;   ///< PG_locked vanished during kernel I/O
@@ -105,7 +97,7 @@ class MmuNotifier {
 };
 
 /// Cooperative-reclaim hook (the shrinker registration of its era). When
-/// try_to_free_pages falls short of its target after the page-cache scan,
+/// try_to_free_pages falls short of its target after shrink_mmap's scan,
 /// it asks registered handlers to release pinned memory - drain deferred
 /// deregistrations, evict cold idle registration-cache entries - before the
 /// kernel resorts to swapping hot process pages. Returns the number of pages
@@ -240,21 +232,6 @@ class Kernel {
     return faults_;
   }
 
-  // --- simulated files + page cache (filecache.cc) ------------------------------
-  /// Create a zero-filled simulated file of `bytes` bytes on the disk.
-  [[nodiscard]] FileId create_file(std::uint64_t bytes);
-  /// read(2): file -> user buffer through the page cache.
-  [[nodiscard]] KStatus file_read(Pid pid, FileId file, std::uint64_t offset,
-                                  VAddr buf, std::uint64_t len);
-  /// write(2): user buffer -> page cache (write-back to disk on eviction).
-  [[nodiscard]] KStatus file_write(Pid pid, FileId file, std::uint64_t offset,
-                                   VAddr buf, std::uint64_t len);
-  /// Write all dirty cache pages of `file` back to the disk (fsync).
-  void sync_file(FileId file);
-  [[nodiscard]] std::uint32_t page_cache_pages() const {
-    return static_cast<std::uint32_t>(page_cache_.size());
-  }
-
   // --- kernel I/O page locking (E7 hazard substrate) ----------------------------
   /// Begin simulated kernel I/O on the frame backing (pid, addr): sets
   /// PG_locked like ll_rw_block would. Fails with Busy if already locked.
@@ -324,7 +301,7 @@ class Kernel {
   }
 
   // vmscan.cc
-  std::uint32_t shrink_mmap(std::uint32_t budget);
+  void shrink_mmap(std::uint32_t budget);
   std::uint32_t swap_out(std::uint32_t target);
   std::uint32_t swap_out_task(Task& t, std::uint32_t target);
 
@@ -348,7 +325,6 @@ class Kernel {
   std::vector<Pid> task_order_;  ///< creation order, for the swap_out rotor
   Pid next_pid_ = 1;
   std::size_t swap_rotor_ = 0;   ///< which task swap_out visits next
-  std::uint32_t clock_hand_ = 0; ///< shrink_mmap clock-scan position
 
   std::unordered_map<Pfn, std::uint8_t> inflight_io_;  ///< kernel I/O in progress
   std::uint64_t pinned_frames_ = 0;  ///< frames with pin_count > 0
@@ -356,18 +332,6 @@ class Kernel {
   // kiobuf.cc internals: frame-deduplicated pin accounting.
   void account_pin(Pfn pfn);
   void account_unpin(Pfn pfn);
-
-  // filecache.cc internals.
-  struct SimFile {
-    std::vector<std::byte> bytes;
-  };
-  [[nodiscard]] Pfn cache_page_in(FileId file, std::uint32_t index);
-  void drop_cache_page(Pfn pfn);  ///< also called from shrink_mmap
-  [[nodiscard]] KStatus file_io(Pid pid, FileId file, std::uint64_t offset,
-                                VAddr buf, std::uint64_t len, bool write);
-
-  std::vector<SimFile> files_;
-  std::unordered_map<std::uint64_t, Pfn> page_cache_;  ///< (file,index) -> pfn
 
   void notify_invalidate(Pid pid, VAddr vaddr, Pfn old_pfn);
   std::vector<MmuNotifier*> mmu_notifiers_;

@@ -225,12 +225,7 @@ KStatus Kernel::access_range(Pid pid, VAddr addr, std::uint64_t len,
       assert(pte && pte->present);
     }
     pte->accessed = true;
-    Page& pg = phys_.page(pte->pfn);
-    pg.flags |= PageFlag::Referenced;
-    if (access == Access::Write) {
-      pte->dirty = true;
-      pg.flags |= PageFlag::Dirty;
-    }
+    if (access == Access::Write) pte->dirty = true;
 
     auto frame = phys_.frame(pte->pfn);
     const std::uint64_t off = at - page_addr;
@@ -290,8 +285,6 @@ KStatus Kernel::copy_user(Pid pid, VAddr dst, VAddr src, std::uint64_t len) {
     spte->accessed = true;
     dpte->accessed = true;
     dpte->dirty = true;
-    phys_.page(spte->pfn).flags |= PageFlag::Referenced;
-    phys_.page(dpte->pfn).flags |= PageFlag::Referenced | PageFlag::Dirty;
 
     auto sf = phys_.frame(spte->pfn);
     auto df = phys_.frame(dpte->pfn);

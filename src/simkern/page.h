@@ -28,9 +28,7 @@ enum class PageFlag : std::uint16_t {
   None = 0,
   Locked = 1 << 0,     ///< PG_locked: page under (kernel) I/O; reclaim skips it
   Reserved = 1 << 1,   ///< PG_reserved: invisible to the memory system
-  Dirty = 1 << 2,      ///< modified since last write-back
-  Referenced = 1 << 3, ///< touched since last clock-scan pass
-  SwapCache = 1 << 4,  ///< page also lives in the swap cache
+  SwapCache = 1 << 2,  ///< page also lives in the swap cache
 };
 
 }  // namespace vialock::simkern
@@ -40,10 +38,6 @@ inline constexpr bool vialock::enable_flag_ops<vialock::simkern::PageFlag> = tru
 
 namespace vialock::simkern {
 
-/// File identifier in the simulated file store (filecache.cc).
-using FileId = std::uint32_t;
-inline constexpr FileId kInvalidFile = static_cast<FileId>(-1);
-
 /// One mem_map_t entry: metadata the kernel keeps per physical frame.
 struct Page {
   std::uint32_t count = 0;     ///< reference counter; 0 == frame is free
@@ -52,10 +46,6 @@ struct Page {
   SwapSlot swap_slot = kInvalidSwapSlot;  ///< backing slot while in swap cache
   Pid mapped_pid = kInvalidPid;           ///< owner task (anonymous pages)
   VAddr mapped_vaddr = 0;                 ///< where the owner maps it
-  FileId cache_file = kInvalidFile;       ///< page-cache membership
-  std::uint32_t cache_index = 0;          ///< file page index when cached
-
-  [[nodiscard]] bool in_page_cache() const { return cache_file != kInvalidFile; }
 
   [[nodiscard]] bool free() const { return count == 0; }
   [[nodiscard]] bool locked() const { return has(flags, PageFlag::Locked); }

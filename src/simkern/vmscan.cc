@@ -3,9 +3,10 @@
 //
 // The decisive details (all from the paper's text):
 //   * shrink_mmap() runs a clock algorithm over the page map but "does not
-//     touch user pages of a process"; pages with PG_locked and pages with a
-//     reference counter other than one are skipped. In this simulation its
-//     observable effect is ageing (clearing PG_referenced).
+//     touch user pages of a process": it frees only page-cache pages, and
+//     this simulation has no page cache (DESIGN.md section 14.6). What is
+//     left is its cost: each pass charges its scan budget to the clock and
+//     to vm.clock_scanned before swap_out() is reached.
 //   * swap_out() walks tasks' VMA lists. VMAs with VM_LOCKED are skipped
 //     entirely - the hook mlock-based locking relies on.
 //   * try_to_swap_out(): pages with PG_locked or PG_reserved are skipped -
@@ -22,34 +23,39 @@
 
 namespace vialock::simkern {
 
+namespace {
+/// shrink_mmap scans a quarter of the page map per pass.
+constexpr std::uint32_t kReclaimScanDivisor = 4;
+}  // namespace
+
 std::uint32_t Kernel::try_to_free_pages(std::uint32_t target) {
   ++stats_.reclaim_runs;
   const obs::ScopedSpan span(spans_, "simkern.try_to_free_pages");
   const VirtualStopwatch sw(clock_);
-  // Like do_try_to_free_pages(): shrink the page cache first, escalating the
-  // scan until either the target is met or the clock hand has swept the
-  // whole page map twice (one ageing pass + one freeing pass). Only then
-  // resort to swapping process pages.
+  // Like do_try_to_free_pages(): run shrink_mmap first, escalating its scan
+  // until it has covered the whole page map twice (one ageing pass + one
+  // freeing pass). shrink_mmap frees nothing here, so any nonzero target
+  // pays both sweeps before the kernel resorts to swapping process pages.
   const std::uint32_t budget =
-      std::max(1u, config_.frames / config_.reclaim_scan_divisor);
-  std::uint32_t freed = 0;
+      std::max(1u, config_.frames / kReclaimScanDivisor);
   std::uint32_t scanned = 0;
-  do {  // at least one ageing pass, even for a zero target (kswapd tick)
-    freed += shrink_mmap(budget);
+  do {  // at least one pass, even for a zero target (kswapd tick)
+    shrink_mmap(budget);
     scanned += budget;
-  } while (freed < target && scanned < 2 * config_.frames);
+  } while (target > 0 && scanned < 2 * config_.frames);
   // Cooperative reclaim: before swapping process pages, ask the pin-side
   // handlers (the PinGovernor) to give back cold pinned memory - deferred
   // deregistrations, idle cached registrations. What they release is not
   // free yet, but it becomes visible to the swap_out pass below.
-  if (freed < target && !pressure_handlers_.empty() && !in_pressure_callback_) {
+  if (target > 0 && !pressure_handlers_.empty() && !in_pressure_callback_) {
     in_pressure_callback_ = true;
     ++stats_.pressure_callbacks;
     for (PressureHandler* h : pressure_handlers_) {
-      stats_.pressure_pages_released += h->on_memory_pressure(target - freed);
+      stats_.pressure_pages_released += h->on_memory_pressure(target);
     }
     in_pressure_callback_ = false;
   }
+  std::uint32_t freed = 0;
   while (freed < target) {
     const std::uint32_t n = swap_out(target - freed);
     if (n == 0) break;
@@ -60,36 +66,13 @@ std::uint32_t Kernel::try_to_free_pages(std::uint32_t target) {
   return freed;
 }
 
-std::uint32_t Kernel::shrink_mmap(std::uint32_t budget) {
-  // Clock scan over the page map: age pages by clearing PG_referenced and
-  // discard old page-cache pages. User (process) pages are never touched
+void Kernel::shrink_mmap(std::uint32_t budget) {
+  // The clock scan visits `budget` page-map entries. The only pages it could
+  // free are page-cache pages, and user (process) pages are never touched
   // here - "it does not touch user pages of a process"; those are left to
-  // swap_out().
-  const std::uint32_t frames = phys_.num_frames();
-  if (frames == 0) return 0;
-  std::uint32_t freed = 0;
-  for (std::uint32_t i = 0; i < budget; ++i) {
-    clock_hand_ = (clock_hand_ + 1) % frames;
-    clock_.advance(costs_.reclaim_scan_page);
-    ++stats_.clock_scanned;
-    Page& pg = phys_.page(clock_hand_);
-    if (pg.free() || pg.reserved() || pg.locked()) continue;
-    if (pg.count != 1) continue;  // "pages with a reference counter other
-                                  //  than one are skipped"
-    if (pg.pinned()) continue;
-    if (has(pg.flags, PageFlag::Referenced)) {
-      pg.flags &= ~PageFlag::Referenced;
-      continue;
-    }
-    if (pg.in_page_cache()) {
-      // An old, unreferenced, unlocked cache page: discard it (writing it
-      // back first if dirty).
-      drop_cache_page(clock_hand_);
-      ++stats_.pagecache_reclaimed;
-      ++freed;
-    }
-  }
-  return freed;
+  // swap_out(). So a pass costs its scan and changes nothing else.
+  clock_.advance(budget * costs_.reclaim_scan_page);
+  stats_.clock_scanned += budget;
 }
 
 std::uint32_t Kernel::swap_out(std::uint32_t target) {

@@ -9,26 +9,9 @@
 
 namespace vialock::svc {
 
+using simkern::page_align_up;
 using simkern::VAddr;
 using via::MemHandle;
-
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t cookie_of(std::uint32_t gen,
-                                                std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(gen & 0x7FFFFFFFu) << 32) | slot;
-}
-
-[[nodiscard]] constexpr bool gen_matches(std::uint64_t cookie,
-                                         std::uint32_t gen) {
-  return (cookie >> 32) == (gen & 0x7FFFFFFFu);
-}
-
-[[nodiscard]] constexpr std::uint64_t page_round(std::uint64_t bytes) {
-  return (bytes + simkern::kPageSize - 1) & ~simkern::kPageMask;
-}
-
-}  // namespace
 
 KvClient::KvClient(via::Cluster& cluster, via::NodeId node,
                    std::string task_name, KvClientConfig config)
@@ -79,7 +62,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
     free_rings_.pop_back();
   } else {
     const auto a = node_.kernel().sys_mmap_anon(
-        pid_, page_round(ring_bytes()),
+        pid_, page_align_up(ring_bytes()),
         simkern::VmFlag::Read | simkern::VmFlag::Write);
     if (!a) {
       free_vis_.push_back(vi);
@@ -93,7 +76,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
     free_windows_.pop_back();
   } else {
     const auto a = node_.kernel().sys_mmap_anon(
-        pid_, page_round(window_bytes()),
+        pid_, page_align_up(window_bytes()),
         simkern::VmFlag::Read | simkern::VmFlag::Write);
     if (!a) {
       free_vis_.push_back(vi);

@@ -92,4 +92,20 @@ struct KvResponse {
 };
 static_assert(std::is_trivially_copyable_v<KvResponse>);
 
+/// Completion-cookie layout: bit 63 marks an RDMA leg (keyed by sequence);
+/// replies and posted request recvs carry (generation << 32 | slot) so a
+/// completion of a dead connection's previous incarnation is recognisable on
+/// a reused VI. Client and server must agree on it.
+inline constexpr std::uint64_t kRdmaBit = 1ULL << 63;
+
+[[nodiscard]] constexpr std::uint64_t cookie_of(std::uint32_t gen,
+                                                std::uint32_t slot) {
+  return (static_cast<std::uint64_t>(gen & 0x7FFFFFFFu) << 32) | slot;
+}
+
+[[nodiscard]] constexpr bool gen_matches(std::uint64_t cookie,
+                                         std::uint32_t gen) {
+  return (cookie >> 32) == (gen & 0x7FFFFFFFu);
+}
+
 }  // namespace vialock::svc

@@ -9,32 +9,14 @@
 
 namespace vialock::svc {
 
+using simkern::page_align_up;
 using simkern::VAddr;
 using via::MemHandle;
 
 namespace {
 
-/// Cookie layout: bit 63 marks an RDMA leg (keyed by sequence); replies and
-/// posted request recvs carry (generation << 32 | slot) so a completion of a
-/// dead connection's previous incarnation is recognisable on a reused VI.
-inline constexpr std::uint64_t kRdmaBit = 1ULL << 63;
-
 /// Idle registrations each tenant's arena cache keeps.
 inline constexpr std::size_t kCacheMaxIdle = 256;
-
-[[nodiscard]] constexpr std::uint64_t cookie_of(std::uint32_t gen,
-                                                std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(gen & 0x7FFFFFFFu) << 32) | slot;
-}
-
-[[nodiscard]] constexpr bool gen_matches(std::uint64_t cookie,
-                                         std::uint32_t gen) {
-  return (cookie >> 32) == (gen & 0x7FFFFFFFu);
-}
-
-[[nodiscard]] constexpr std::uint64_t page_round(std::uint64_t bytes) {
-  return (bytes + simkern::kPageSize - 1) & ~simkern::kPageMask;
-}
 
 }  // namespace
 
@@ -118,11 +100,10 @@ std::uint32_t KvServer::add_tenant(const TenantConfig& cfg) {
   if (auto* gov = node_.governor())
     gov->set_tenant(t->pid, cfg.quota_pages, cfg.tier);
   const auto arena = node_.kernel().sys_mmap_anon(
-      t->pid, page_round(config_.arena_bytes),
+      t->pid, page_align_up(config_.arena_bytes),
       simkern::VmFlag::Read | simkern::VmFlag::Write);
   t->arena = arena.value_or(0);
   core::RegistrationCache::Config cc;
-  cc.policy = config_.cache_policy;
   cc.max_idle = kCacheMaxIdle;
   cc.governor = node_.governor();
   t->cache = std::make_unique<core::RegistrationCache>(*t->vipl, cc);
@@ -139,8 +120,8 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
   // Admission probe before any registration work: a BestEffort tenant whose
   // headroom cannot cover the slot rings is shed here, cheaply. Guaranteed
   // tenants proceed - the charge path drains and reclaims on their behalf.
-  const auto ring_pages =
-      static_cast<std::uint32_t>(page_round(ring_bytes()) / simkern::kPageSize);
+  const auto ring_pages = static_cast<std::uint32_t>(
+      page_align_up(ring_bytes()) / simkern::kPageSize);
   if (auto* gov = node_.governor();
       gov && t.tier == pinmgr::QosTier::BestEffort &&
       gov->admission_headroom(t.pid) < ring_pages) {
@@ -167,7 +148,7 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
     t.free_rings.pop_back();
   } else {
     const auto a = node_.kernel().sys_mmap_anon(
-        t.pid, page_round(ring_bytes()),
+        t.pid, page_align_up(ring_bytes()),
         simkern::VmFlag::Read | simkern::VmFlag::Write);
     if (!a) {
       t.free_vis.push_back(vi);

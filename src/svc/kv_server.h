@@ -55,8 +55,6 @@ struct KvServerConfig {
   std::uint32_t inline_threshold = 256;
   /// Per-tenant value arena bytes (bump-allocated, slot-reusing overwrite).
   std::uint64_t arena_bytes = 1ULL << 20;
-  /// Arena registration cache (the on-the-fly registration story).
-  core::EvictionPolicy cache_policy = core::EvictionPolicy::Lru;
 };
 
 struct KvServerStats {

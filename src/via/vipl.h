@@ -119,13 +119,6 @@ class Vipl {
   [[nodiscard]] std::optional<Nic::CqEntry> cq_done(CqId cq) {
     return agent_.nic().poll_cq(cq);
   }
-  /// Batched VipCQDone: drain up to `max` completions with one PCI status
-  /// read, appending to `out`. Returns the number drained.
-  [[nodiscard]] std::uint32_t cq_harvest(CqId cq, std::uint32_t max,
-                                         std::vector<Nic::CqEntry>& out) {
-    return agent_.nic().poll_cq_batch(cq, max, out);
-  }
-
   [[nodiscard]] Nic& nic() { return agent_.nic(); }
   [[nodiscard]] KernelAgent& agent() { return agent_; }
 

@@ -2,6 +2,8 @@
 // failure analysis depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.h"
 
 namespace vialock::simkern {
@@ -44,7 +46,7 @@ TEST(Vmscan, PressureHandlerRunsBeforeSwapOut) {
   box.kern.add_pressure_handler(&h);
   (void)box.kern.try_to_free_pages(4);
   EXPECT_EQ(h.calls, 1u);
-  EXPECT_EQ(h.last_target, 4u) << "page-cache scan freed nothing first";
+  EXPECT_EQ(h.last_target, 4u) << "shrink_mmap freed nothing first";
   EXPECT_EQ(box.kern.stats().pressure_callbacks, 1u);
   EXPECT_EQ(box.kern.stats().pressure_pages_released, 3u);
   box.kern.remove_pressure_handler(&h);
@@ -53,8 +55,8 @@ TEST(Vmscan, PressureHandlerRunsBeforeSwapOut) {
 }
 
 TEST(Vmscan, PressureHandlerNotInvokedWhenTargetAlreadyMet) {
-  // With a page-cache population large enough, shrink_mmap alone meets the
-  // target and the handler must not run.
+  // A zero target (a kswapd tick) is met before anything is freed, so the
+  // handler must not run.
   KernelBox box;
   FakeHandler h;
   box.kern.add_pressure_handler(&h);
@@ -212,17 +214,21 @@ TEST(Vmscan, SwapFullStopsEviction) {
   EXPECT_GT(touched, 100);  // but a good chunk fit before that
 }
 
-TEST(Vmscan, ShrinkMmapAgesReferencedPages) {
+TEST(Vmscan, ReclaimChargesItsScanBudget) {
+  // shrink_mmap frees nothing, but each pass still charges a quarter of the
+  // page map: one pass for a zero target, two full sweeps otherwise.
   KernelBox box;
-  const Pid pid = box.kern.create_task("t");
-  const VAddr a = must_mmap(box.kern, pid, 2);
-  ASSERT_TRUE(ok(box.kern.touch(pid, a, true)));
-  const Pfn pfn = *box.kern.resolve(pid, a);
-  EXPECT_TRUE(has(box.kern.phys().page(pfn).flags, PageFlag::Referenced));
-  // Enough reclaim passes to sweep the whole page map.
-  for (int i = 0; i < 8; ++i) (void)box.kern.try_to_free_pages(0);
-  EXPECT_FALSE(has(box.kern.phys().page(pfn).flags, PageFlag::Referenced));
-  EXPECT_GT(box.kern.stats().clock_scanned, 0u);
+  const std::uint32_t frames = box.kern.config().frames;
+  const Nanos scan = box.kern.costs().reclaim_scan_page;
+  const std::uint32_t budget = std::max(1u, frames / 4);
+  Nanos before = box.clock.now();
+  EXPECT_EQ(box.kern.try_to_free_pages(0), 0u);
+  EXPECT_EQ(box.clock.now() - before, budget * scan);
+  EXPECT_EQ(box.kern.stats().clock_scanned, budget);
+  before = box.clock.now();
+  EXPECT_EQ(box.kern.try_to_free_pages(4), 0u);
+  EXPECT_EQ(box.clock.now() - before, 2ULL * frames * scan);
+  EXPECT_EQ(box.kern.stats().clock_scanned, budget + 2ULL * frames);
 }
 
 TEST(Vmscan, ReclaimRotorVisitsAllTasks) {
