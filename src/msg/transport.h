@@ -145,8 +145,6 @@ class Channel {
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
   [[nodiscard]] const core::RegCacheStats& sender_cache_stats() const;
   [[nodiscard]] const core::RegCacheStats& receiver_cache_stats() const;
-  [[nodiscard]] simkern::VAddr sender_heap() const { return src_heap_; }
-  [[nodiscard]] simkern::VAddr receiver_heap() const { return dst_heap_; }
   [[nodiscard]] simkern::Pid sender_pid() const { return src_pid_; }
   [[nodiscard]] simkern::Pid receiver_pid() const { return dst_pid_; }
   [[nodiscard]] via::Node& sender_node() { return cluster_.node(sender_id_); }

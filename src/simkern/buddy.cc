@@ -55,10 +55,7 @@ Pfn BuddyAllocator::alloc(std::uint32_t order) {
   for (Pfn f = pfn; f < pfn + n; ++f) {
     assert(mem_.page(f).count == 0);
     mem_.page(f).count = 1;
-    mem_.page(f).flags &= ~(PageFlag::SwapCache | PageFlag::Locked);
-    mem_.page(f).swap_slot = kInvalidSwapSlot;
-    mem_.page(f).mapped_pid = kInvalidPid;
-    mem_.page(f).mapped_vaddr = 0;
+    mem_.page(f).flags &= ~PageFlag::Locked;
   }
   free_frames_ -= n;
   return pfn;

@@ -74,8 +74,7 @@ Pid Kernel::create_task(std::string name, Capability caps) {
   t->pid = pid;
   t->name = std::move(name);
   t->caps = caps;
-  tasks_.emplace(pid, std::move(t));
-  task_order_.push_back(pid);
+  tasks_.push_back(std::move(t));  // pids ascend: tasks_ stays sorted
   return pid;
 }
 
@@ -123,21 +122,19 @@ void Kernel::exit_task(Pid pid) {
     t.mm.pt.clear_range(vma.start, vma.end,
                         [&](VAddr v, Pte& pte) { drop_pte(t, v, pte); });
   });
-  t.alive = false;
-  tasks_.erase(pid);
-  std::erase(task_order_, pid);
+  std::erase_if(tasks_, [pid](const auto& p) { return p->pid == pid; });
 }
 
 Task& Kernel::task(Pid pid) {
-  auto it = tasks_.find(pid);
-  assert(it != tasks_.end() && "no such task");
-  return *it->second;
+  Task* const t = find_task(pid);
+  assert(t != nullptr && "no such task");
+  return *t;
 }
 
 const Task& Kernel::task(Pid pid) const {
-  auto it = tasks_.find(pid);
-  assert(it != tasks_.end() && "no such task");
-  return *it->second;
+  const Task* const t = find_task(pid);
+  assert(t != nullptr && "no such task");
+  return *t;
 }
 
 // ---------------------------------------------------------------------------
@@ -250,8 +247,6 @@ KStatus Kernel::sys_madvise_dontfork(Pid pid, VAddr addr, std::uint64_t len,
 void Kernel::drop_pte(Task& t, VAddr vaddr, Pte& pte) {
   if (pte.present) {
     notify_invalidate(t.pid, vaddr, pte.pfn);
-    Page& pg = phys_.page(pte.pfn);
-    if (pg.mapped_pid == t.pid) pg.mapped_pid = kInvalidPid;
     put_page(pte.pfn);
     --t.mm.rss;
   } else if (pte.swap != kInvalidSwapSlot) {
@@ -308,15 +303,7 @@ void Kernel::get_page(Pfn pfn) {
 void Kernel::put_page(Pfn pfn) {
   Page& pg = phys_.page(pfn);
   assert(pg.count > 0 && "put_page on free frame");
-  if (--pg.count == 0) {
-    if (pg.swap_slot != kInvalidSwapSlot) {
-      swap_.free(pg.swap_slot);
-      pg.swap_slot = kInvalidSwapSlot;
-      pg.flags &= ~PageFlag::SwapCache;
-    }
-    pg.mapped_pid = kInvalidPid;
-    buddy_.free(pfn, 0);
-  }
+  if (--pg.count == 0) buddy_.free(pfn, 0);
 }
 
 std::optional<Pfn> Kernel::resolve(Pid pid, VAddr addr) const {
@@ -414,10 +401,9 @@ std::vector<std::string> Kernel::self_check() const {
 
   // Per-task: RSS, PTE sanity, swap references.
   std::unordered_map<SwapSlot, std::uint32_t> slot_refs;
-  for (const Pid pid : task_order_) {
-    auto it = tasks_.find(pid);
-    if (it == tasks_.end()) continue;
-    const Task& t = *it->second;
+  for (const auto& tp : tasks_) {
+    const Task& t = *tp;
+    const Pid pid = t.pid;
     std::uint64_t rss = 0;
     // for_each_in is non-const; walk via a const copy of the VMA list.
     t.mm.vmas.for_each([&](const Vma& vma) {

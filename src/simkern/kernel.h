@@ -12,6 +12,7 @@
 // events in KernelStats; none throw - fallible calls return KStatus.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -228,9 +229,6 @@ class Kernel {
   /// the kernel or be disarmed first. While armed, the engine's per-site
   /// seen/injected counters export through metrics() as `fault.*`.
   void set_fault_engine(fault::FaultEngine* engine);
-  [[nodiscard]] const fault::FaultEngine* fault_engine() const {
-    return faults_;
-  }
 
   // --- kernel I/O page locking (E7 hazard substrate) ----------------------------
   /// Begin simulated kernel I/O on the frame backing (pid, addr): sets
@@ -293,11 +291,12 @@ class Kernel {
                                      std::span<std::byte> dst);
   void drop_pte(Task& t, VAddr vaddr, Pte& pte);
 
-  /// The task for `pid`, or nullptr: one hash lookup where task_exists()
+  /// The task for `pid`, or nullptr: one binary search where task_exists()
   /// followed by task() would take two.
   [[nodiscard]] Task* find_task(Pid pid) const {
-    const auto it = tasks_.find(pid);
-    return it == tasks_.end() ? nullptr : it->second.get();
+    const auto it = std::ranges::lower_bound(
+        tasks_, pid, {}, [](const auto& t) { return t->pid; });
+    return it != tasks_.end() && (*it)->pid == pid ? it->get() : nullptr;
   }
 
   // vmscan.cc
@@ -321,8 +320,9 @@ class Kernel {
   obs::Histogram* reclaim_freed_hist_ = nullptr;
   fault::FaultEngine* faults_ = nullptr;
 
-  std::unordered_map<Pid, std::unique_ptr<Task>> tasks_;
-  std::vector<Pid> task_order_;  ///< creation order, for the swap_out rotor
+  /// Live tasks in pid order. Pids ascend and are never reused, so this is
+  /// also creation order, the order the swap_out rotor visits.
+  std::vector<std::unique_ptr<Task>> tasks_;
   Pid next_pid_ = 1;
   std::size_t swap_rotor_ = 0;   ///< which task swap_out visits next
 

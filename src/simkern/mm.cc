@@ -57,7 +57,6 @@ KStatus Kernel::handle_fault(Task& t, VAddr vaddr, Access access) {
         // Sole owner: just regain write access.
         pte.cow = false;
         pte.writable = true;
-        pte.dirty = true;
       } else {
         const Pfn fresh = get_free_page();
         if (fresh == kInvalidPfn) return KStatus::NoMem;
@@ -68,10 +67,6 @@ KStatus Kernel::handle_fault(Task& t, VAddr vaddr, Access access) {
         pte.pfn = fresh;
         pte.cow = false;
         pte.writable = true;
-        pte.dirty = true;
-        Page& np = phys_.page(fresh);
-        np.mapped_pid = t.pid;
-        np.mapped_vaddr = page_addr;
       }
       ++stats_.cow_breaks;
       trace_.record(clock_.now(), TraceEvent::CowBreak, t.pid, page_addr,
@@ -79,10 +74,7 @@ KStatus Kernel::handle_fault(Task& t, VAddr vaddr, Access access) {
       return KStatus::Ok;
     }
     // Present but write-protected without COW: regain access per VMA.
-    if (write && !pte.writable) {
-      pte.writable = true;
-      pte.dirty = true;
-    }
+    if (write) pte.writable = true;
     return KStatus::Ok;
   }
 
@@ -109,10 +101,6 @@ KStatus Kernel::handle_fault(Task& t, VAddr vaddr, Access access) {
     pte.writable = write && has(vma->flags, VmFlag::Write);
     pte.cow = false;
     pte.accessed = true;
-    pte.dirty = write;
-    Page& np = phys_.page(fresh);
-    np.mapped_pid = t.pid;
-    np.mapped_vaddr = page_addr;
     ++t.mm.rss;
     ++stats_.major_faults;
     ++stats_.pages_swapped_in;
@@ -139,10 +127,6 @@ KStatus Kernel::handle_fault(Task& t, VAddr vaddr, Access access) {
       apte->writable = false;  // regain write access lazily
       apte->cow = false;
       apte->accessed = false;  // speculative: still first in line to evict
-      apte->dirty = false;
-      Page& ap = phys_.page(f2);
-      ap.mapped_pid = t.pid;
-      ap.mapped_vaddr = v;
       ++t.mm.rss;
       ++stats_.pages_swapped_in;
       ++stats_.readahead_pages;
@@ -160,10 +144,6 @@ KStatus Kernel::handle_fault(Task& t, VAddr vaddr, Access access) {
   pte.writable = write && has(vma->flags, VmFlag::Write);
   pte.cow = false;
   pte.accessed = true;
-  pte.dirty = write;
-  Page& np = phys_.page(fresh);
-  np.mapped_pid = t.pid;
-  np.mapped_vaddr = page_addr;
   ++t.mm.rss;
   ++stats_.minor_faults;
   trace_.record(clock_.now(), TraceEvent::MinorFault, t.pid, page_addr, fresh);
@@ -225,7 +205,6 @@ KStatus Kernel::access_range(Pid pid, VAddr addr, std::uint64_t len,
       assert(pte && pte->present);
     }
     pte->accessed = true;
-    if (access == Access::Write) pte->dirty = true;
 
     auto frame = phys_.frame(pte->pfn);
     const std::uint64_t off = at - page_addr;
@@ -284,7 +263,6 @@ KStatus Kernel::copy_user(Pid pid, VAddr dst, VAddr src, std::uint64_t len) {
     assert(spte && spte->present && dpte && dpte->present);
     spte->accessed = true;
     dpte->accessed = true;
-    dpte->dirty = true;
 
     auto sf = phys_.frame(spte->pfn);
     auto df = phys_.frame(dpte->pfn);

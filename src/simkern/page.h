@@ -28,7 +28,6 @@ enum class PageFlag : std::uint16_t {
   None = 0,
   Locked = 1 << 0,     ///< PG_locked: page under (kernel) I/O; reclaim skips it
   Reserved = 1 << 1,   ///< PG_reserved: invisible to the memory system
-  SwapCache = 1 << 2,  ///< page also lives in the swap cache
 };
 
 }  // namespace vialock::simkern
@@ -43,15 +42,13 @@ struct Page {
   std::uint32_t count = 0;     ///< reference counter; 0 == frame is free
   PageFlag flags = PageFlag::None;
   std::uint32_t pin_count = 0; ///< kiobuf pins (proposed mechanism's state)
-  SwapSlot swap_slot = kInvalidSwapSlot;  ///< backing slot while in swap cache
-  Pid mapped_pid = kInvalidPid;           ///< owner task (anonymous pages)
-  VAddr mapped_vaddr = 0;                 ///< where the owner maps it
 
   [[nodiscard]] bool free() const { return count == 0; }
   [[nodiscard]] bool locked() const { return has(flags, PageFlag::Locked); }
   [[nodiscard]] bool reserved() const { return has(flags, PageFlag::Reserved); }
   [[nodiscard]] bool pinned() const { return pin_count > 0; }
 };
+static_assert(sizeof(Page) == 12);
 
 /// Physical memory: the frame store plus the page map over it.
 ///
@@ -104,22 +101,6 @@ class PhysicalMemory {
 
   /// get_page(): take a reference on an in-use frame.
   void get(Pfn pfn) { ++pages_[pfn].count; }
-
-  /// Count frames currently free (count == 0 and not reserved).
-  [[nodiscard]] std::uint32_t count_free() const {
-    std::uint32_t n = 0;
-    for (const auto& p : pages_)
-      if (p.free() && !has(p.flags, PageFlag::Reserved)) ++n;
-    return n;
-  }
-
-  /// Frames whose 4 KB backing actually exists (host-process footprint).
-  [[nodiscard]] std::uint32_t materialized_frames() const {
-    std::uint32_t n = 0;
-    for (const auto& f : frames_)
-      if (f) ++n;
-    return n;
-  }
 
  private:
   [[nodiscard]] std::byte* materialize(Pfn pfn) {

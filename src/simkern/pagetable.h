@@ -25,7 +25,6 @@ struct Pte {
   bool writable = false;
   bool cow = false;       ///< copy-on-write: write-protected shared anon page
   bool accessed = false;  ///< set by the MMU on access, cleared by clock scan
-  bool dirty = false;
   Pfn pfn = kInvalidPfn;
   SwapSlot swap = kInvalidSwapSlot;  ///< valid when !present and swapped out
 
@@ -33,6 +32,7 @@ struct Pte {
     return !present && swap == kInvalidSwapSlot;
   }
 };
+static_assert(sizeof(Pte) == 12);
 
 class PageTable {
  public:

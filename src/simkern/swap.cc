@@ -73,7 +73,6 @@ KStatus SwapDevice::read(SwapSlot slot, std::span<std::byte> page) {
   assert(slot < map_.size() && page.size() == kPageSize);
   clock_.advance(costs_.swap_io(kPageSize));
   std::memcpy(page.data(), slot_bytes(slot), kPageSize);
-  ++reads_;
   // Read corruption damages only this transfer, not the stored copy; on an
   // injected error the buffer contents are undefined (caller must discard).
   return apply_faults(fault::FaultSite::SwapRead, page);
@@ -83,7 +82,6 @@ KStatus SwapDevice::read_sequential(SwapSlot slot, std::span<std::byte> page) {
   assert(slot < map_.size() && page.size() == kPageSize);
   clock_.advance(costs_.swap_per_byte * kPageSize);  // stream, no seek
   std::memcpy(page.data(), slot_bytes(slot), kPageSize);
-  ++reads_;
   return apply_faults(fault::FaultSite::SwapRead, page);
 }
 

@@ -29,7 +29,8 @@ class SwapDevice {
  public:
   SwapDevice(std::uint32_t num_slots, Clock& clock, const CostModel& costs)
       : map_(num_slots, 0), slots_(num_slots), clock_(clock), costs_(costs) {
-    for (SwapSlot s = 0; s < num_slots; ++s) free_slots_.insert(s);
+    for (SwapSlot s = 0; s < num_slots; ++s)
+      free_slots_.insert(free_slots_.end(), s);  // ascending: O(1) each
   }
 
   [[nodiscard]] std::uint32_t num_slots() const {
@@ -69,7 +70,6 @@ class SwapDevice {
     return static_cast<std::uint32_t>(used_);
   }
   [[nodiscard]] std::uint64_t total_writes() const { return writes_; }
-  [[nodiscard]] std::uint64_t total_reads() const { return reads_; }
   [[nodiscard]] std::uint64_t io_errors() const { return io_errors_; }
   [[nodiscard]] std::uint64_t io_delays() const { return io_delays_; }
   [[nodiscard]] std::uint64_t io_corruptions() const { return io_corruptions_; }
@@ -99,7 +99,6 @@ class SwapDevice {
   std::uint64_t used_ = 0;
   std::uint32_t scan_hint_ = 0;  ///< next-fit allocation cursor
   std::uint64_t writes_ = 0;
-  std::uint64_t reads_ = 0;
   std::uint64_t io_errors_ = 0;
   std::uint64_t io_delays_ = 0;
   std::uint64_t io_corruptions_ = 0;

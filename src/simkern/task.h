@@ -45,7 +45,6 @@ struct Task {
   std::uint64_t rlimit_memlock = ~0ULL;  ///< bytes lockable via mlock
   AddressSpace mm;
   VAddr swap_cursor = 0;  ///< swap_out_process resume address (task->swap_address)
-  bool alive = true;
 
   [[nodiscard]] bool capable(Capability c) const { return has(caps, c); }
 };

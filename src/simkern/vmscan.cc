@@ -76,16 +76,14 @@ void Kernel::shrink_mmap(std::uint32_t budget) {
 }
 
 std::uint32_t Kernel::swap_out(std::uint32_t target) {
-  if (task_order_.empty()) return 0;
+  if (tasks_.empty()) return 0;
   const obs::ScopedSpan span(spans_, "simkern.swap_out");
   std::uint32_t freed = 0;
   // Visit each task at most once per invocation, starting at the rotor.
-  for (std::size_t i = 0; i < task_order_.size() && freed < target; ++i) {
-    const Pid pid = task_order_[swap_rotor_ % task_order_.size()];
-    swap_rotor_ = (swap_rotor_ + 1) % task_order_.size();
-    auto it = tasks_.find(pid);
-    if (it == tasks_.end() || !it->second->alive) continue;
-    freed += swap_out_task(*it->second, target - freed);
+  for (std::size_t i = 0; i < tasks_.size() && freed < target; ++i) {
+    Task& t = *tasks_[swap_rotor_ % tasks_.size()];
+    swap_rotor_ = (swap_rotor_ + 1) % tasks_.size();
+    freed += swap_out_task(t, target - freed);
   }
   return freed;
 }
@@ -163,8 +161,6 @@ std::uint32_t Kernel::swap_out_task(Task& t, std::uint32_t target) {
       pte->present = false;
       pte->pfn = kInvalidPfn;
       pte->swap = slot;
-      pte->dirty = false;
-      if (pg.mapped_pid == t.pid) pg.mapped_pid = kInvalidPid;
       --t.mm.rss;
       ++stats_.pages_swapped_out;
 

@@ -135,9 +135,6 @@ class KvClient {
   [[nodiscard]] std::uint32_t inflight(std::uint32_t conn) const {
     return conns_.at(conn).inflight;
   }
-  [[nodiscard]] bool conn_open(std::uint32_t conn) const {
-    return conn < conns_.size() && conns_[conn].open;
-  }
   /// The server-side connection id of `conn` (for KvServer::close/abandon).
   [[nodiscard]] std::uint32_t server_conn(std::uint32_t conn) const {
     return conns_.at(conn).server_conn;

@@ -148,9 +148,6 @@ class KvServer {
   [[nodiscard]] const KvServerConfig& config() const { return config_; }
   [[nodiscard]] via::NodeId node_id() const { return node_id_; }
   [[nodiscard]] std::uint32_t open_conns() const { return open_conns_; }
-  [[nodiscard]] simkern::Pid tenant_pid(std::uint32_t tenant) const {
-    return tenants_.at(tenant)->pid;
-  }
   [[nodiscard]] std::size_t tenant_keys(std::uint32_t tenant) const {
     return tenants_.at(tenant)->store.size();
   }

@@ -63,10 +63,6 @@ class KernelAgent {
     [[nodiscard]] static constexpr RegisterOptions send_recv_only() {
       return {false, false};
     }
-    /// Inbound RDMA writes only (a receive window).
-    [[nodiscard]] static constexpr RegisterOptions rdma_write_only() {
-      return {true, false};
-    }
     /// Outbound RDMA reads only (an exported source buffer).
     [[nodiscard]] static constexpr RegisterOptions rdma_read_only() {
       return {false, true};

@@ -77,7 +77,6 @@ class Tpt {
 
   void set(TptIndex idx, const TptEntry& e) { entries_[idx] = e; }
   [[nodiscard]] const TptEntry& get(TptIndex idx) const { return entries_[idx]; }
-  [[nodiscard]] TptEntry& get_mutable(TptIndex idx) { return entries_[idx]; }
 
   struct Translation {
     simkern::Pfn pfn;

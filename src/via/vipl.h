@@ -24,13 +24,12 @@ class Vipl {
 
   /// VipOpenNic + VipCreatePtag.
   [[nodiscard]] KStatus open();
-  [[nodiscard]] ProtectionTag ptag() const { return tag_; }
   [[nodiscard]] simkern::Pid pid() const { return pid_; }
 
   // --- memory ------------------------------------------------------------------
   /// VipRegisterMem. `opts` defaults to RDMA-enabled; use the
   /// KernelAgent::RegisterOptions named factories (send_recv_only(),
-  /// rdma_write_only(), ...) for anything else.
+  /// rdma_read_only()) for anything else.
   [[nodiscard]] KStatus register_mem(simkern::VAddr addr, std::uint64_t len,
                                      MemHandle& out,
                                      KernelAgent::RegisterOptions opts = {});

@@ -4,6 +4,8 @@
 // keeps the name of the reports it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../via/via_util.h"
 
 namespace vialock::simkern {
@@ -58,6 +60,40 @@ TEST(Procfs, TaskStatusShowsFootprint) {
   EXPECT_EQ(locked_pages, 2u);
   EXPECT_TRUE(t.capable(Capability::IpcLock));
   EXPECT_FALSE(box.kern.task_exists(999));
+}
+
+// Exiting a task from the middle of the task table must leave the others
+// reachable, and a later task must still be found and reclaimed from.
+TEST(KernelState, TaskTableSurvivesMiddleExit) {
+  KernelBox box;
+  constexpr std::uint64_t kPages = 8;
+  auto spawn = [&](const char* name) {
+    const Pid pid = box.kern.create_task(name);
+    const VAddr a = must_mmap(box.kern, pid, kPages);
+    for (std::uint64_t p = 0; p < kPages; ++p)
+      EXPECT_TRUE(ok(box.kern.touch(pid, a + p * kPageSize, true)));
+    return pid;
+  };
+  const Pid first = spawn("first");
+  const Pid middle = spawn("middle");
+  const Pid last = spawn("last");
+  box.kern.exit_task(middle);
+  const Pid fourth = spawn("fourth");
+
+  EXPECT_FALSE(box.kern.task_exists(middle));
+  EXPECT_GT(fourth, std::max({first, middle, last}));
+  for (const Pid pid : {first, last, fourth}) {
+    ASSERT_TRUE(box.kern.task_exists(pid));
+    EXPECT_EQ(box.kern.task(pid).pid, pid);
+    EXPECT_EQ(box.kern.task(pid).mm.rss, kPages);
+  }
+
+  // The first pass only ages the freshly touched pages; the second swaps.
+  for (int pass = 0; pass < 2; ++pass)
+    (void)box.kern.try_to_free_pages(3 * kPages);
+  for (const Pid pid : {first, last, fourth})
+    EXPECT_LT(box.kern.task(pid).mm.rss, kPages) << "pid " << pid;
+  EXPECT_TRUE(box.kern.self_check().empty());
 }
 
 class WaitModeTest : public test::TwoNodeFixture {};
