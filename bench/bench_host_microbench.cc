@@ -1,6 +1,7 @@
 // bench_host_microbench - google-benchmark timings of the simulator itself
 // (host wall-clock, not virtual time): how fast the substrate executes fault
-// handling, registration, reclaim, transfers and a telemetry sampler tick.
+// handling, registration, reclaim, transfers, host set-up and a telemetry
+// sampler tick.
 // Useful for keeping the experiment binaries quick; unrelated to the
 // paper's claims.
 #include <benchmark/benchmark.h>
@@ -104,6 +105,26 @@ void BM_PressureCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PressureCycle)->Unit(benchmark::kMillisecond);
+
+// Building one host with kv-server's shape (8,192 frames, 16,384 swap slots,
+// 8,192 TPT entries, 1,024 VIs): the per-host set-up cost a scenario pays
+// once per host before any traffic runs.
+void BM_NodeSetup(benchmark::State& state) {
+  Clock clock;
+  CostModel costs;
+  via::NodeSpec spec;
+  spec.kernel.frames = 8192;
+  spec.kernel.reserved_low = 64;
+  spec.kernel.swap_slots = 16384;
+  spec.nic.tpt_entries = 8192;
+  spec.nic.max_vis = 1024;
+  spec.policy = via::PolicyKind::Kiobuf;
+  for (auto _ : state) {
+    via::Node node(spec, clock, costs);
+    benchmark::DoNotOptimize(&node);
+  }
+}
+BENCHMARK(BM_NodeSetup)->Unit(benchmark::kMicrosecond);
 
 // One sampler tick over a cluster-1m-sized fleet: 256 host registries, each
 // with four owned histograms, four owned counters, five host-wide sources

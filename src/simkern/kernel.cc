@@ -426,13 +426,22 @@ std::vector<std::string> Kernel::self_check() const {
                std::to_string(rss) + " vs " + std::to_string(t.mm.rss));
     }
   }
+  // Every swap reference is a PTE, so each slot's count must equal its PTE
+  // references (a saturated count no longer tracks them) and no slot may be
+  // held that no PTE names.
   for (const auto& [slot, refs] : slot_refs) {
-    if (swap_.refcount(slot) < refs) {
-      complain("swap slot " + std::to_string(slot) + " underaccounted: " +
-               std::to_string(swap_.refcount(slot)) + " < " +
-               std::to_string(refs));
+    const std::uint32_t count = swap_.refcount(slot);
+    if (count != refs && count != kSwapMapMax) {
+      complain("swap slot " + std::to_string(slot) + " misaccounted: " +
+               std::to_string(count) + " != " + std::to_string(refs));
     }
   }
+  if (swap_.used_slots() != slot_refs.size()) {
+    complain("swap slots leaked: " + std::to_string(swap_.used_slots()) +
+             " in use vs " + std::to_string(slot_refs.size()) +
+             " referenced by PTEs");
+  }
+  for (std::string& msg : swap_.self_check()) complain(std::move(msg));
   return issues;
 }
 

@@ -1,18 +1,28 @@
 #include "simkern/swap.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace vialock::simkern {
 
+SwapSlot SwapDevice::first_free_from(SwapSlot from) const {
+  std::size_t word = from / 64;
+  std::uint64_t bits = free_bits_[word] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++word == free_bits_.size()) return kInvalidSwapSlot;
+    bits = free_bits_[word];
+  }
+  return static_cast<SwapSlot>(word * 64 + std::countr_zero(bits));
+}
+
 SwapSlot SwapDevice::alloc() {
-  if (free_slots_.empty()) return kInvalidSwapSlot;
+  if (used_ == map_.size()) return kInvalidSwapSlot;
   // Next-fit: the first free slot at or after the hint, wrapping to the
   // lowest free slot - the same slot the legacy linear scan would pick.
-  auto it = free_slots_.lower_bound(scan_hint_);
-  if (it == free_slots_.end()) it = free_slots_.begin();
-  const SwapSlot slot = *it;
-  free_slots_.erase(it);
+  SwapSlot slot = first_free_from(scan_hint_);
+  if (slot == kInvalidSwapSlot) slot = first_free_from(0);
+  free_bits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
   map_[slot] = 1;
   ++used_;
   scan_hint_ = (slot + 1) % static_cast<std::uint32_t>(map_.size());
@@ -21,15 +31,34 @@ SwapSlot SwapDevice::alloc() {
 
 void SwapDevice::dup(SwapSlot slot) {
   assert(slot < map_.size() && map_[slot] > 0);
-  ++map_[slot];
+  if (map_[slot] < kSwapMapMax) ++map_[slot];
 }
 
 void SwapDevice::free(SwapSlot slot) {
   assert(slot < map_.size() && map_[slot] > 0);
+  if (map_[slot] == kSwapMapMax) return;  // saturated: never freed
   if (--map_[slot] == 0) {
     --used_;
-    free_slots_.insert(slot);
+    free_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
   }
+}
+
+std::vector<std::string> SwapDevice::self_check() const {
+  std::vector<std::string> issues;
+  std::uint64_t nonzero = 0;
+  for (SwapSlot slot = 0; slot < map_.size(); ++slot) {
+    if (map_[slot] != 0) ++nonzero;
+    if (is_free(slot) != (map_[slot] == 0)) {
+      issues.push_back("swap slot " + std::to_string(slot) + " free bit " +
+                       std::to_string(is_free(slot)) + " with refcount " +
+                       std::to_string(map_[slot]));
+    }
+  }
+  if (nonzero != used_) {
+    issues.push_back("swap used-slot drift: " + std::to_string(nonzero) +
+                     " nonzero refcounts vs counter " + std::to_string(used_));
+  }
+  return issues;
 }
 
 KStatus SwapDevice::apply_faults(fault::FaultSite site,

@@ -3,7 +3,12 @@
 //
 // Slot lifecycle mirrors Linux's swap_map: a slot is allocated with count 1
 // when try_to_swap_out() writes a page, duplicated when a swapped PTE is
-// shared by fork, and released on swap-in or PTE teardown.
+// shared by fork, and released on swap-in or PTE teardown. A count that
+// reaches kSwapMapMax sticks there and the slot is never freed, as 2.2's
+// swap_duplicate()/swap_free() do with SWAP_MAP_MAX. Beside the counts sits
+// one free bit per slot (set exactly when the count is 0), so finding a free
+// slot is a word-at-a-time bitmap scan and the whole index costs 1/8 byte
+// per slot.
 //
 // I/O is fallible: a FaultEngine (fault::FaultSite::SwapRead / SwapWrite)
 // can fail a transfer with EIO, stretch it with an injected latency spike,
@@ -13,8 +18,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "fault/fault.h"
@@ -25,12 +30,20 @@
 
 namespace vialock::simkern {
 
+/// A slot's reference count saturates here (2.2's SWAP_MAP_MAX): further
+/// dup()s are not counted and free() never releases the slot.
+inline constexpr std::uint16_t kSwapMapMax = 0x7fff;
+
 class SwapDevice {
  public:
   SwapDevice(std::uint32_t num_slots, Clock& clock, const CostModel& costs)
-      : map_(num_slots, 0), slots_(num_slots), clock_(clock), costs_(costs) {
-    for (SwapSlot s = 0; s < num_slots; ++s)
-      free_slots_.insert(free_slots_.end(), s);  // ascending: O(1) each
+      : map_(num_slots, 0),
+        free_bits_((num_slots + 63) / 64, ~std::uint64_t{0}),
+        slots_(num_slots),
+        clock_(clock),
+        costs_(costs) {
+    if (num_slots % 64 != 0)  // no free bits past the last slot
+      free_bits_.back() = (std::uint64_t{1} << (num_slots % 64)) - 1;
   }
 
   [[nodiscard]] std::uint32_t num_slots() const {
@@ -38,14 +51,16 @@ class SwapDevice {
   }
 
   /// get_swap_page(): allocate a slot with refcount 1, or kInvalidSwapSlot.
-  /// Next-fit from the scan hint over an ordered free-slot set, O(log slots)
-  /// per call instead of the legacy O(slots) map scan; placements identical.
+  /// Next-fit: the first free slot at or after the scan hint, else the
+  /// lowest free slot, found 64 slots per word of the free bitmap.
   [[nodiscard]] SwapSlot alloc();
 
-  /// swap_duplicate(): another PTE now references this slot.
+  /// swap_duplicate(): another PTE now references this slot. Saturates at
+  /// kSwapMapMax.
   void dup(SwapSlot slot);
 
-  /// swap_free(): drop one reference; slot becomes reusable at zero.
+  /// swap_free(): drop one reference; slot becomes reusable at zero. A
+  /// saturated slot stays allocated.
   void free(SwapSlot slot);
 
   [[nodiscard]] std::uint32_t refcount(SwapSlot slot) const { return map_[slot]; }
@@ -69,6 +84,10 @@ class SwapDevice {
   [[nodiscard]] std::uint32_t used_slots() const {
     return static_cast<std::uint32_t>(used_);
   }
+  /// Audit the device's own bookkeeping: each free bit is set exactly when
+  /// its count is 0, and used_slots() counts the nonzero counts. Returns
+  /// one message per problem (empty when consistent). O(slots).
+  [[nodiscard]] std::vector<std::string> self_check() const;
   [[nodiscard]] std::uint64_t total_writes() const { return writes_; }
   [[nodiscard]] std::uint64_t io_errors() const { return io_errors_; }
   [[nodiscard]] std::uint64_t io_delays() const { return io_delays_; }
@@ -90,8 +109,15 @@ class SwapDevice {
     return slots_[slot].get();
   }
 
-  std::vector<std::uint16_t> map_;   ///< per-slot reference counts
-  std::set<SwapSlot> free_slots_;    ///< ordered index of zero-refcount slots
+  [[nodiscard]] bool is_free(SwapSlot slot) const {
+    return (free_bits_[slot / 64] >> (slot % 64)) & 1;
+  }
+  /// Lowest free slot at or after `from` (< num_slots()), or
+  /// kInvalidSwapSlot.
+  [[nodiscard]] SwapSlot first_free_from(SwapSlot from) const;
+
+  std::vector<std::uint16_t> map_;        ///< per-slot reference counts
+  std::vector<std::uint64_t> free_bits_;  ///< bit set <=> map_ count is 0
   std::vector<std::unique_ptr<std::byte[]>> slots_;  ///< lazy stored pages
   Clock& clock_;
   const CostModel& costs_;

@@ -2,8 +2,10 @@
 //
 // The simulated kernel records its interesting transitions (faults,
 // swap-outs, pins, registrations) here when tracing is enabled; tests and
-// tools can dump the tail to see *why* a page moved. Zero allocation after
-// construction; disabled tracing is a single branch.
+// tools can dump the tail to see *why* a page moved. The ring's storage is
+// allocated on the first enable(true), so a ring that is never enabled (every
+// simulated host's, unless a tool arms it) owns none; after that, recording
+// allocates nothing, and disabled tracing is a single branch.
 #pragma once
 
 #include <array>
@@ -103,17 +105,20 @@ class TraceRing {
     }
   };
 
-  explicit TraceRing(std::size_t capacity = 1024) : ring_(capacity) {}
+  explicit TraceRing(std::size_t capacity = 1024) : capacity_(capacity) {}
 
-  void enable(bool on) { enabled_ = on; }
+  void enable(bool on) {
+    if (on && ring_.empty()) ring_.resize(capacity_);
+    enabled_ = on;
+  }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   void record(Nanos when, TraceEvent event, std::uint32_t pid,
               std::uint64_t addr, std::uint32_t pfn) {
     if (!enabled_) return;
     ring_[head_] = Entry{when, event, pid, addr, pfn};
-    head_ = (head_ + 1) % ring_.size();
-    if (count_ < ring_.size()) ++count_;
+    head_ = (head_ + 1) % capacity_;
+    if (count_ < capacity_) ++count_;
   }
 
   /// Oldest-to-newest snapshot of the recorded tail.
@@ -122,7 +127,7 @@ class TraceRing {
     const std::size_t n = std::min(count_, max_entries);
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t idx = (head_ + ring_.size() - n + i) % ring_.size();
+      const std::size_t idx = (head_ + capacity_ - n + i) % capacity_;
       out.push_back(ring_[idx]);
     }
     return out;
@@ -135,7 +140,8 @@ class TraceRing {
   }
 
  private:
-  std::vector<Entry> ring_;
+  std::size_t capacity_;
+  std::vector<Entry> ring_;  ///< capacity_ entries once first enabled
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   bool enabled_ = false;

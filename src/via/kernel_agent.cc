@@ -177,12 +177,12 @@ void KernelAgent::program_runs(TptIndex base, std::span<const SuperpageRun> runs
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const SuperpageRun& r = runs[i];
     nic_.program_tpt(base + static_cast<TptIndex>(i),
-                     TptEntry{.valid = true,
-                              .pfn = pfns[r.page_start],
+                     TptEntry{.pfn = pfns[r.page_start],
                               .tag = tag,
+                              .page_start = r.page_start,
+                              .valid = true,
                               .rdma_write_enable = opts.rdma_write,
                               .rdma_read_enable = opts.rdma_read,
-                              .page_start = r.page_start,
                               .order = r.order});
   }
   stats_.tpt_entries_programmed += runs.size();

@@ -31,18 +31,20 @@ inline constexpr TptIndex kInvalidTptIndex = static_cast<TptIndex>(-1);
 /// covers and pfn the frame backing that first page (page_start + i maps to
 /// pfn + i). Order 0 is the classic one-entry-per-page layout; higher
 /// orders are "superpages" that let a large registration occupy
-/// O(1)-O(log N) entries instead of N.
+/// O(1)-O(log N) entries instead of N. The three 32-bit words come first and
+/// the four byte-wide fields pack after them: 16 bytes, no padding.
 struct TptEntry {
-  bool valid = false;
   simkern::Pfn pfn = simkern::kInvalidPfn;
   ProtectionTag tag = kInvalidTag;
+  std::uint32_t page_start = 0;  ///< registration-relative first page covered
+  bool valid = false;
   bool rdma_write_enable = false;
   bool rdma_read_enable = false;
-  std::uint32_t page_start = 0;  ///< registration-relative first page covered
   std::uint8_t order = 0;        ///< entry spans 2^order pages
 
   [[nodiscard]] std::uint32_t span_pages() const { return 1u << order; }
 };
+static_assert(sizeof(TptEntry) == 16);
 
 class Tpt {
  public:

@@ -46,12 +46,12 @@ KStatus UnetMmAgent::register_mem(Pid pid, VAddr addr, std::uint64_t len,
     assert(pfn.has_value());
     // U-Net/MM invalidates and repairs entries one page at a time, so this
     // agent always programs the order-0 dense layout (page_start == index).
-    nic_.program_tpt(base + i, TptEntry{.valid = true,
-                                        .pfn = *pfn,
+    nic_.program_tpt(base + i, TptEntry{.pfn = *pfn,
                                         .tag = tag,
+                                        .page_start = i,
+                                        .valid = true,
                                         .rdma_write_enable = true,
-                                        .rdma_read_enable = true,
-                                        .page_start = i});
+                                        .rdma_read_enable = true});
   }
   out = MemHandle{.tpt_base = base,
                   .pages = pages,

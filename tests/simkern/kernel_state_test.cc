@@ -96,6 +96,32 @@ TEST(KernelState, TaskTableSurvivesMiddleExit) {
   EXPECT_TRUE(box.kern.self_check().empty());
 }
 
+// Every swap reference is a PTE: a slot held with no PTE naming it, or a
+// count above its PTE references, is a leak self_check() must report.
+TEST(KernelState, SelfCheckCatchesLeakedSwapSlot) {
+  KernelBox box;
+  const Pid pid = box.kern.create_task("leaky");
+  const VAddr a = must_mmap(box.kern, pid, 8);
+  for (std::uint64_t p = 0; p < 8; ++p)
+    EXPECT_TRUE(ok(box.kern.touch(pid, a + p * kPageSize, true)));
+  for (int pass = 0; pass < 2; ++pass) (void)box.kern.try_to_free_pages(8);
+  ASSERT_GT(box.kern.swap().used_slots(), 0u);
+  ASSERT_TRUE(box.kern.self_check().empty());
+
+  const SwapSlot leaked = box.kern.swap().alloc();
+  ASSERT_NE(leaked, kInvalidSwapSlot);
+  EXPECT_FALSE(box.kern.self_check().empty());
+  box.kern.swap().free(leaked);
+  EXPECT_TRUE(box.kern.self_check().empty());
+
+  SwapSlot named = 0;
+  while (box.kern.swap().refcount(named) == 0) ++named;
+  box.kern.swap().dup(named);
+  EXPECT_FALSE(box.kern.self_check().empty()) << "count above PTE refs";
+  box.kern.swap().free(named);
+  EXPECT_TRUE(box.kern.self_check().empty());
+}
+
 class WaitModeTest : public test::TwoNodeFixture {};
 
 TEST_F(WaitModeTest, WaitingCompletionChargesInterrupt) {

@@ -5,8 +5,10 @@
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "util/cost_model.h"
+#include "util/rng.h"
 
 namespace vialock::simkern {
 namespace {
@@ -40,7 +42,7 @@ TEST(SwapDevice, FreeMakesSlotReusable) {
 }
 
 TEST(SwapDevice, NextFitCursorSemanticsPreserved) {
-  // The free-slot scan became an ordered set walk (DESIGN.md section 9); the
+  // The free-slot scan is a bitmap scan (DESIGN.md section 9); the
   // placements must stay exactly the seed's next-fit: scan from the hint,
   // wrap at the end, never restart from zero while slots remain ahead.
   SwapBox box;
@@ -68,6 +70,88 @@ TEST(SwapDevice, DupRequiresMultipleFrees) {
   EXPECT_EQ(box.dev.used_slots(), 1u);
   box.dev.free(s);
   EXPECT_EQ(box.dev.used_slots(), 0u);
+}
+
+// 2.2's swap_duplicate() stops counting at SWAP_MAP_MAX and swap_free()
+// leaves such a slot allocated for good; a 16-bit count that wrapped instead
+// would hand a slot still named by PTEs back out.
+TEST(SwapDevice, DupSaturatesInsteadOfWrapping) {
+  SwapBox box;
+  const SwapSlot s = box.dev.alloc();
+  for (int i = 0; i < 40'000; ++i) box.dev.dup(s);
+  EXPECT_EQ(box.dev.refcount(s), kSwapMapMax);
+  EXPECT_EQ(box.dev.used_slots(), 1u);
+  for (int i = 0; i < 40'001; ++i) box.dev.free(s);
+  EXPECT_EQ(box.dev.refcount(s), kSwapMapMax);
+  EXPECT_EQ(box.dev.used_slots(), 1u);
+  for (int i = 1; i < 64; ++i) ASSERT_NE(box.dev.alloc(), s);
+  EXPECT_EQ(box.dev.alloc(), kInvalidSwapSlot);
+  EXPECT_TRUE(box.dev.self_check().empty());
+}
+
+// The free-slot index must pick exactly the slot a next-fit linear scan of
+// the per-slot counts picks: the first free slot at or after the hint, else
+// the lowest free slot. Slot counts straddle the 64-slot bitmap words.
+TEST(SwapDevice, NextFitMatchesReferenceScan) {
+  for (const std::uint32_t n : {1u, 63u, 64u, 65u, 100u, 4096u}) {
+    SCOPED_TRACE(n);
+    Clock clock;
+    CostModel costs;
+    SwapDevice dev{n, clock, costs};
+    std::vector<std::uint32_t> ref(n, 0);  // reference per-slot counts
+    std::uint32_t hint = 0;
+    std::vector<SwapSlot> held;
+    auto ref_alloc = [&]() -> SwapSlot {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const SwapSlot s = (hint + i) % n;
+        if (ref[s] == 0) {
+          ref[s] = 1;
+          hint = (s + 1) % n;
+          return s;
+        }
+      }
+      return kInvalidSwapSlot;
+    };
+    Rng rng(n);
+    for (int op = 0; op < 10'000; ++op) {
+      const std::uint64_t kind = rng.below(4);
+      if (kind <= 1 || held.empty()) {
+        const SwapSlot want = ref_alloc();
+        ASSERT_EQ(dev.alloc(), want) << "op " << op;
+        if (want != kInvalidSwapSlot) held.push_back(want);
+      } else {
+        const std::size_t i = rng.below(held.size());
+        const SwapSlot s = held[i];
+        if (kind == 2) {
+          dev.dup(s);
+          ++ref[s];
+          held.push_back(s);
+        } else {
+          dev.free(s);
+          --ref[s];
+          held[i] = held.back();
+          held.pop_back();
+        }
+      }
+    }
+    std::uint32_t used = 0;
+    for (SwapSlot s = 0; s < n; ++s) {
+      ASSERT_EQ(dev.refcount(s), ref[s]) << "slot " << s;
+      used += ref[s] != 0;
+    }
+    EXPECT_EQ(dev.used_slots(), used);
+    EXPECT_TRUE(dev.self_check().empty());
+    // Exhaust the device: every remaining slot comes out in reference
+    // order, none past the end of a partial bitmap word.
+    for (SwapSlot want = ref_alloc(); want != kInvalidSwapSlot;
+         want = ref_alloc()) {
+      const SwapSlot got = dev.alloc();
+      ASSERT_EQ(got, want);
+      ASSERT_LT(got, n);
+    }
+    EXPECT_EQ(dev.alloc(), kInvalidSwapSlot);
+    EXPECT_EQ(dev.used_slots(), n);
+  }
 }
 
 TEST(SwapDevice, DataRoundTrips) {

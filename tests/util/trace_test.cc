@@ -33,6 +33,31 @@ TEST(TraceRing, DisabledRecordsNothing) {
   EXPECT_EQ(ring.size(), 0u);
 }
 
+// The ring's storage arrives with the first enable(true); the observable
+// behaviour is the same as a ring allocated up front.
+TEST(TraceRing, StorageArrivesWithEnable) {
+  TraceRing ring(4);
+  for (std::uint32_t i = 0; i < 3; ++i)
+    ring.record(i, TraceEvent::SwapOut, i, 0, 0);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_TRUE(ring.tail().empty());
+
+  ring.enable(true);
+  for (std::uint32_t i = 0; i < 6; ++i)
+    ring.record(i, TraceEvent::SwapOut, i, 0, 0);
+  ring.enable(false);
+  ring.record(99, TraceEvent::SwapOut, 99, 0, 0);
+  ring.enable(true);
+  const auto tail = ring.tail();
+  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(tail.front().pid, 2u);
+  EXPECT_EQ(tail.back().pid, 5u) << "disabled record was kept";
+
+  ring.record(6, TraceEvent::SwapIn, 6, 0, 0);
+  EXPECT_EQ(ring.tail().front().pid, 3u);
+  EXPECT_EQ(ring.tail().back().pid, 6u);
+}
+
 TEST(TraceRing, EntryFormatsReadably) {
   TraceRing::Entry e{1234, TraceEvent::SwapOut, 7, 0xABC000, 42};
   const std::string s = e.to_string();

@@ -15,12 +15,12 @@ using simkern::kPageSize;
 // within a region must carry ascending page_start for translate()).
 TptEntry entry(std::uint32_t page_start, simkern::Pfn pfn, ProtectionTag tag,
                bool w = true, bool r = true) {
-  return TptEntry{.valid = true,
-                  .pfn = pfn,
+  return TptEntry{.pfn = pfn,
                   .tag = tag,
+                  .page_start = page_start,
+                  .valid = true,
                   .rdma_write_enable = w,
-                  .rdma_read_enable = r,
-                  .page_start = page_start};
+                  .rdma_read_enable = r};
 }
 
 TEST(Tpt, AllocContiguousFirstFit) {
