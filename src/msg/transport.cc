@@ -57,6 +57,22 @@ struct FrameHeader {
 };
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
 
+/// One acquired registration-cache reference, released when the scope exits
+/// however a transfer ends. A leaked reference never goes idle, so neither
+/// eviction, governor reclaim nor flush() could ever drop its registration.
+class CacheRef {
+ public:
+  CacheRef(core::RegistrationCache& cache, const MemHandle& handle)
+      : cache_(cache), handle_(handle) {}
+  ~CacheRef() { cache_.release(handle_); }
+  CacheRef(const CacheRef&) = delete;
+  CacheRef& operator=(const CacheRef&) = delete;
+
+ private:
+  core::RegistrationCache& cache_;
+  MemHandle handle_;
+};
+
 }  // namespace
 
 /// Per-process endpoint state.
@@ -667,6 +683,7 @@ KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
       !ok(st)) {
     return st;
   }
+  const CacheRef dst_ref(*dst_->cache, ack.dst_handle);
   if (const KStatus st = push_ctrl(*dst_, *src_, wire::pod_bytes(ack), comp);
       !ok(st)) {
     return st;
@@ -681,6 +698,7 @@ KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
       !ok(st)) {
     return st;
   }
+  const CacheRef src_ref(*src_->cache, src_mh);
   if (config_.reliability.enabled) {
     if (const KStatus st = reliable_rdma(src_mh, src_heap_ + src_off,
                                          ack.dst_handle, ack.dst_addr, len);
@@ -705,9 +723,6 @@ KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
       return st;
     }
   }
-
-  src_->cache->release(src_mh);
-  dst_->cache->release(ack.dst_handle);
 
   ++stats_.rendezvous_msgs;
   stats_.bytes_moved += len;
@@ -775,6 +790,7 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
       !ok(st)) {
     return st;
   }
+  const CacheRef dst_ref(*dst_->cache, ack.dst_handle);
   if (const KStatus st = push_ctrl(*dst_, *src_, wire::pod_bytes(ack), comp);
       !ok(st)) {
     return st;
@@ -843,7 +859,6 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
     return st;
   }
   ++stats_.control_msgs;
-  dst_->cache->release(ack.dst_handle);
 
   ++stats_.pio_msgs;
   stats_.bytes_moved += len;
