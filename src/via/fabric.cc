@@ -12,13 +12,23 @@ NodeId Fabric::attach(Nic& nic) {
 }
 
 KStatus Fabric::connect(NodeId node_a, ViId vi_a, NodeId node_b, ViId vi_b) {
+  return pair(node_a, vi_a, node_b, vi_b, /*repair=*/false);
+}
+
+KStatus Fabric::pair(NodeId node_a, ViId vi_a, NodeId node_b, ViId vi_b,
+                     bool repair) {
   if (node_a >= nics_.size() || node_b >= nics_.size()) return KStatus::Inval;
   Nic& na = *nics_[node_a];
   Nic& nb = *nics_[node_b];
   if (!na.vi_exists(vi_a) || !nb.vi_exists(vi_b)) return KStatus::Inval;
   Vi& a = na.vi(vi_a);
   Vi& b = nb.vi(vi_b);
-  if (a.connected() || b.connected()) return KStatus::Busy;
+  if (repair) {
+    // Connection management traffic: one request/accept exchange on the wire.
+    clock_.advance(2 * costs_.wire(64));
+  } else if (a.connected() || b.connected()) {
+    return KStatus::Busy;
+  }
   a.state = ViState::Connected;
   a.peer_node = node_b;
   a.peer_vi = vi_b;
@@ -74,21 +84,7 @@ KStatus Fabric::disconnect(NodeId node, ViId vi) {
 }
 
 KStatus Fabric::repair(NodeId node_a, ViId vi_a, NodeId node_b, ViId vi_b) {
-  if (node_a >= nics_.size() || node_b >= nics_.size()) return KStatus::Inval;
-  Nic& na = *nics_[node_a];
-  Nic& nb = *nics_[node_b];
-  if (!na.vi_exists(vi_a) || !nb.vi_exists(vi_b)) return KStatus::Inval;
-  // Connection management traffic: one request/accept exchange on the wire.
-  clock_.advance(2 * costs_.wire(64));
-  Vi& a = na.vi(vi_a);
-  Vi& b = nb.vi(vi_b);
-  a.state = ViState::Connected;
-  a.peer_node = node_b;
-  a.peer_vi = vi_b;
-  b.state = ViState::Connected;
-  b.peer_node = node_a;
-  b.peer_vi = vi_a;
-  return KStatus::Ok;
+  return pair(node_a, vi_a, node_b, vi_b, /*repair=*/true);
 }
 
 DescStatus Fabric::transmit(Nic::Packet& pkt, std::vector<std::byte>* read_back) {

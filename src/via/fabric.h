@@ -79,6 +79,12 @@ class Fabric {
     ViId vi;
   };
 
+  /// connect() and repair(): pair two existing VIs. A repair charges the
+  /// connection-management exchange and may re-pair VIs still marked
+  /// connected; a fresh connect refuses them with Busy.
+  [[nodiscard]] KStatus pair(NodeId node_a, ViId vi_a, NodeId node_b,
+                             ViId vi_b, bool repair);
+
   Clock& clock_;
   const CostModel& costs_;
   std::vector<Nic*> nics_;

@@ -1,7 +1,9 @@
 #include "via/nic.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
 #include "via/fabric.h"
 
@@ -100,41 +102,54 @@ void Nic::program_tpt(TptIndex idx, const TptEntry& e) {
 }
 
 // ---------------------------------------------------------------------------
-// Gather / scatter through the TPT
+// The TPT walk: every DMA and PIO access to registered memory
 // ---------------------------------------------------------------------------
 
-bool Nic::gather(const DataSegment& seg, ProtectionTag tag,
-                 std::vector<std::byte>& out) {
-  const auto base_off = seg.handle.offset_of(seg.addr, seg.length);
-  if (!base_off || seg.handle.tag != tag) return false;
-  const std::size_t base = out.size();
-  out.resize(base + seg.length);
-  std::uint32_t done = 0;
-  while (done < seg.length) {
-    const std::uint64_t off = *base_off + done;
-    const auto tr = tpt_.translate(seg.handle.tpt_base, seg.handle.tpt_count,
-                                   off, tag, /*rdma_write=*/false,
-                                   /*rdma_read=*/false);
+template <typename Byte>
+bool Nic::tpt_copy(const MemHandle& mh, simkern::VAddr addr,
+                   std::span<Byte> bytes, ProtectionTag tag,
+                   TptAccess access) {
+  const auto base_off = mh.offset_of(addr, bytes.size());
+  if (!base_off || mh.tag != tag) return false;
+  std::uint64_t done = 0;
+  while (done < bytes.size()) {
+    const auto tr = tpt_.translate(mh.tpt_base, mh.tpt_count, *base_off + done,
+                                   tag, access == TptAccess::RdmaWrite,
+                                   access == TptAccess::RdmaRead);
     if (!tr) return false;
-    const auto chunk = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(seg.length - done,
-                                simkern::kPageSize - tr->page_offset));
-    auto frame = host_.phys().frame(tr->pfn);
-    std::memcpy(out.data() + base + done, frame.data() + tr->page_offset,
-                chunk);
+    const auto chunk = std::min<std::uint64_t>(
+        bytes.size() - done, simkern::kPageSize - tr->page_offset);
+    std::byte* frame = host_.phys().frame(tr->pfn).data() + tr->page_offset;
+    if constexpr (std::is_const_v<Byte>) {
+      std::memcpy(frame, bytes.data() + done, chunk);
+    } else {
+      std::memcpy(bytes.data() + done, frame, chunk);
+    }
     done += chunk;
   }
-  clock_.advance(costs_.dma_startup);  // streaming is charged on the path
   return true;
 }
+
+template bool Nic::tpt_copy(const MemHandle&, simkern::VAddr,
+                            std::span<std::byte>, ProtectionTag, TptAccess);
+template bool Nic::tpt_copy(const MemHandle&, simkern::VAddr,
+                            std::span<const std::byte>, ProtectionTag,
+                            TptAccess);
 
 bool Nic::gather_desc(const Descriptor& desc, ProtectionTag tag,
                       std::vector<std::byte>& out) {
   if (desc.num_segments() > Descriptor::kMaxSegments) return false;
-  out.clear();
-  out.reserve(desc.total_length());
+  out.resize(desc.total_length());
+  std::uint64_t done = 0;
   for (std::size_t i = 0; i < desc.num_segments(); ++i) {
-    if (!gather(desc.segment(i), tag, out)) return false;
+    const DataSegment& seg = desc.segment(i);
+    if (!tpt_copy(seg.handle, seg.addr,
+                  std::span(out).subspan(done, seg.length), tag,
+                  TptAccess::Local)) {
+      return false;
+    }
+    clock_.advance(costs_.dma_startup);  // streaming is charged on the path
+    done += seg.length;
   }
   return true;
 }
@@ -146,32 +161,14 @@ bool Nic::scatter_desc(const Descriptor& desc, ProtectionTag tag,
   for (std::size_t i = 0; i < desc.num_segments() && done < data.size(); ++i) {
     const DataSegment& seg = desc.segment(i);
     const auto chunk = std::min<std::uint64_t>(seg.length, data.size() - done);
-    if (!scatter(seg, tag, data.subspan(done, chunk))) return false;
+    if (!tpt_copy(seg.handle, seg.addr, data.subspan(done, chunk), tag,
+                  TptAccess::Local)) {
+      return false;
+    }
+    clock_.advance(costs_.dma_startup);  // streaming is charged on the path
     done += chunk;
   }
   return done == data.size();
-}
-
-bool Nic::scatter(const DataSegment& seg, ProtectionTag tag,
-                  std::span<const std::byte> data) {
-  assert(data.size() <= seg.length);
-  const auto base_off = seg.handle.offset_of(seg.addr, data.size());
-  if (!base_off || seg.handle.tag != tag) return false;
-  std::uint64_t done = 0;
-  while (done < data.size()) {
-    const std::uint64_t off = *base_off + done;
-    const auto tr = tpt_.translate(seg.handle.tpt_base, seg.handle.tpt_count,
-                                   off, tag, /*rdma_write=*/false,
-                                   /*rdma_read=*/false);
-    if (!tr) return false;
-    const auto chunk = std::min<std::uint64_t>(
-        data.size() - done, simkern::kPageSize - tr->page_offset);
-    auto frame = host_.phys().frame(tr->pfn);
-    std::memcpy(frame.data() + tr->page_offset, data.data() + done, chunk);
-    done += chunk;
-  }
-  clock_.advance(costs_.dma_startup);  // streaming is charged on the path
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -180,23 +177,21 @@ bool Nic::scatter(const DataSegment& seg, ProtectionTag tag,
 
 KStatus Nic::dma_write_local(const MemHandle& mh, simkern::VAddr addr,
                              std::span<const std::byte> data) {
-  DataSegment seg{mh, addr, static_cast<std::uint32_t>(data.size())};
-  if (!scatter(seg, mh.tag, data)) {
+  if (!tpt_copy(mh, addr, data, mh.tag, TptAccess::Local)) {
     ++stats_.protection_errors;
     return KStatus::Fault;
   }
+  clock_.advance(costs_.dma_startup);
   return KStatus::Ok;
 }
 
 KStatus Nic::dma_read_local(const MemHandle& mh, simkern::VAddr addr,
                             std::span<std::byte> out) {
-  DataSegment seg{mh, addr, static_cast<std::uint32_t>(out.size())};
-  std::vector<std::byte> tmp;
-  if (!gather(seg, mh.tag, tmp)) {
+  if (!tpt_copy(mh, addr, out, mh.tag, TptAccess::Local)) {
     ++stats_.protection_errors;
     return KStatus::Fault;
   }
-  std::memcpy(out.data(), tmp.data(), tmp.size());
+  clock_.advance(costs_.dma_startup);
   return KStatus::Ok;
 }
 
@@ -283,19 +278,7 @@ KStatus Nic::post_send(ViId id, Descriptor desc) {
   ++stats_.doorbells;
   ++stats_.sends_posted;
 
-  // Injected doorbell drop: the posted write to the doorbell register is
-  // lost, so the NIC never fetches the descriptor. No completion is ever
-  // produced - the caller's poll loop sees silence, exactly like real
-  // hardware with a flaky PCI posting path.
-  if (faults_) {
-    if (const auto d = faults_->check(fault::FaultSite::NicDoorbell);
-        d && (d->action == fault::FaultAction::Drop ||
-              d->action == fault::FaultAction::Fail)) {
-      ++stats_.doorbells_dropped;
-      return KStatus::Ok;
-    }
-  }
-
+  if (doorbell_dropped()) return KStatus::Ok;
   return submit_send(id, std::move(desc));
 }
 
@@ -322,18 +305,26 @@ KStatus Nic::post_send_batch(ViId id, std::vector<Descriptor> descs) {
   // burst and dropped every descriptor behind it, so a single injected
   // drop silently lost N-1 healthy sends - caught by NicBatch tests.)
   for (Descriptor& desc : descs) {
-    if (faults_) {
-      if (const auto d = faults_->check(fault::FaultSite::NicDoorbell);
-          d && (d->action == fault::FaultAction::Drop ||
-                d->action == fault::FaultAction::Fail)) {
-        ++stats_.doorbells_dropped;
-        continue;  // this descriptor alone is lost, never fetched
-      }
-    }
+    if (doorbell_dropped()) continue;  // this descriptor alone is lost
     const KStatus st = submit_send(id, std::move(desc));
     if (!ok(st)) return st;
   }
   return KStatus::Ok;
+}
+
+bool Nic::doorbell_dropped() {
+  // Injected doorbell drop: the posted write to the doorbell register is
+  // lost, so the NIC never fetches the descriptor. No completion is ever
+  // produced - the caller's poll loop sees silence, exactly like real
+  // hardware with a flaky PCI posting path.
+  if (!faults_) return false;
+  const auto d = faults_->check(fault::FaultSite::NicDoorbell);
+  if (!d || (d->action != fault::FaultAction::Drop &&
+             d->action != fault::FaultAction::Fail)) {
+    return false;
+  }
+  ++stats_.doorbells_dropped;
+  return true;
 }
 
 KStatus Nic::submit_send(ViId id, Descriptor desc) {
@@ -434,24 +425,22 @@ KStatus Nic::post_recv_batch(ViId id, std::vector<Descriptor> descs) {
 }
 
 std::optional<Descriptor> Nic::poll_send(ViId id) {
-  if (!vi_exists(id)) return std::nullopt;
-  Vi& v = vis_[id];
-  clock_.advance(costs_.pci_reg_read);  // status poll
-  if (v.send_completed.empty()) return std::nullopt;
-  { const obs::ScopedSpan s(host_.spans(), "via.completion"); }
-  Descriptor d = std::move(v.send_completed.front());
-  v.send_completed.pop_front();
-  return d;
+  return poll_completed(id, &Vi::send_completed);
 }
 
 std::optional<Descriptor> Nic::poll_recv(ViId id) {
+  return poll_completed(id, &Vi::recv_completed);
+}
+
+std::optional<Descriptor> Nic::poll_completed(
+    ViId id, std::deque<Descriptor> Vi::*completed) {
   if (!vi_exists(id)) return std::nullopt;
-  Vi& v = vis_[id];
-  clock_.advance(costs_.pci_reg_read);
-  if (v.recv_completed.empty()) return std::nullopt;
+  std::deque<Descriptor>& queue = vis_[id].*completed;
+  clock_.advance(costs_.pci_reg_read);  // status poll
+  if (queue.empty()) return std::nullopt;
   { const obs::ScopedSpan s(host_.spans(), "via.completion"); }
-  Descriptor d = std::move(v.recv_completed.front());
-  v.recv_completed.pop_front();
+  Descriptor d = std::move(queue.front());
+  queue.pop_front();
   return d;
 }
 
@@ -471,80 +460,59 @@ DescStatus Nic::deliver(Packet& pkt, std::vector<std::byte>* read_back) {
     return DescStatus::ErrDisconnected;
   }
 
+  // Every error exit counts the error and breaks a reliable VI.
+  const auto fail = [&](DescStatus st) {
+    if (st == DescStatus::ErrNoRecvDesc) {
+      ++stats_.no_recv_desc;
+    } else if (st == DescStatus::ErrLength) {
+      ++stats_.length_errors;
+    } else {
+      ++stats_.protection_errors;
+    }
+    if (v.reliable) break_vi(v);
+    return st;
+  };
+
   switch (pkt.op) {
     case DescOp::Send: {
       if (v.recv_queue.empty()) {
         // "A receive descriptor must be posted before the peer starts the
         // send operation. Otherwise the message is dropped and the
         // connection broken" (reliable mode).
-        ++stats_.no_recv_desc;
-        if (v.reliable) break_vi(v);
-        return DescStatus::ErrNoRecvDesc;
+        return fail(DescStatus::ErrNoRecvDesc);
       }
       Descriptor rd = std::move(v.recv_queue.front());
       v.recv_queue.pop_front();
       if (pkt.payload.size() > rd.total_length()) {
-        ++stats_.length_errors;
         rd.status = DescStatus::ErrLength;
-        complete_recv(v, std::move(rd));
-        if (v.reliable) break_vi(v);
-        return DescStatus::ErrLength;
-      }
-      if (!scatter_desc(rd, v.tag, pkt.payload)) {
-        ++stats_.protection_errors;
+      } else if (!scatter_desc(rd, v.tag, pkt.payload)) {
         rd.status = DescStatus::ErrProtection;
-        complete_recv(v, std::move(rd));
-        if (v.reliable) break_vi(v);
-        return DescStatus::ErrProtection;
+      } else {
+        rd.status = DescStatus::Done;
+        rd.transferred = static_cast<std::uint32_t>(pkt.payload.size());
+        rd.immediate = pkt.immediate;
+        rd.has_immediate = pkt.has_immediate;
+        stats_.bytes_rx += pkt.payload.size();
+        ++stats_.recvs_ok;
       }
-      rd.status = DescStatus::Done;
-      rd.transferred = static_cast<std::uint32_t>(pkt.payload.size());
-      rd.immediate = pkt.immediate;
-      rd.has_immediate = pkt.has_immediate;
-      stats_.bytes_rx += pkt.payload.size();
-      ++stats_.recvs_ok;
+      const DescStatus st = rd.status;
       complete_recv(v, std::move(rd));
-      return DescStatus::Done;
+      return st == DescStatus::Done ? st : fail(st);
     }
 
     case DescOp::RdmaWrite: {
-      DataSegment seg{pkt.remote.handle, pkt.remote.addr,
-                      static_cast<std::uint32_t>(pkt.payload.size())};
       // RDMA target checked under the *receiving* VI's tag with the
       // rdma_write_enable attribute.
-      const auto base_off = seg.handle.offset_of(seg.addr, seg.length);
-      if (!base_off || seg.handle.tag != v.tag) {
-        ++stats_.protection_errors;
-        if (v.reliable) break_vi(v);
-        return DescStatus::ErrProtection;
-      }
-      std::uint64_t done = 0;
-      while (done < pkt.payload.size()) {
-        const auto tr =
-            tpt_.translate(seg.handle.tpt_base, seg.handle.tpt_count,
-                           *base_off + done, v.tag, /*rdma_write=*/true,
-                           /*rdma_read=*/false);
-        if (!tr) {
-          ++stats_.protection_errors;
-          if (v.reliable) break_vi(v);
-          return DescStatus::ErrProtection;
-        }
-        const auto chunk = std::min<std::uint64_t>(
-            pkt.payload.size() - done, simkern::kPageSize - tr->page_offset);
-        auto frame = host_.phys().frame(tr->pfn);
-        std::memcpy(frame.data() + tr->page_offset, pkt.payload.data() + done,
-                    chunk);
-        done += chunk;
+      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr,
+                    std::span<const std::byte>(pkt.payload), v.tag,
+                    TptAccess::RdmaWrite)) {
+        return fail(DescStatus::ErrProtection);
       }
       clock_.advance(costs_.dma_startup);
       stats_.bytes_rx += pkt.payload.size();
       if (pkt.has_immediate) {
         // RDMA write with immediate data consumes a receive descriptor.
-        if (v.recv_queue.empty()) {
-          ++stats_.no_recv_desc;
-          if (v.reliable) break_vi(v);
-          return DescStatus::ErrNoRecvDesc;
-        }
+        if (v.recv_queue.empty()) return fail(DescStatus::ErrNoRecvDesc);
         Descriptor rd = std::move(v.recv_queue.front());
         v.recv_queue.pop_front();
         rd.status = DescStatus::Done;
@@ -558,31 +526,10 @@ DescStatus Nic::deliver(Packet& pkt, std::vector<std::byte>* read_back) {
 
     case DescOp::RdmaRead: {
       assert(read_back);
-      DataSegment seg{pkt.remote.handle, pkt.remote.addr, pkt.read_length};
-      const auto base_off = seg.handle.offset_of(seg.addr, seg.length);
-      if (!base_off || seg.handle.tag != v.tag) {
-        ++stats_.protection_errors;
-        if (v.reliable) break_vi(v);
-        return DescStatus::ErrProtection;
-      }
       read_back->resize(pkt.read_length);
-      std::uint64_t done = 0;
-      while (done < pkt.read_length) {
-        const auto tr =
-            tpt_.translate(seg.handle.tpt_base, seg.handle.tpt_count,
-                           *base_off + done, v.tag, /*rdma_write=*/false,
-                           /*rdma_read=*/true);
-        if (!tr) {
-          ++stats_.protection_errors;
-          if (v.reliable) break_vi(v);
-          return DescStatus::ErrProtection;
-        }
-        const auto chunk = std::min<std::uint64_t>(
-            pkt.read_length - done, simkern::kPageSize - tr->page_offset);
-        auto frame = host_.phys().frame(tr->pfn);
-        std::memcpy(read_back->data() + done, frame.data() + tr->page_offset,
-                    chunk);
-        done += chunk;
+      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr,
+                    std::span(*read_back), v.tag, TptAccess::RdmaRead)) {
+        return fail(DescStatus::ErrProtection);
       }
       clock_.advance(costs_.dma_startup);
       stats_.bytes_tx += pkt.read_length;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -60,6 +61,11 @@ struct NicStats {
   std::uint64_t tpt_corruptions = 0;    ///< TPT entry written with bad pfn
   std::uint64_t tpt_evictions = 0;      ///< TPT entry written invalid
 };
+
+/// The TPT attributes an access to registered memory must find: local DMA
+/// and PIO need a valid, identically-tagged entry; an RDMA write or read
+/// also needs the entry's rdma_write_enable / rdma_read_enable attribute.
+enum class TptAccess : std::uint8_t { Local, RdmaWrite, RdmaRead };
 
 class Nic {
  public:
@@ -133,6 +139,18 @@ class Nic {
   [[nodiscard]] KStatus dma_read_local(const MemHandle& mh, simkern::VAddr addr,
                                        std::span<std::byte> out);
 
+  /// The one TPT walk every DMA and PIO access goes through. Copies between
+  /// `bytes` and the registered range [addr, addr + bytes.size()) of `mh`:
+  /// a span of const bytes is written into the frames, a mutable span is
+  /// filled from them. Fails when the range lies outside the registration,
+  /// `mh.tag` is not `tag`, or a page does not translate under `access`;
+  /// it stops at that page, so part of the copy may have happened. Counts
+  /// no statistic and charges no virtual time: callers do both.
+  template <typename Byte>
+  [[nodiscard]] bool tpt_copy(const MemHandle& mh, simkern::VAddr addr,
+                              std::span<Byte> bytes, ProtectionTag tag,
+                              TptAccess access);
+
   // --- fabric-facing receive path ----------------------------------------------
   struct Packet {
     NodeId src_node = kInvalidNode;
@@ -161,21 +179,21 @@ class Nic {
   void set_fault_engine(fault::FaultEngine* engine) { faults_ = engine; }
 
  private:
-  /// Gather `seg` (under `tag`) from host physical memory, appending to `out`.
-  [[nodiscard]] bool gather(const DataSegment& seg, ProtectionTag tag,
-                            std::vector<std::byte>& out);
-  /// Gather every segment of `desc` in order.
+  /// Gather every segment of `desc` (under `tag`) into `out`, in order.
   [[nodiscard]] bool gather_desc(const Descriptor& desc, ProtectionTag tag,
                                  std::vector<std::byte>& out);
-  /// Scatter `data` into `seg` (under `tag`) in host physical memory.
-  [[nodiscard]] bool scatter(const DataSegment& seg, ProtectionTag tag,
-                             std::span<const std::byte> data);
   /// Scatter `data` across the segments of `desc` in order.
   [[nodiscard]] bool scatter_desc(const Descriptor& desc, ProtectionTag tag,
                                   std::span<const std::byte> data);
   void complete_send(Vi& v, Descriptor desc, DescStatus st);
   void complete_recv(Vi& v, Descriptor desc);
   void break_vi(Vi& v);
+  /// The NicDoorbell fault check for one descriptor fetch: true (and
+  /// counted) when the doorbell write is lost.
+  [[nodiscard]] bool doorbell_dropped();
+  /// poll_send / poll_recv on the VI's `completed` queue.
+  [[nodiscard]] std::optional<Descriptor> poll_completed(
+      ViId id, std::deque<Descriptor> Vi::*completed);
   /// Fetch-and-execute one posted send descriptor (everything post_send does
   /// after the doorbell ring and fault check): gather, transmit, complete.
   [[nodiscard]] KStatus submit_send(ViId id, Descriptor desc);

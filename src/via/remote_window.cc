@@ -1,11 +1,8 @@
 #include "via/remote_window.h"
 
-#include <cassert>
-#include <cstring>
+#include <type_traits>
 
 namespace vialock::via {
-
-using simkern::kPageSize;
 
 std::optional<RemoteWindow> RemoteWindow::import(Fabric& fabric,
                                                  NodeId local_node,
@@ -27,45 +24,29 @@ std::optional<RemoteWindow> RemoteWindow::import(Fabric& fabric,
   return RemoteWindow(fabric, local_node, remote_node, exported);
 }
 
-KStatus RemoteWindow::access(std::uint64_t offset, std::span<std::byte> rd,
-                             std::span<const std::byte> wr) {
-  const std::uint64_t len = rd.empty() ? wr.size() : rd.size();
-  if (len == 0) return KStatus::Ok;
-  if (offset + len > handle_.length) return KStatus::Inval;
-  Nic& remote_nic = fabric_->nic(remote_);
-  const auto base_off = handle_.offset_of(handle_.vaddr + offset, len);
-  if (!base_off) return KStatus::Fault;
-
-  std::uint64_t done = 0;
-  while (done < len) {
-    const auto tr = remote_nic.tpt().translate(
-        handle_.tpt_base, handle_.tpt_count, *base_off + done, handle_.tag,
-        /*rdma_write=*/false, /*rdma_read=*/false);
-    if (!tr) return KStatus::Fault;  // deregistered or protection change
-    const auto chunk =
-        std::min<std::uint64_t>(len - done, kPageSize - tr->page_offset);
-    auto frame = remote_nic.host().phys().frame(tr->pfn);
-    if (!wr.empty()) {
-      std::memcpy(frame.data() + tr->page_offset, wr.data() + done, chunk);
-    } else {
-      std::memcpy(rd.data() + done, frame.data() + tr->page_offset, chunk);
-    }
-    done += chunk;
+template <typename Byte>
+KStatus RemoteWindow::access(std::uint64_t offset, std::span<Byte> bytes) {
+  if (bytes.empty()) return KStatus::Ok;
+  if (offset + bytes.size() > handle_.length) return KStatus::Inval;
+  // Fails once the region is deregistered or its protection changes.
+  if (!fabric_->nic(remote_).tpt_copy(handle_, handle_.vaddr + offset, bytes,
+                                      handle_.tag, TptAccess::Local)) {
+    return KStatus::Fault;
   }
   const CostModel& c = fabric_->costs();
-  fabric_->clock().advance(wr.empty()
-                               ? c.pio_read_rtt + len * c.pio_per_byte
-                               : c.pio_store_latency + len * c.pio_per_byte);
+  fabric_->clock().advance(
+      (std::is_const_v<Byte> ? c.pio_store_latency : c.pio_read_rtt) +
+      bytes.size() * c.pio_per_byte);
   return KStatus::Ok;
 }
 
 KStatus RemoteWindow::store(std::uint64_t offset,
                             std::span<const std::byte> data) {
-  return access(offset, {}, data);
+  return access(offset, data);
 }
 
 KStatus RemoteWindow::load(std::uint64_t offset, std::span<std::byte> out) {
-  return access(offset, out, {});
+  return access(offset, out);
 }
 
 }  // namespace vialock::via

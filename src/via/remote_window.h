@@ -47,9 +47,10 @@ class RemoteWindow {
   RemoteWindow(Fabric& fabric, NodeId local, NodeId remote, MemHandle handle)
       : fabric_(&fabric), local_(local), remote_(remote), handle_(handle) {}
 
-  /// Translate + touch remote frames; `write` selects direction.
-  [[nodiscard]] KStatus access(std::uint64_t offset, std::span<std::byte> rd,
-                               std::span<const std::byte> wr);
+  /// Store `bytes` (const) into, or load them from, the exporter's frames
+  /// through its NIC's TPT, charging the PIO cost of that direction.
+  template <typename Byte>
+  [[nodiscard]] KStatus access(std::uint64_t offset, std::span<Byte> bytes);
 
   Fabric* fabric_;
   NodeId local_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "via/remote_window.h"
 #include "via_util.h"
 
 namespace vialock::via {
@@ -138,19 +139,71 @@ TEST_F(NicTest, RdmaToForeignRemoteHandleIsProtectionError) {
 }
 
 TEST_F(NicTest, RdmaWriteDisabledAttributeIsEnforced) {
-  // Register a region on node 1 with RDMA write disabled; incoming RDMA
-  // writes must bounce even with the right tag.
+  // The RDMA enables bind only the RDMA op they name: an RDMA write or read
+  // needs its own enable, while send/recv, local DMA and PIO ignore both.
   const auto extra = test::must_mmap(kern1(), p1, 4);
   MemHandle ro;
   ASSERT_TRUE(ok(v1->register_mem(extra, 4 * kPageSize, ro,
                                   KernelAgent::RegisterOptions::rdma_read_only())));
+  const auto quiet = test::must_mmap(kern1(), p1, 4);
+  MemHandle sr;
+  ASSERT_TRUE(ok(v1->register_mem(quiet, 4 * kPageSize, sr,
+                                  KernelAgent::RegisterOptions::send_recv_only())));
+  // Each failed RDMA op breaks the reliable connection; repair it.
+  const auto repair = [&] {
+    ASSERT_TRUE(ok(cluster->fabric().repair(n0, vi0, n1, vi1)));
+  };
+
+  // An RDMA write into the rdma_read_only region bounces, even with the
+  // right tag...
   ASSERT_TRUE(ok(v0->rdma_write(vi0, mh0, buf0, 16, ro, extra)));
-  const auto sc = v0->send_done(vi0);
+  auto sc = v0->send_done(vi0);
   ASSERT_TRUE(sc.has_value());
   EXPECT_EQ(sc->status, DescStatus::ErrProtection);
-  // RDMA read of the same region is still allowed.
-  // (Connection broke above - rebuild a fresh fixture state.)
-  build();
+  repair();
+  // ...but an RDMA read of the same region is allowed.
+  ASSERT_TRUE(ok(poke64(kern1(), p1, extra + 8, 0x5EEDULL)));
+  ASSERT_TRUE(ok(v0->rdma_read(vi0, mh0, buf0 + 64, 8, ro, extra + 8)));
+  sc = v0->send_done(vi0);
+  ASSERT_TRUE(sc.has_value());
+  EXPECT_EQ(sc->status, DescStatus::Done);
+  EXPECT_EQ(peek64(kern0(), p0, buf0 + 64), 0x5EEDULL);
+
+  // An RDMA read of the send_recv_only region bounces.
+  ASSERT_TRUE(ok(v0->rdma_read(vi0, mh0, buf0 + 64, 8, sr, quiet)));
+  sc = v0->send_done(vi0);
+  ASSERT_TRUE(sc.has_value());
+  EXPECT_EQ(sc->status, DescStatus::ErrProtection);
+  repair();
+
+  // A send from and a receive into send_recv_only regions succeed: local
+  // DMA ignores the RDMA enables.
+  const auto src = test::must_mmap(kern0(), p0, 1);
+  MemHandle src_sr;
+  ASSERT_TRUE(ok(v0->register_mem(src, kPageSize, src_sr,
+                                  KernelAgent::RegisterOptions::send_recv_only())));
+  ASSERT_TRUE(ok(poke64(kern0(), p0, src, 0xABCDULL)));
+  ASSERT_TRUE(ok(v1->post_recv(vi1, sr, quiet, 64)));
+  ASSERT_TRUE(ok(v0->post_send(vi0, src_sr, src, 64)));
+  ASSERT_TRUE(v0->send_done(vi0)->done_ok());
+  ASSERT_TRUE(v1->recv_done(vi1)->done_ok());
+  EXPECT_EQ(peek64(kern1(), p1, quiet), 0xABCDULL);
+
+  // So do the NIC's raw local DMA and a PIO window on the region.
+  Nic& nic1 = cluster->node(n1).nic();
+  const std::uint64_t poked = 0x10CA1;
+  ASSERT_TRUE(ok(nic1.dma_write_local(sr, quiet + 256, test::bytes_of(poked))));
+  std::uint64_t seen = 0;
+  ASSERT_TRUE(ok(nic1.dma_read_local(
+      sr, quiet + 256, std::as_writable_bytes(std::span{&seen, 1}))));
+  EXPECT_EQ(seen, poked);
+  auto window = RemoteWindow::import(cluster->fabric(), n0, n1, sr);
+  ASSERT_TRUE(window.has_value());
+  const std::uint64_t stored = 0x5C1;
+  ASSERT_TRUE(ok(window->store(512, test::bytes_of(stored))));
+  ASSERT_TRUE(ok(window->load(512, std::as_writable_bytes(std::span{&seen, 1}))));
+  EXPECT_EQ(seen, stored);
+  EXPECT_EQ(peek64(kern1(), p1, quiet + 512), stored);
 }
 
 TEST_F(NicTest, MultiPageTransferSpansFrames) {
