@@ -198,6 +198,48 @@ TEST(Comm, TruncationFailsTheReceive) {
       << "truncated receive must not report success";
 }
 
+// A long receive that fails after matching (here: truncation) fails only the
+// receiver. The sender still gets its FIN, so its request completes and its
+// source registration goes idle, as in MPI, where only the receiver reports
+// the truncation.
+TEST(Comm, FailedLongReceiveReleasesTheSender) {
+  constexpr std::uint32_t kLen = 64 * 1024;
+  const auto payload = pattern(kLen, 11);
+  // Fabric link: the sender's node keeps no more pins after ~Comm than a
+  // run whose receive fits.
+  const auto sender_pins_after = [&](std::uint32_t max_len) {
+    via::Cluster cluster;
+    std::vector<via::NodeId> nodes;
+    for (int i = 0; i < 2; ++i) {
+      nodes.push_back(cluster.add_node(test::small_node(
+          via::PolicyKind::Kiobuf, /*frames=*/2048, /*tpt_entries=*/2048)));
+    }
+    {
+      Comm comm(cluster, nodes);
+      EXPECT_TRUE(ok(comm.init()));
+      EXPECT_TRUE(ok(comm.stage(0, 0, payload)));
+      const ReqId r = comm.irecv(1, 0, 3, 0, max_len);
+      const ReqId s = comm.isend(0, 1, 3, 0, kLen);
+      EXPECT_EQ(comm.wait(r), max_len >= kLen);
+      EXPECT_TRUE(comm.wait(s)) << "the FIN must complete the sender";
+    }
+    return cluster.node(nodes[0]).kernel().pinned_frames();
+  };
+  EXPECT_EQ(sender_pins_after(1024), sender_pins_after(kLen));
+
+  // Shared-memory link, receive posted after the message arrived.
+  via::Cluster cluster;
+  const via::NodeId n = cluster.add_node(test::small_node(
+      via::PolicyKind::Kiobuf, /*frames=*/2048, /*tpt_entries=*/2048));
+  Comm comm(cluster, {n, n});
+  ASSERT_TRUE(ok(comm.init()));
+  ASSERT_TRUE(comm.uses_shm(0, 1));
+  ASSERT_TRUE(ok(comm.stage(0, 0, payload)));
+  const ReqId s = comm.isend(0, 1, 3, 0, kLen);
+  EXPECT_FALSE(comm.wait(comm.irecv(1, 0, 3, 0, 1024)));
+  EXPECT_TRUE(comm.wait(s)) << "the FIN must complete the local sender";
+}
+
 TEST(Comm, PostedQueueMatchesInPostOrder) {
   CommBox box;
   // Two receives, both match (source 0, tag 1); first-posted gets the
