@@ -26,9 +26,7 @@ class CollectiveScope {
         name_(std::string("mp.coll.") + op),
         span_(comm.rank_kernel(0).spans(), name_) {
     metrics_.counter(name_).inc();
-    obs::SpanRecorder& root = comm.rank_kernel(0).spans();
-    const obs::TraceContext ctx =
-        span_.context().valid() ? span_.context() : root.active_context();
+    const obs::TraceContext ctx = span_.carried_context();
     for (Rank r = 0; r < comm.size(); ++r) {
       fan_out_.push_back(std::make_unique<obs::ScopedTraceContext>(
           comm.rank_kernel(r).spans(), ctx));

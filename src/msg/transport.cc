@@ -13,7 +13,6 @@
 namespace vialock::msg {
 
 using simkern::VAddr;
-using via::Descriptor;
 using via::MemHandle;
 
 namespace {
@@ -57,10 +56,12 @@ struct FrameHeader {
 };
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
 
+}  // namespace
+
 /// One acquired registration-cache reference, released when the scope exits
 /// however a transfer ends. A leaked reference never goes idle, so neither
 /// eviction, governor reclaim nor flush() could ever drop its registration.
-class CacheRef {
+class Channel::CacheRef {
  public:
   CacheRef(core::RegistrationCache& cache, const MemHandle& handle)
       : cache_(cache), handle_(handle) {}
@@ -68,12 +69,12 @@ class CacheRef {
   CacheRef(const CacheRef&) = delete;
   CacheRef& operator=(const CacheRef&) = delete;
 
+  [[nodiscard]] const MemHandle& handle() const { return handle_; }
+
  private:
   core::RegistrationCache& cache_;
   MemHandle handle_;
 };
-
-}  // namespace
 
 /// Per-process endpoint state.
 struct Channel::Side {
@@ -253,9 +254,27 @@ KStatus Channel::fetch(std::uint64_t dst_off, std::span<std::byte> out) {
 // Eager path
 // ---------------------------------------------------------------------------
 
+KStatus Channel::harvest(Side& from, Side& to, std::uint32_t& slot) {
+  const auto sc = from.vipl.send_done(from.vi);
+  if (!sc || !sc->done_ok()) return KStatus::Proto;
+  const auto rc = to.vipl.recv_done(to.vi);
+  if (!rc || !rc->done_ok()) return KStatus::Proto;
+  slot = static_cast<std::uint32_t>(rc->cookie);
+  return KStatus::Ok;
+}
+
+KStatus Channel::send_slot0(Side& from, Side& to, std::uint32_t len,
+                            std::uint32_t& slot) {
+  if (const KStatus st = from.vipl.post_send(from.vi, from.slots_mh,
+                                             from.slot_addr(0), len);
+      !ok(st)) {
+    return st;
+  }
+  return harvest(from, to, slot);
+}
+
 KStatus Channel::eager_push(Side& from, Side& to,
-                            std::span<const std::byte> msg,
-                            Descriptor& completion) {
+                            std::span<const std::byte> msg) {
   assert(msg.size() <= from.slot_size);
   // Copy into the sender's bounce slot 0 (single in-flight message in the
   // synchronous model) via one user-space copy... except the source here is
@@ -266,19 +285,15 @@ KStatus Channel::eager_push(Side& from, Side& to,
       !ok(st)) {
     return st;
   }
-  if (const KStatus st =
-          from.vipl.post_send(from.vi, from.slots_mh, from.slot_addr(0),
-                              static_cast<std::uint32_t>(msg.size()));
+  std::uint32_t slot = 0;
+  if (const KStatus st = send_slot0(from, to,
+                                    static_cast<std::uint32_t>(msg.size()),
+                                    slot);
       !ok(st)) {
     return st;
   }
-  const auto sc = from.vipl.send_done(from.vi);
-  if (!sc || !sc->done_ok()) return KStatus::Proto;
-  const auto rc = to.vipl.recv_done(to.vi);
-  if (!rc || !rc->done_ok()) return KStatus::Proto;
-  completion = *rc;
   // Re-arm the consumed slot.
-  return to.repost(static_cast<std::uint32_t>(rc->cookie));
+  return to.repost(slot);
 }
 
 KStatus Channel::eager(std::uint64_t src_off, std::uint64_t dst_off,
@@ -293,18 +308,12 @@ KStatus Channel::eager(std::uint64_t src_off, std::uint64_t dst_off,
       !ok(st)) {
     return st;
   }
-  if (const KStatus st = src_->vipl.post_send(src_->vi, src_->slots_mh,
-                                              src_->slot_addr(0), len);
-      !ok(st)) {
+  std::uint32_t slot = 0;
+  if (const KStatus st = send_slot0(*src_, *dst_, len, slot); !ok(st)) {
     return st;
   }
-  const auto sc = src_->vipl.send_done(src_->vi);
-  if (!sc || !sc->done_ok()) return KStatus::Proto;
-  const auto rc = dst_->vipl.recv_done(dst_->vi);
-  if (!rc || !rc->done_ok()) return KStatus::Proto;
 
   // Receiver: one copy bounce slot -> user buffer, then re-arm the slot.
-  const auto slot = static_cast<std::uint32_t>(rc->cookie);
   if (const KStatus st = rk.copy_user(dst_pid_, dst_heap_ + dst_off,
                                       dst_->slot_addr(slot), len);
       !ok(st)) {
@@ -333,6 +342,45 @@ void Channel::repair_connection() {
   ++stats_.conn_repairs;
   // Best effort: the endpoints always exist here, so Inval cannot happen.
   (void)cluster_.fabric().repair(sender_id_, src_->vi, receiver_id_, dst_->vi);
+}
+
+void Channel::count_retry(Side& from, std::uint64_t what,
+                          std::uint32_t attempt) {
+  ++stats_.retries;
+  from.host.kernel().trace().record(
+      cluster_.clock().now(), TraceEvent::SendRetry,
+      static_cast<std::uint32_t>(from.vipl.pid()), what, attempt);
+}
+
+std::optional<via::DescStatus> Channel::send_status(Side& from, KStatus posted,
+                                                    std::uint32_t attempt) {
+  if (ok(posted)) {
+    const auto sc = from.vipl.send_done(from.vi);
+    if (!sc) {
+      // Doorbell drop: the NIC never saw the descriptor, so no completion
+      // will ever arrive - only the timeout catches this.
+      charge_timeout(attempt);
+      return std::nullopt;
+    }
+    if (sc->status != via::DescStatus::ErrDisconnected) return sc->status;
+  }
+  // The post failed on a VI an earlier reset broke, or this send was reset:
+  // repair the connection and retry.
+  repair_connection();
+  charge_timeout(attempt);
+  return std::nullopt;
+}
+
+KStatus Channel::timed_out(Side& from, std::uint64_t what,
+                           std::string_view reason) {
+  simkern::Kernel& sk = sender_node().kernel();
+  sk.trace().record(cluster_.clock().now(), TraceEvent::SendTimeout,
+                    static_cast<std::uint32_t>(from.vipl.pid()), what,
+                    config_.reliability.max_retries);
+  // Retry budget exhausted: a terminal fault. Capture the postmortem while
+  // the spans/trace/metrics still show the failing timeline.
+  sk.flight_dump(reason);
+  return KStatus::TimedOut;
 }
 
 bool Channel::send_ack(Side& acker, Side& waiter, std::uint32_t seq) {
@@ -404,9 +452,7 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
   hdr.kind = kind;
   // Stamp the causal context in-band: every retransmitted copy of this frame
   // carries the same originating span identity.
-  const obs::TraceContext frame_ctx =
-      frame_span.context().valid() ? frame_span.context()
-                                   : send_spans.active_context();
+  const obs::TraceContext frame_ctx = frame_span.carried_context();
   hdr.trace_id = frame_ctx.trace_id;
   hdr.span_id = frame_ctx.span_id;
   std::vector<std::byte> frame(sizeof(FrameHeader) + payload.size());
@@ -414,48 +460,29 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
   if (!payload.empty())
     std::memcpy(frame.data() + sizeof hdr, payload.data(), payload.size());
 
-  Clock& clock = cluster_.clock();
   bool delivered = false;
 
   for (std::uint32_t attempt = 0; attempt <= rel.max_retries; ++attempt) {
     const obs::ScopedSpan attempt_span(
         send_spans, attempt == 0 ? "msg.send" : "msg.retransmit");
-    if (attempt > 0) {
-      ++stats_.retries;
-      from.host.kernel().trace().record(clock.now(), TraceEvent::SendRetry,
-                                 static_cast<std::uint32_t>(from.vipl.pid()),
-                                 hdr.seq, attempt);
-    }
+    if (attempt > 0) count_retry(from, hdr.seq, attempt);
     ++stats_.frames_sent;
     if (const KStatus st =
             from.host.kernel().write_user(from.vipl.pid(), from.slot_addr(0), frame);
         !ok(st)) {
       return st;
     }
-    if (!ok(from.vipl.post_send(from.vi, from.slots_mh, from.slot_addr(0),
-                                static_cast<std::uint32_t>(frame.size())))) {
-      // The VI is broken (an earlier reset): repair and retry.
-      repair_connection();
+    const auto sent = send_status(
+        from,
+        from.vipl.post_send(from.vi, from.slots_mh, from.slot_addr(0),
+                            static_cast<std::uint32_t>(frame.size())),
+        attempt);
+    if (!sent) continue;
+    if (*sent == via::DescStatus::ErrNoRecvDesc) {
       charge_timeout(attempt);
       continue;
     }
-    const auto sc = from.vipl.send_done(from.vi);
-    if (!sc) {
-      // Doorbell drop: the NIC never saw the descriptor, so no completion
-      // will ever arrive - only the timeout catches this.
-      charge_timeout(attempt);
-      continue;
-    }
-    if (sc->status == via::DescStatus::ErrDisconnected) {
-      repair_connection();
-      charge_timeout(attempt);
-      continue;
-    }
-    if (sc->status == via::DescStatus::ErrNoRecvDesc) {
-      charge_timeout(attempt);
-      continue;
-    }
-    if (!sc->done_ok()) return KStatus::Proto;
+    if (*sent != via::DescStatus::Done) return KStatus::Proto;
 
     // A Done send only proves the frame left the local NIC; poll the
     // receive queue to learn whether it survived the wire.
@@ -521,21 +548,17 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
     ++stats_.acks_received;
     return KStatus::Ok;
   }
-  sender_node().kernel().trace().record(
-      clock.now(), TraceEvent::SendTimeout,
-      static_cast<std::uint32_t>(from.vipl.pid()), hdr.seq, rel.max_retries);
-  // Retry budget exhausted: a terminal fault. Capture the postmortem while
-  // the spans/trace/metrics still show the failing timeline.
-  sender_node().kernel().flight_dump("msg.send_timeout");
-  return KStatus::TimedOut;
+  return timed_out(from, hdr.seq, "msg.send_timeout");
 }
 
-KStatus Channel::push_ctrl(Side& from, Side& to, std::span<const std::byte> msg,
-                           Descriptor& completion) {
-  if (!config_.reliability.enabled)
-    return eager_push(from, to, msg, completion);
+KStatus Channel::push_ctrl(Side& from, Side& to,
+                           std::span<const std::byte> msg) {
   std::vector<std::byte> out;
-  return reliable_push(from, to, kFrameCtrl, msg, out);
+  const KStatus st = config_.reliability.enabled
+                         ? reliable_push(from, to, kFrameCtrl, msg, out)
+                         : eager_push(from, to, msg);
+  if (ok(st)) ++stats_.control_msgs;
+  return st;
 }
 
 KStatus Channel::acquire_with_retry(Side& side, VAddr addr, std::uint32_t len,
@@ -556,8 +579,6 @@ KStatus Channel::acquire_with_retry(Side& side, VAddr addr, std::uint32_t len,
 KStatus Channel::reliable_rdma(const MemHandle& src_mh, VAddr src_addr,
                                const MemHandle& dst_mh, VAddr dst_addr,
                                std::uint32_t len) {
-  const Reliability& rel = config_.reliability;
-  Clock& clock = cluster_.clock();
   simkern::Kernel& sk = sender_node().kernel();
   simkern::Kernel& rk = receiver_node().kernel();
 
@@ -573,33 +594,19 @@ KStatus Channel::reliable_rdma(const MemHandle& src_mh, VAddr src_addr,
   // child per attempt, so retransmits parent under the original write.
   const obs::ScopedSpan rdma_span(sk.spans(), "msg.rdma");
 
-  for (std::uint32_t attempt = 0; attempt <= rel.max_retries; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= config_.reliability.max_retries;
+       ++attempt) {
     const obs::ScopedSpan attempt_span(
         sk.spans(), attempt == 0 ? "msg.send" : "msg.retransmit");
-    if (attempt > 0) {
-      ++stats_.retries;
-      sk.trace().record(clock.now(), TraceEvent::SendRetry,
-                        static_cast<std::uint32_t>(src_pid_), dst_addr,
-                        attempt);
-    }
-    if (!ok(src_->vipl.rdma_write(src_->vi, src_mh, src_addr, len, dst_mh,
-                                  dst_addr, /*cookie=*/0,
-                                  /*immediate=*/std::uint32_t{len}))) {
-      repair_connection();
-      charge_timeout(attempt);
-      continue;
-    }
-    const auto sc = src_->vipl.send_done(src_->vi);
-    if (!sc) {  // doorbell drop
-      charge_timeout(attempt);
-      continue;
-    }
-    if (sc->status == via::DescStatus::ErrDisconnected) {
-      repair_connection();
-      charge_timeout(attempt);
-      continue;
-    }
-    if (!sc->done_ok()) return KStatus::Proto;
+    if (attempt > 0) count_retry(*src_, dst_addr, attempt);
+    const auto sent = send_status(
+        *src_,
+        src_->vipl.rdma_write(src_->vi, src_mh, src_addr, len, dst_mh,
+                              dst_addr, /*cookie=*/0,
+                              /*immediate=*/std::uint32_t{len}),
+        attempt);
+    if (!sent) continue;
+    if (*sent != via::DescStatus::Done) return KStatus::Proto;
     // The immediate-data completion consumed a receiver slot; its absence
     // means the write was dropped in flight.
     if (const auto rc = dst_->vipl.recv_done(dst_->vi); rc) {
@@ -626,11 +633,7 @@ KStatus Channel::reliable_rdma(const MemHandle& src_mh, VAddr src_addr,
     }
     return KStatus::Ok;
   }
-  sk.trace().record(clock.now(), TraceEvent::SendTimeout,
-                    static_cast<std::uint32_t>(src_pid_), dst_addr,
-                    rel.max_retries);
-  sk.flight_dump("msg.rdma_timeout");
-  return KStatus::TimedOut;
+  return timed_out(*src_, dst_addr, "msg.rdma_timeout");
 }
 
 KStatus Channel::reliable_eager(std::uint64_t src_off, std::uint64_t dst_off,
@@ -663,19 +666,16 @@ KStatus Channel::reliable_eager(std::uint64_t src_off, std::uint64_t dst_off,
 // Rendezvous path (dynamic registration, true zero-copy)
 // ---------------------------------------------------------------------------
 
-KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
-                            std::uint32_t len) {
-  // 1. Sender -> receiver: REQ control message.
+KStatus Channel::handshake(std::uint64_t dst_off, std::uint32_t len,
+                           std::optional<CacheRef>& dst) {
+  // Sender -> receiver: REQ control message.
   const RndzReq req{len, dst_off};
-  Descriptor comp;
-  if (const KStatus st = push_ctrl(*src_, *dst_, wire::pod_bytes(req), comp);
+  if (const KStatus st = push_ctrl(*src_, *dst_, wire::pod_bytes(req));
       !ok(st)) {
     return st;
   }
-  ++stats_.control_msgs;
-
-  // 2. Receiver registers (or cache-hits) the destination buffer and ACKs
-  //    with its memory handle.
+  // The receiver registers (or cache-hits) the destination buffer and ACKs
+  // with its memory handle.
   RndzAck ack;
   ack.dst_addr = dst_heap_ + dst_off;
   if (const KStatus st = acquire_with_retry(*dst_, ack.dst_addr, len,
@@ -683,12 +683,33 @@ KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
       !ok(st)) {
     return st;
   }
-  const CacheRef dst_ref(*dst_->cache, ack.dst_handle);
-  if (const KStatus st = push_ctrl(*dst_, *src_, wire::pod_bytes(ack), comp);
+  dst.emplace(*dst_->cache, ack.dst_handle);
+  return push_ctrl(*dst_, *src_, wire::pod_bytes(ack));
+}
+
+KStatus Channel::rdma_put(const MemHandle& src_mh, VAddr src_addr,
+                          const MemHandle& dst_mh, VAddr dst_addr,
+                          std::uint32_t len) {
+  if (config_.reliability.enabled)
+    return reliable_rdma(src_mh, src_addr, dst_mh, dst_addr, len);
+  if (const KStatus st = src_->vipl.rdma_write(
+          src_->vi, src_mh, src_addr, len, dst_mh, dst_addr, /*cookie=*/0,
+          /*immediate=*/std::uint32_t{len});
       !ok(st)) {
     return st;
   }
-  ++stats_.control_msgs;
+  // The immediate-data completion consumed one receiver slot: harvest +
+  // re-arm.
+  std::uint32_t slot = 0;
+  if (const KStatus st = harvest(*src_, *dst_, slot); !ok(st)) return st;
+  return dst_->repost(slot);
+}
+
+KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
+                            std::uint32_t len) {
+  // 1-2. REQ; the receiver registers its destination buffer and ACKs.
+  std::optional<CacheRef> dst_ref;
+  if (const KStatus st = handshake(dst_off, len, dst_ref); !ok(st)) return st;
 
   // 3. Sender registers (or cache-hits) the source buffer and RDMA-writes
   //    straight into the receiver's user buffer.
@@ -699,29 +720,10 @@ KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
     return st;
   }
   const CacheRef src_ref(*src_->cache, src_mh);
-  if (config_.reliability.enabled) {
-    if (const KStatus st = reliable_rdma(src_mh, src_heap_ + src_off,
-                                         ack.dst_handle, ack.dst_addr, len);
-        !ok(st)) {
-      return st;
-    }
-  } else {
-    if (const KStatus st = src_->vipl.rdma_write(
-            src_->vi, src_mh, src_heap_ + src_off, len, ack.dst_handle,
-            ack.dst_addr, /*cookie=*/0, /*immediate=*/std::uint32_t{len});
-        !ok(st)) {
-      return st;
-    }
-    const auto sc = src_->vipl.send_done(src_->vi);
-    if (!sc || !sc->done_ok()) return KStatus::Proto;
-    // The immediate-data completion consumed one receiver slot: harvest +
-    // re-arm.
-    const auto rc = dst_->vipl.recv_done(dst_->vi);
-    if (!rc || !rc->done_ok()) return KStatus::Proto;
-    if (const KStatus st = dst_->repost(static_cast<std::uint32_t>(rc->cookie));
-        !ok(st)) {
-      return st;
-    }
+  if (const KStatus st = rdma_put(src_mh, src_heap_ + src_off,
+                                  dst_ref->handle(), dst_heap_ + dst_off, len);
+      !ok(st)) {
+    return st;
   }
 
   ++stats_.rendezvous_msgs;
@@ -736,28 +738,8 @@ KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
 KStatus Channel::preregistered(std::uint64_t src_off, std::uint64_t dst_off,
                                std::uint32_t len) {
   if (!src_->heap_registered || !dst_->heap_registered) return KStatus::Proto;
-  if (config_.reliability.enabled) {
-    if (const KStatus st =
-            reliable_rdma(src_->heap_mh, src_heap_ + src_off, dst_->heap_mh,
-                          dst_heap_ + dst_off, len);
-        !ok(st)) {
-      return st;
-    }
-    ++stats_.prereg_msgs;
-    stats_.bytes_moved += len;
-    return KStatus::Ok;
-  }
-  if (const KStatus st = src_->vipl.rdma_write(
-          src_->vi, src_->heap_mh, src_heap_ + src_off, len, dst_->heap_mh,
-          dst_heap_ + dst_off, /*cookie=*/0, /*immediate=*/std::uint32_t{len});
-      !ok(st)) {
-    return st;
-  }
-  const auto sc = src_->vipl.send_done(src_->vi);
-  if (!sc || !sc->done_ok()) return KStatus::Proto;
-  const auto rc = dst_->vipl.recv_done(dst_->vi);
-  if (!rc || !rc->done_ok()) return KStatus::Proto;
-  if (const KStatus st = dst_->repost(static_cast<std::uint32_t>(rc->cookie));
+  if (const KStatus st = rdma_put(src_->heap_mh, src_heap_ + src_off,
+                                  dst_->heap_mh, dst_heap_ + dst_off, len);
       !ok(st)) {
     return st;
   }
@@ -772,40 +754,23 @@ KStatus Channel::preregistered(std::uint64_t src_off, std::uint64_t dst_off,
 
 KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
                                 std::uint32_t len) {
-  // 1. Sender -> receiver: REQ ("the sender informs the receiver as usual").
-  const RndzReq req{len, dst_off};
-  Descriptor comp;
-  if (const KStatus st = push_ctrl(*src_, *dst_, wire::pod_bytes(req), comp);
-      !ok(st)) {
-    return st;
-  }
-  ++stats_.control_msgs;
-
-  // 2. Receiver checks whether the destination "is already exported to the
-  //    sender" (registration cache) and acknowledges with its handle.
-  RndzAck ack;
-  ack.dst_addr = dst_heap_ + dst_off;
-  if (const KStatus st =
-          acquire_with_retry(*dst_, ack.dst_addr, len, ack.dst_handle);
-      !ok(st)) {
-    return st;
-  }
-  const CacheRef dst_ref(*dst_->cache, ack.dst_handle);
-  if (const KStatus st = push_ctrl(*dst_, *src_, wire::pod_bytes(ack), comp);
-      !ok(st)) {
-    return st;
-  }
-  ++stats_.control_msgs;
+  // 1-2. REQ ("the sender informs the receiver as usual"); the receiver
+  //    checks whether the destination "is already exported to the sender"
+  //    (registration cache) and acknowledges with its handle.
+  std::optional<CacheRef> dst_ref;
+  if (const KStatus st = handshake(dst_off, len, dst_ref); !ok(st)) return st;
+  const MemHandle& dst_mh = dst_ref->handle();
+  const VAddr dst_addr = dst_heap_ + dst_off;
 
   // 3. Sender imports the exported memory (cached across transfers) and
   //    copies the payload with programmed I/O directly into the receiving
   //    process's private memory - no sender-side registration.
-  auto it = src_->imports.find(ack.dst_handle.id);
+  auto it = src_->imports.find(dst_mh.id);
   if (it == src_->imports.end()) {
     auto window = via::RemoteWindow::import(cluster_.fabric(), sender_id_,
-                                            receiver_id_, ack.dst_handle);
+                                            receiver_id_, dst_mh);
     if (!window) return KStatus::Fault;
-    it = src_->imports.emplace(ack.dst_handle.id, *window).first;
+    it = src_->imports.emplace(dst_mh.id, *window).first;
     ++stats_.window_imports;
   }
   simkern::Kernel& sk = sender_node().kernel();
@@ -821,7 +786,7 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
       return st;
     }
     // ...and stores through the imported window.
-    const std::uint64_t window_off = ack.dst_addr - ack.dst_handle.vaddr;
+    const std::uint64_t window_off = dst_addr - dst_mh.vaddr;
     if (const KStatus st =
             it->second.store(window_off + done, std::span(chunk).first(n));
         !ok(st)) {
@@ -844,7 +809,7 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
     }
     const std::uint32_t want = fault::checksum32(chk);
     if (const KStatus st = receiver_node().kernel().read_user(
-            dst_pid_, ack.dst_addr, chk);
+            dst_pid_, dst_addr, chk);
         !ok(st)) {
       return st;
     }
@@ -854,11 +819,10 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
     }
   }
   const RndzReq fin{len, dst_off};
-  if (const KStatus st = push_ctrl(*src_, *dst_, wire::pod_bytes(fin), comp);
+  if (const KStatus st = push_ctrl(*src_, *dst_, wire::pod_bytes(fin));
       !ok(st)) {
     return st;
   }
-  ++stats_.control_msgs;
 
   ++stats_.pio_msgs;
   stats_.bytes_moved += len;

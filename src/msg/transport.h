@@ -153,6 +153,7 @@ class Channel {
 
  private:
   struct Side;  // everything per-process
+  class CacheRef;  // one held registration-cache reference
 
   [[nodiscard]] KStatus eager(std::uint64_t src_off, std::uint64_t dst_off,
                               std::uint32_t len);
@@ -164,18 +165,33 @@ class Channel {
                                        std::uint64_t dst_off,
                                        std::uint32_t len);
 
-  /// Move `len` bytes of control/eager payload from `from`'s staging area
-  /// into `to`'s next matched receive; returns the receive completion.
+  /// Move control/eager payload `msg` from `from`'s staging area into
+  /// `to`'s next matched receive and re-arm that slot.
   [[nodiscard]] KStatus eager_push(Side& from, Side& to,
-                                   std::span<const std::byte> msg,
-                                   via::Descriptor& completion);
+                                   std::span<const std::byte> msg);
+  /// Send `len` bytes from `from`'s bounce slot 0 and harvest both
+  /// completions; `slot` is the receive slot the message landed in.
+  [[nodiscard]] KStatus send_slot0(Side& from, Side& to, std::uint32_t len,
+                                   std::uint32_t& slot);
+  /// Harvest `from`'s send completion and `to`'s receive completion of the
+  /// descriptor just posted; `slot` is the receive slot it consumed.
+  [[nodiscard]] KStatus harvest(Side& from, Side& to, std::uint32_t& slot);
+  /// The rendezvous REQ/ACK exchange: on success `dst` holds the receiver's
+  /// cache reference to the destination buffer [dst_off, dst_off + len).
+  [[nodiscard]] KStatus handshake(std::uint64_t dst_off, std::uint32_t len,
+                                  std::optional<CacheRef>& dst);
+  /// RDMA-write a payload into the receiver and harvest its immediate-data
+  /// completion (reliable_rdma in reliable mode).
+  [[nodiscard]] KStatus rdma_put(const via::MemHandle& src_mh,
+                                 simkern::VAddr src_addr,
+                                 const via::MemHandle& dst_mh,
+                                 simkern::VAddr dst_addr, std::uint32_t len);
 
   // --- reliable-delivery machinery (active when config_.reliability.enabled)
-  /// Control-message push: plain eager_push, or the sequenced/acked frame
-  /// path in reliable mode.
+  /// Control-message push (counted in control_msgs): plain eager_push, or
+  /// the sequenced/acked frame path in reliable mode.
   [[nodiscard]] KStatus push_ctrl(Side& from, Side& to,
-                                  std::span<const std::byte> msg,
-                                  via::Descriptor& completion);
+                                  std::span<const std::byte> msg);
   /// Send one sequenced, checksummed frame and wait for its ack,
   /// retransmitting on loss/corruption. On success `out` holds the payload
   /// as delivered (exactly once) at the receiver.
@@ -202,6 +218,19 @@ class Channel {
                                        std::uint32_t len);
   void charge_timeout(std::uint32_t attempt);
   void repair_connection();
+  /// Retransmit bookkeeping: count retry `attempt` of the frame or payload
+  /// `what` (a sequence number or destination address) and trace it.
+  void count_retry(Side& from, std::uint64_t what, std::uint32_t attempt);
+  /// The send completion of one reliable attempt whose post returned
+  /// `posted`. A failed post, a reset or a dropped doorbell charges the
+  /// attempt's timeout (repairing the connection for the first two) and
+  /// yields nullopt: retry.
+  [[nodiscard]] std::optional<via::DescStatus> send_status(
+      Side& from, KStatus posted, std::uint32_t attempt);
+  /// The retry budget for `what` is spent: trace it, dump the flight
+  /// recorder under `reason` and return TimedOut.
+  [[nodiscard]] KStatus timed_out(Side& from, std::uint64_t what,
+                                  std::string_view reason);
 
   via::Cluster& cluster_;
   via::NodeId sender_id_;

@@ -179,6 +179,12 @@ class ScopedSpan {
 
   /// The causal triple this span carries (invalid when disabled/dropped).
   [[nodiscard]] TraceContext context() const { return rec_.context_of(id_); }
+  /// The context work this span causes elsewhere carries: the span's own,
+  /// or the recorder's ambient context when the span is not recorded.
+  [[nodiscard]] TraceContext carried_context() const {
+    const TraceContext own = context();
+    return own.valid() ? own : rec_.active_context();
+  }
 
  private:
   SpanRecorder& rec_;
