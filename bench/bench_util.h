@@ -174,9 +174,10 @@ class JsonReport {
   /// scalar metrics are diffed against the baseline's. A numeric metric
   /// regresses when its relative delta |cur - base| / base exceeds the
   /// threshold (default 0.10, override with --compare-threshold=<f>); a
-  /// string metric regresses when it changed at all (PASS -> FAIL). Returns
-  /// the process exit code: 0 when clean, not requested, or the baseline is
-  /// missing (first run); 1 on regression.
+  /// string metric regresses when it changed at all (PASS -> FAIL). A
+  /// baseline without scalar metrics is gated on its tables instead, which
+  /// must match exactly. Returns the process exit code: 0 when clean, not
+  /// requested, or the baseline is missing (first run); 1 on regression.
   [[nodiscard]] int compare_if(const BenchFlags& flags) const {
     return compare(flags.compare_path, flags.compare_threshold);
   }
@@ -193,9 +194,10 @@ class JsonReport {
     buf << in.rdbuf();
     const Fields baseline = parse_metrics_object(buf.str());
     if (baseline.empty()) {
-      std::cout << "\ncompare: no scalar metrics in " << path
-                << " - nothing to gate\n";
-      return 0;
+      const bool same = tables_of(buf.str()) == tables_of(json());
+      std::cout << "\ncompare: no scalar metrics in " << path << "; tables "
+                << (same ? "match\n" : "DIFFER\n");
+      return same ? 0 : 1;
     }
     std::cout << "\n=== compare vs " << path << " (threshold "
               << threshold * 100 << "%) ===\n";
@@ -242,20 +244,32 @@ class JsonReport {
   bool write_if(const BenchFlags& flags) const {
     if (!flags.json) return false;
     std::ofstream out("BENCH_" + experiment_ + ".json");
-    out << "{\n  \"experiment\": " << obs::json_quote(experiment_)
-        << ",\n  \"name\": " << obs::json_quote(name_) << ",\n  \"params\": "
-        << object(params_) << ",\n  \"metrics\": " << object(metrics_)
-        << ",\n  \"tables\": {";
-    for (std::size_t i = 0; i < tables_.size(); ++i) {
-      out << (i ? "," : "") << "\n    " << obs::json_quote(tables_[i].first)
-          << ": " << tables_[i].second;
-    }
-    out << (tables_.empty() ? "" : "\n  ") << "}\n}\n";
+    out << json();
     return out.good();
   }
 
  private:
   using Fields = std::vector<std::pair<std::string, std::string>>;
+
+  /// The report as write_if writes it.
+  [[nodiscard]] std::string json() const {
+    std::string out = "{\n  \"experiment\": " + obs::json_quote(experiment_) +
+                      ",\n  \"name\": " + obs::json_quote(name_) +
+                      ",\n  \"params\": " + object(params_) +
+                      ",\n  \"metrics\": " + object(metrics_) +
+                      ",\n  \"tables\": {";
+    for (std::size_t i = 0; i < tables_.size(); ++i) {
+      out += (i ? ",\n    " : "\n    ") + obs::json_quote(tables_[i].first) +
+             ": " + tables_[i].second;
+    }
+    return out + (tables_.empty() ? "" : "\n  ") + "}\n}\n";
+  }
+
+  /// Everything from the `"tables"` key on (empty when there is none).
+  static std::string tables_of(const std::string& json) {
+    const auto at = json.find("\"tables\": ");
+    return at == std::string::npos ? std::string() : json.substr(at);
+  }
 
   /// Pull the `"metrics": {...}` object back out of a BENCH_*.json we wrote
   /// earlier. The format is our own (flat object, scalar values, no commas
