@@ -86,7 +86,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
     window = *a;
   }
 
-  const auto recycle = [&](const char*) {
+  const auto recycle = [&] {
     free_vis_.push_back(vi);
     free_rings_.push_back(rings);
     free_windows_.push_back(window);
@@ -97,7 +97,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
           rings, ring_bytes(), rings_mh,
           via::KernelAgent::RegisterOptions::send_recv_only());
       !ok(st)) {
-    recycle("rings");
+    recycle();
     return st;
   }
   // The value window takes inbound RDMA writes (GET) and outbound reads
@@ -106,7 +106,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
   if (const KStatus st = vipl_->register_mem(window, window_bytes(), window_mh);
       !ok(st)) {
     (void)vipl_->deregister_mem(rings_mh);
-    recycle("window");
+    recycle();
     return st;
   }
 
@@ -115,7 +115,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
         !ok(vipl_->attach_send_cq(vi, send_cq_))) {
       (void)vipl_->deregister_mem(rings_mh);
       (void)vipl_->deregister_mem(window_mh);
-      recycle("cq");
+      recycle();
       return KStatus::Inval;
     }
   }
@@ -157,7 +157,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
     node_.nic().vi(vi).recv_queue.clear();
     (void)vipl_->deregister_mem(rings_mh);
     (void)vipl_->deregister_mem(window_mh);
-    recycle("accept");
+    recycle();
     c = Conn{};
     free_conns_.push_back(id);
     return st;

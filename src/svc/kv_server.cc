@@ -142,7 +142,6 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
 
   // Slot-ring memory: recycled across churn, mapped once per high-water conn.
   VAddr rings = 0;
-  bool fresh_rings = false;
   if (!t.free_rings.empty()) {
     rings = t.free_rings.back();
     t.free_rings.pop_back();
@@ -155,8 +154,11 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
       return KStatus::NoMem;
     }
     rings = *a;
-    fresh_rings = true;
   }
+  const auto recycle = [&] {
+    t.free_vis.push_back(vi);
+    t.free_rings.push_back(rings);
+  };
 
   // The registration is the governed step: this is where quota/ceiling bite.
   MemHandle mh;
@@ -165,18 +167,15 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
                                via::KernelAgent::RegisterOptions::send_recv_only());
       !ok(st)) {
     ++stats_.admission_rejected;
-    t.free_vis.push_back(vi);
-    t.free_rings.push_back(rings);
+    recycle();
     return st;
   }
-  (void)fresh_rings;
 
   if (fresh_vi) {
     if (!ok(t.vipl->attach_recv_cq(vi, recv_cq_)) ||
         !ok(t.vipl->attach_send_cq(vi, send_cq_))) {
       (void)t.vipl->deregister_mem(mh);
-      t.free_vis.push_back(vi);
-      t.free_rings.push_back(rings);
+      recycle();
       return KStatus::Inval;
     }
   }
@@ -185,8 +184,7 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
           cluster_.fabric().connect(node_id_, vi, client_node, client_vi);
       !ok(st)) {
     (void)t.vipl->deregister_mem(mh);
-    t.free_vis.push_back(vi);
-    t.free_rings.push_back(rings);
+    recycle();
     return st;
   }
 
