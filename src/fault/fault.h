@@ -15,6 +15,7 @@
 // of every injection; two runs agree iff their journals are byte-identical.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -186,16 +187,44 @@ class FaultEngine {
   TraceRing* trace_ = nullptr;
 };
 
-/// FNV-1a 32-bit checksum - the transport's eager-frame and payload
-/// integrity check (cheap, deterministic, good avalanche for bit-flips).
+/// The transport's eager-frame and payload integrity check and the svc
+/// tier's end-to-end value check: FNV-1a over 64-bit little-endian words.
+/// A 64-bit state absorbs each whole 8-byte word (xor, then multiply by the
+/// 64-bit FNV prime), then the 0-7 trailing bytes one at a time, and is
+/// folded to 32 bits as h ^ (h >> 32). Words are assembled by shifts, so the
+/// value is the same on every host and in constant expressions.
+///
+/// Detection: each round is a bijection of the state, so a change confined
+/// to one word or one tail byte always changes the 64-bit state. A change
+/// confined to a word's upper four bytes always changes the folded value
+/// too: the multiply only carries upward, so the two states keep equal low
+/// halves and unequal high halves. Any other change confined to one word or
+/// tail byte is missed only when the two states fold alike, with
+/// probability about 2^-32. So is random damage across several words, but
+/// not structured damage: a difference confined to the top bits of one word
+/// can cancel against the same difference in a later word (flipping bit 63
+/// of two words leaves the checksum unchanged).
 [[nodiscard]] constexpr std::uint32_t checksum32(
     std::span<const std::byte> data) {
-  std::uint32_t h = 0x811C9DC5u;
-  for (const std::byte b : data) {
-    h ^= static_cast<std::uint32_t>(b);
-    h *= 0x01000193u;
+  constexpr std::uint64_t kPrime = 0x00000100000001B3ULL;
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    // Through a pointer, not data[i + b]: GCC then merges the eight byte
+    // loads into one 8-byte load.
+    const std::byte* word = data.data() + i;
+    const auto at = [word](std::size_t b) {
+      return static_cast<std::uint64_t>(word[b]);
+    };
+    h ^= at(0) | at(1) << 8 | at(2) << 16 | at(3) << 24 | at(4) << 32 |
+         at(5) << 40 | at(6) << 48 | at(7) << 56;
+    h *= kPrime;
   }
-  return h;
+  for (; i < data.size(); ++i) {
+    h ^= static_cast<std::uint64_t>(data[i]);
+    h *= kPrime;
+  }
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
 }  // namespace vialock::fault

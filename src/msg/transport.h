@@ -21,8 +21,10 @@
 //
 // Reliable-delivery mode (Config::reliability.enabled): the channel runs its
 // protocols over *unreliable* VIs and provides delivery guarantees itself -
-// every eager/control frame carries a sequence number and an FNV-1a checksum
-// and must be acknowledged; a missing or corrupt frame (injected doorbell
+// every eager/control frame carries a sequence number and a checksum
+// (fault::checksum32, FNV-1a over 64-bit words: a change confined to one
+// word is missed with probability about 2^-32 at most - see fault.h) and
+// must be acknowledged; a missing or corrupt frame (injected doorbell
 // drop, wire loss, DMA bit-flip - see src/fault) triggers retransmission
 // with exponential backoff up to a bounded retry budget; replayed frames are
 // deduplicated by sequence number at the receiver; RDMA payloads are

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstddef>
+#include <vector>
 
 namespace vialock::fault {
 namespace {
@@ -198,6 +199,46 @@ TEST(FaultEngine, JournalRecordsWhatFired) {
   EXPECT_EQ(e.event_index, 0u);
   EXPECT_EQ(e.rule_index, 0u);
   EXPECT_FALSE(e.to_string().empty());
+}
+
+/// `text` without its terminating NUL, as bytes.
+template <std::size_t N>
+constexpr std::array<std::byte, N - 1> bytes_of(const char (&text)[N]) {
+  std::array<std::byte, N - 1> out{};
+  for (std::size_t i = 0; i + 1 < N; ++i)
+    out[i] = static_cast<std::byte>(text[i]);
+  return out;
+}
+
+// One whole word and a 6-byte tail. Pinned, so changing the algorithm - and
+// with it every checksum on the wire - has to be deliberate; checked here in
+// a constant expression and in GoldenValue at run time.
+constexpr auto kGoldenInput = bytes_of("vialock kiobuf");
+constexpr std::uint32_t kGoldenChecksum = 0xB9B9FCE1u;
+static_assert(checksum32(kGoldenInput) == kGoldenChecksum);
+
+TEST(Checksum, GoldenValue) {
+  const std::vector<std::byte> input(kGoldenInput.begin(), kGoldenInput.end());
+  EXPECT_EQ(checksum32(input), kGoldenChecksum);
+  EXPECT_EQ(checksum32({}), 0x4FD0BFC1u);
+}
+
+TEST(Checksum, DetectsEverySingleByteChange) {
+  // Lengths 0-24 cover the word loop, the bytewise tail, and both together.
+  for (std::size_t len = 0; len <= 24; ++len) {
+    std::vector<std::byte> buf(len);
+    for (std::size_t i = 0; i < len; ++i)
+      buf[i] = static_cast<std::byte>(i * 37 + len);
+    const std::uint32_t want = checksum32(buf);
+    for (std::size_t i = 0; i < len; ++i) {
+      for (unsigned x = 1; x < 256; ++x) {
+        buf[i] ^= static_cast<std::byte>(x);
+        EXPECT_NE(checksum32(buf), want)
+            << "len " << len << " offset " << i << " xor " << x;
+        buf[i] ^= static_cast<std::byte>(x);
+      }
+    }
+  }
 }
 
 TEST(Checksum, DetectsSingleBitFlips) {
