@@ -164,7 +164,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
   }
   c.open = true;
   c.server_conn = server_conn;
-  vi_to_conn_[vi] = id;
+  vi_to_conn_.bind(vi, id);
   ++stats_.conns_opened;
   ++open_conns_;
   conn_out = id;
@@ -180,7 +180,7 @@ void KvClient::teardown_conn(Conn& c) {
   (void)vipl_->deregister_mem(c.rings_mh);
   (void)vipl_->deregister_mem(c.window_mh);
   stats_.requests_lost += c.pending.size();
-  vi_to_conn_.erase(c.vi);
+  vi_to_conn_.unbind(c.vi);
   free_vis_.push_back(c.vi);
   free_rings_.push_back(c.rings);
   free_windows_.push_back(c.window);
@@ -325,9 +325,9 @@ std::uint32_t KvClient::harvest_sends() {
   for (const via::Nic::CqEntry& e : harvest_buf_) {
     if (e.desc.status == via::DescStatus::Done) continue;
     ++stats_.send_errors;
-    const auto it = vi_to_conn_.find(e.vi);
-    if (it == vi_to_conn_.end()) continue;
-    Conn& c = conns_[it->second];
+    const std::uint32_t id = vi_to_conn_.find(e.vi);
+    if (id == ViConnTable::kNoConn) continue;
+    Conn& c = conns_[id];
     if (c.open && gen_matches(e.desc.cookie, c.gen)) ++stats_.broken_conns;
   }
   return n;
@@ -340,12 +340,12 @@ std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
                                   harvest_buf_);
   std::uint32_t produced = 0;
   for (const via::Nic::CqEntry& e : harvest_buf_) {
-    const auto ci = vi_to_conn_.find(e.vi);
-    if (ci == vi_to_conn_.end()) {
+    const std::uint32_t id = vi_to_conn_.find(e.vi);
+    if (id == ViConnTable::kNoConn) {
       ++stats_.stale_completions;
       continue;
     }
-    Conn& c = conns_[ci->second];
+    Conn& c = conns_[id];
     if (!c.open || !gen_matches(e.desc.cookie, c.gen) || !e.desc.done_ok()) {
       ++stats_.stale_completions;
       continue;
@@ -408,16 +408,32 @@ std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
 void KvClient::fill_value(std::span<std::byte> out, std::uint64_t key,
                           std::uint64_t seed) {
   // SplitMix64-flavoured stream: reproducible on any host, cheap to regen.
+  // Each step's 8 bytes land little-endian: one whole word per step, the
+  // last step's bytes cut short by the end of `out`.
   std::uint64_t x = seed ^ (key * 0x9E3779B97F4A7C15ULL);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (i % 8 == 0) {
-      x += 0x9E3779B97F4A7C15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      x = z ^ (z >> 31);
-    }
-    out[i] = static_cast<std::byte>((x >> ((i % 8) * 8)) & 0xFF);
+  const auto step = [&x] {
+    x += 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    x = z ^ (z >> 31);
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= out.size(); i += 8) {
+    step();
+    // Through a pointer, as in fault::checksum32: GCC merges the eight byte
+    // stores into one 8-byte store.
+    std::byte* word = out.data() + i;
+    const auto put = [word, x](std::size_t b) {
+      word[b] = static_cast<std::byte>(x >> (8 * b));
+    };
+    put(0); put(1); put(2); put(3);
+    put(4); put(5); put(6); put(7);
+  }
+  if (i < out.size()) {
+    step();
+    for (std::size_t b = 0; i + b < out.size(); ++b)
+      out[i + b] = static_cast<std::byte>(x >> (8 * b));
   }
 }
 

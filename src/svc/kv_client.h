@@ -204,7 +204,7 @@ class KvClient {
   via::CqId send_cq_ = via::kInvalidCq;
   std::vector<Conn> conns_;
   std::vector<std::uint32_t> free_conns_;
-  std::map<via::ViId, std::uint32_t> vi_to_conn_;
+  ViConnTable vi_to_conn_;
   std::vector<via::ViId> free_vis_;
   std::vector<simkern::VAddr> free_rings_;
   std::vector<simkern::VAddr> free_windows_;

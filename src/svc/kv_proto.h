@@ -7,18 +7,24 @@
 // moves the bytes with one RDMA write (GET) or read (PUT) straight between
 // the client window and its value arena, skipping the eager copy entirely.
 //
-// Integrity: value bytes are covered end-to-end by fault::checksum32,
-// carried in the header (PUT) or the response (GET). A DMA or wire bit-flip
-// anywhere on the path - including mid-rendezvous - fails the request
-// cleanly (KvStatus::Corrupt) instead of silently storing or returning
-// garbage; headers themselves are validated by magic + length.
+// Integrity: value bytes are covered end-to-end by fault::checksum32
+// (FNV-1a over 64-bit little-endian words, folded to 32 bits; a change
+// confined to one word is missed with probability about 2^-32 at most, and
+// never when it lies in the word's upper four bytes), carried in the header
+// (PUT) or the response (GET). A DMA or wire bit-flip anywhere on the path -
+// including mid-rendezvous - fails the request cleanly (KvStatus::Corrupt)
+// instead of silently storing or returning garbage; headers themselves are
+// validated by magic + length.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "simkern/types.h"
+#include "via/descriptor.h"
 #include "via/memory_handle.h"
 
 namespace vialock::svc {
@@ -107,5 +113,27 @@ inline constexpr std::uint64_t kRdmaBit = 1ULL << 63;
                                          std::uint32_t gen) {
   return (cookie >> 32) == (gen & 0x7FFFFFFFu);
 }
+
+/// Which connection owns each VI, for routing completions. Nic::create_vi
+/// hands out dense ids, so the map is a flat table indexed by ViId: kNoConn
+/// marks a VI with no live connection, and a ViId beyond the table (a VI
+/// this side never connected) finds kNoConn too.
+class ViConnTable {
+ public:
+  static constexpr std::uint32_t kNoConn = UINT32_MAX;
+
+  void bind(via::ViId vi, std::uint32_t conn) {
+    if (vi >= conn_.size()) conn_.resize(std::size_t{vi} + 1, kNoConn);
+    conn_[vi] = conn;
+  }
+  /// `vi` must be bound.
+  void unbind(via::ViId vi) { conn_.at(vi) = kNoConn; }
+  [[nodiscard]] std::uint32_t find(via::ViId vi) const {
+    return vi < conn_.size() ? conn_[vi] : kNoConn;
+  }
+
+ private:
+  std::vector<std::uint32_t> conn_;
+};
 
 }  // namespace vialock::svc

@@ -204,7 +204,7 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
   c.vi = vi;
   c.rings = rings;
   c.rings_mh = mh;
-  vi_to_conn_[vi] = id;
+  vi_to_conn_.bind(vi, id);
   {
     // Arm the whole request ring with one gather-list doorbell.
     std::vector<via::Vipl::RecvPost> posts;
@@ -257,7 +257,7 @@ void KvServer::teardown_conn(Conn& c, bool abrupt) {
   if (abrupt) {
     if (auto* gov = node_.governor()) (void)gov->flush();
   }
-  vi_to_conn_.erase(c.vi);
+  vi_to_conn_.unbind(c.vi);
   free_conns_.push_back(
       static_cast<std::uint32_t>(&c - conns_.data()));
   t.free_vis.push_back(c.vi);
@@ -267,9 +267,9 @@ void KvServer::teardown_conn(Conn& c, bool abrupt) {
 }
 
 KvServer::Conn* KvServer::conn_for(via::ViId vi, std::uint64_t cookie) {
-  const auto it = vi_to_conn_.find(vi);
-  if (it == vi_to_conn_.end()) return nullptr;
-  Conn& c = conns_[it->second];
+  const std::uint32_t id = vi_to_conn_.find(vi);
+  if (id == ViConnTable::kNoConn) return nullptr;
+  Conn& c = conns_[id];
   if (!c.open || !gen_matches(cookie, c.gen)) return nullptr;
   return &c;
 }
@@ -577,12 +577,10 @@ std::uint32_t KvServer::harvest_sends() {
       if (e.desc.status != via::DescStatus::Done) ++stats_.send_errors;
       continue;
     }
-    const auto it = vi_to_conn_.find(e.vi);
-    if (it == vi_to_conn_.end()) continue;
-    const std::uint32_t conn_id = it->second;
-    Conn& c = conns_[conn_id];
-    if (!c.open || !gen_matches(e.desc.cookie, c.gen)) continue;
-    if (c.rsp_inflight) --c.rsp_inflight;
+    Conn* c = conn_for(e.vi, e.desc.cookie);
+    if (c == nullptr) continue;
+    const auto conn_id = static_cast<std::uint32_t>(c - conns_.data());
+    if (c->rsp_inflight) --c->rsp_inflight;
     if (e.desc.status == via::DescStatus::ErrDisconnected) {
       // The peer vanished mid-pipeline: reclaim everything it held, now.
       ++stats_.send_errors;

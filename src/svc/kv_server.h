@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/reg_cache.h"
@@ -169,7 +170,7 @@ class KvServer {
     std::unique_ptr<core::RegistrationCache> cache;
     simkern::VAddr arena = 0;
     std::uint64_t arena_off = 0;  ///< bump pointer
-    std::map<std::uint64_t, Value> store;
+    std::unordered_map<std::uint64_t, Value> store;
     // Churn recycling: VIs are NIC-permanent and ring memory stays mapped,
     // so both are free lists rather than ever-growing allocations.
     std::vector<via::ViId> free_vis;
@@ -254,7 +255,7 @@ class KvServer {
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<Conn> conns_;
   std::vector<std::uint32_t> free_conns_;
-  std::map<via::ViId, std::uint32_t> vi_to_conn_;
+  ViConnTable vi_to_conn_;
   /// RDMA-leg completion results keyed by cookie, filled by harvest_sends.
   std::map<std::uint64_t, via::DescStatus> rdma_done_;
   std::uint64_t next_rdma_seq_ = 0;

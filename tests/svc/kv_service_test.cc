@@ -1,16 +1,83 @@
 // kv_service_test - functional contract of the zero-copy KV service tier:
 // inline vs rendezvous data paths, pipelined batching, governed admission
-// shedding, and the teardown-accounting regression (an abrupt mid-pipeline
-// disconnect strands neither pinned frames nor governor charge).
+// shedding, the teardown-accounting regression (an abrupt mid-pipeline
+// disconnect strands neither pinned frames nor governor charge), stale
+// completions skipped by both sides, and fill_value against its bytewise
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "svc_util.h"
 
 namespace vialock::svc {
 namespace {
+
+/// fill_value's byte-at-a-time definition, kept as the reference the
+/// word-at-a-time version must reproduce byte for byte.
+void fill_value_bytewise(std::span<std::byte> out, std::uint64_t key,
+                         std::uint64_t seed) {
+  std::uint64_t x = seed ^ (key * 0x9E3779B97F4A7C15ULL);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i % 8 == 0) {
+      x += 0x9E3779B97F4A7C15ULL;
+      std::uint64_t z = x;
+      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+      x = z ^ (z >> 31);
+    }
+    out[i] = static_cast<std::byte>((x >> ((i % 8) * 8)) & 0xFF);
+  }
+}
+
+TEST(KvFillValue, MatchesTheBytewiseReference) {
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {0, 0}, {7, KvRig::kValueSeed}, {~0ULL, 0x0123456789ABCDEFULL}};
+  for (const auto& [key, seed] : cases) {
+    for (const std::size_t len :
+         {0u, 1u, 7u, 8u, 9u, 255u, 256u, 4095u, 4096u}) {
+      std::vector<std::byte> want(len);
+      fill_value_bytewise(want, key, seed);
+      // Pre-filled, so a byte fill_value skips shows as a mismatch.
+      std::vector<std::byte> got(len, std::byte{0xA5});
+      KvClient::fill_value(got, key, seed);
+      EXPECT_EQ(got, want) << "key " << key << " seed " << seed << " len "
+                           << len;
+    }
+  }
+}
+
+/// The receive CQ the KvClient or KvServer on `nic` routes every VI to.
+via::CqId recv_cq_of(via::Nic& nic) {
+  for (via::ViId vi = 0; nic.vi_exists(vi); ++vi)
+    if (nic.vi(vi).recv_cq != via::kInvalidCq) return nic.vi(vi).recv_cq;
+  ADD_FAILURE() << "no VI with a receive CQ";
+  return via::kInvalidCq;
+}
+
+/// Land one clean receive completion on `node`'s receive CQ from a VI no
+/// connection ever owned. The VI is new, so its id lies past every id in
+/// the owner's connection table.
+void land_foreign_completion(via::Cluster& cluster, via::NodeId node,
+                             via::NodeId peer) {
+  via::Nic& nic = cluster.node(node).nic();
+  const via::ViId vi = nic.create_vi(/*tag=*/1);
+  const via::ViId peer_vi = cluster.node(peer).nic().create_vi(/*tag=*/1);
+  ASSERT_TRUE(ok(nic.attach_recv_cq(vi, recv_cq_of(nic))));
+  ASSERT_TRUE(ok(cluster.fabric().connect(node, vi, peer, peer_vi)));
+  ASSERT_TRUE(ok(nic.post_recv(vi, via::Descriptor{})));
+  via::Nic::Packet pkt;
+  pkt.src_node = peer;
+  pkt.src_vi = peer_vi;
+  pkt.dst_vi = vi;
+  pkt.op = via::DescOp::Send;
+  ASSERT_EQ(nic.deliver(pkt, nullptr), via::DescStatus::Done);
+}
 
 TEST_F(KvBox, InlineRoundTripServesPutAndGet) {
   const std::uint32_t t = server->add_tenant({"t0", 256,
@@ -195,6 +262,69 @@ TEST_F(KvBox, ConnectionChurnRecyclesEverything) {
   EXPECT_EQ(server->stats().conns_accepted, 6u);
   EXPECT_EQ(server->stats().conns_closed, 6u);
   EXPECT_EQ(server->tenant_keys(t), 6u);
+}
+
+TEST_F(KvBox, ClientSkipsCompletionsOfUnknownVis) {
+  const std::uint32_t t = server->add_tenant({"t0", 256,
+                                              pinmgr::QosTier::Guaranteed});
+  std::uint32_t conn = 0;
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+  ASSERT_EQ(put_now(conn, 3, 64).status, KvStatus::Ok);
+
+  // A reply that lands after its connection was torn down.
+  std::uint64_t req_id = 0;
+  ASSERT_TRUE(ok(client->get(conn, 3, req_id)));
+  (void)client->flush(conn);
+  while (server->service() != 0) {
+  }
+  const std::uint32_t sc = client->server_conn(conn);
+  ASSERT_TRUE(ok(client->close(conn)));
+  ASSERT_TRUE(ok(server->close(sc)));
+  std::vector<KvResult> out;
+  EXPECT_EQ(client->harvest(out), 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(client->stats().stale_completions, 1u);
+
+  // A completion from a VI past the end of the connection table.
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+  ASSERT_NO_FATAL_FAILURE(land_foreign_completion(*cluster, cn, sn));
+  EXPECT_EQ(client->harvest(out), 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(client->stats().stale_completions, 2u);
+
+  // Neither touched the live connection.
+  EXPECT_EQ(client->inflight(conn), 0u);
+  const KvResult got = get_now(conn, 3);
+  EXPECT_EQ(got.status, KvStatus::Ok);
+  EXPECT_TRUE(got.data_ok);
+  EXPECT_EQ(client->stats().stale_completions, 2u);
+}
+
+TEST_F(KvBox, ServerDropsCompletionsOfUnknownVis) {
+  const std::uint32_t t = server->add_tenant({"t0", 256,
+                                              pinmgr::QosTier::Guaranteed});
+  std::uint32_t conn = 0;
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+
+  // A request that lands after its connection was torn down.
+  stage_put(conn, 9, 64);
+  (void)client->flush(conn);
+  server->abandon(client->server_conn(conn));
+  ASSERT_TRUE(ok(client->abandon(conn)));
+  EXPECT_EQ(server->service(), 0u);
+  EXPECT_EQ(server->stats().requests_dropped, 1u);
+
+  // A completion from a VI past the end of the connection table.
+  ASSERT_TRUE(ok(client->connect(*server, t, conn)));
+  ASSERT_NO_FATAL_FAILURE(land_foreign_completion(*cluster, sn, cn));
+  EXPECT_EQ(server->service(), 0u);
+  EXPECT_EQ(server->stats().requests_dropped, 2u);
+
+  // Neither touched the live connection.
+  EXPECT_EQ(server->open_conns(), 1u);
+  EXPECT_EQ(put_now(conn, 9, 64).status, KvStatus::Ok);
+  EXPECT_EQ(server->stats().requests, 1u);
+  EXPECT_EQ(server->stats().requests_dropped, 2u);
 }
 
 }  // namespace
