@@ -1,19 +1,22 @@
 // bench_host_microbench - google-benchmark timings of the simulator itself
 // (host wall-clock, not virtual time): how fast the substrate executes fault
-// handling, registration, reclaim, transfers, host set-up and a telemetry
-// sampler tick.
+// handling, registration, reclaim, transfers, host set-up, a telemetry
+// sampler tick, and the svc tier's value checksum and fill.
 // Useful for keeping the experiment binaries quick; unrelated to the
 // paper's claims.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "experiments/pressure.h"
+#include "fault/fault.h"
 #include "msg/transport.h"
 #include "obs/sampler.h"
+#include "svc/kv_client.h"
 #include "via/node.h"
 
 namespace vialock {
@@ -179,6 +182,31 @@ void BM_SamplerTick(benchmark::State& state) {
                           static_cast<std::int64_t>(emissions));
 }
 BENCHMARK(BM_SamplerTick)->Unit(benchmark::kMicrosecond);
+
+// The svc tier's per-byte host work: the end-to-end value checksum both
+// sides compute, and the client's synthetic value fill.
+void BM_Checksum32(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  svc::KvClient::fill_value(buf, 1, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::DoNotOptimize(fault::checksum32(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Checksum32)->Arg(256)->Arg(4096);
+
+void BM_FillValue(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t key = 0;
+  for (auto _ : state) {
+    svc::KvClient::fill_value(buf, key++, 2);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FillValue)->Arg(4096);
 
 }  // namespace
 }  // namespace vialock
