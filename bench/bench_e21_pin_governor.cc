@@ -290,11 +290,8 @@ PressureRunResult run_tenants(bool governed) {
   if (gov != nullptr) {
     r.reclaim_pages = gov->stats().reclaim_pages;
     r.tenants = gov->tenants();
-    r.clean_exit = gov->total_charged() == 0 && kern.pinned_frames() == 0 &&
-                   kern.self_check().empty();
-  } else {
-    r.clean_exit = kern.pinned_frames() == 0 && kern.self_check().empty();
   }
+  r.clean_exit = node.quiescent().empty() && kern.self_check().empty();
   r.metrics = obs::to_proc_text(kern.metrics().snapshot());
   r.elapsed = clock.now();
   return r;

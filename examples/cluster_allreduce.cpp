@@ -2,11 +2,13 @@
 // FEM/CFD message-passing workload the SFB 393 collection exists to serve.
 // Each rank updates a local vector, the cluster allreduces the residual, and
 // a broadcast ships updated coefficients - all over reliably locked VIA
-// memory. Exits 1 if any rank's reduced vector diverges.
+// memory. Exits 1 if any rank's reduced vector diverges, or if a node still
+// holds a pin once the communicator is gone.
 //
 //   ./build/examples/cluster_allreduce
 #include <cstdio>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mp/collectives.h"
@@ -14,18 +16,27 @@
 
 using namespace vialock;
 
-int main() {
-  constexpr mp::Rank kRanks = 4;
+namespace {
+
+constexpr mp::Rank kRanks = 4;
+
+/// 1 if any node still holds pins, TPT entries or governor charge (each
+/// violation is printed to stderr), else `rc`.
+int check_quiescent(via::Cluster& cluster, int rc) {
+  for (std::size_t n = 0; n < cluster.size(); ++n) {
+    for (const std::string& v :
+         cluster.node(static_cast<via::NodeId>(n)).quiescent()) {
+      std::fprintf(stderr, "node %zu: %s\n", n, v.c_str());
+      rc = 1;
+    }
+  }
+  return rc;
+}
+
+int solve(via::Cluster& cluster, const std::vector<via::NodeId>& nodes) {
   constexpr std::uint32_t kLocal = 64;           // u64s per rank
   constexpr std::uint64_t kScratch = 32 * 1024;  // allreduce/barrier scratch
 
-  via::Cluster cluster;
-  std::vector<via::NodeId> nodes;
-  for (mp::Rank r = 0; r < kRanks; ++r) {
-    via::NodeSpec spec;
-    spec.policy = via::PolicyKind::Kiobuf;
-    nodes.push_back(cluster.add_node(spec));
-  }
   mp::Comm::Config cfg;
   cfg.heap_bytes = 256 * 1024;
   mp::Comm comm(cluster, nodes, cfg);
@@ -73,4 +84,17 @@ int main() {
   std::printf("  virtual time : %.2f ms\n",
               static_cast<double>(cluster.clock().now()) / 1e6);
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  via::Cluster cluster;
+  std::vector<via::NodeId> nodes;
+  for (mp::Rank r = 0; r < kRanks; ++r) {
+    via::NodeSpec spec;
+    spec.policy = via::PolicyKind::Kiobuf;
+    nodes.push_back(cluster.add_node(spec));
+  }
+  return check_quiescent(cluster, solve(cluster, nodes));
 }

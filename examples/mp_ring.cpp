@@ -1,29 +1,41 @@
 // mp_ring.cpp - token ring over the MPI-flavoured layer: nonblocking
 // receives, tag matching, and an ANY_SOURCE collector, exercising the
-// posted/unexpected matching machinery end to end.
+// posted/unexpected matching machinery end to end. Exits 1 if the token
+// or the reports come out wrong, or if a node still holds a pin once the
+// communicator is gone.
 //
 //   ./build/examples/mp_ring
 #include <cstdio>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mp/comm.h"
 
 using namespace vialock;
 
-int main() {
-  constexpr mp::Rank kRanks = 4;
+namespace {
+
+constexpr mp::Rank kRanks = 4;
+
+/// 1 if any node still holds pins, TPT entries or governor charge (each
+/// violation is printed to stderr), else `rc`.
+int check_quiescent(via::Cluster& cluster, int rc) {
+  for (std::size_t n = 0; n < cluster.size(); ++n) {
+    for (const std::string& v :
+         cluster.node(static_cast<via::NodeId>(n)).quiescent()) {
+      std::fprintf(stderr, "node %zu: %s\n", n, v.c_str());
+      rc = 1;
+    }
+  }
+  return rc;
+}
+
+int ring(via::Cluster& cluster, const std::vector<via::NodeId>& nodes) {
   constexpr int kLaps = 5;
   constexpr std::int32_t kTokenTag = 1;
   constexpr std::int32_t kReportTag = 2;
 
-  via::Cluster cluster;
-  std::vector<via::NodeId> nodes;
-  for (mp::Rank r = 0; r < kRanks; ++r) {
-    via::NodeSpec spec;
-    spec.policy = via::PolicyKind::Kiobuf;
-    nodes.push_back(cluster.add_node(spec));
-  }
   mp::Comm comm(cluster, nodes);
   if (!ok(comm.init())) {
     std::puts("comm init failed");
@@ -84,4 +96,17 @@ int main() {
               static_cast<unsigned long long>(st.expected_msgs),
               static_cast<unsigned long long>(st.unexpected_msgs));
   return final_token == kLaps * kRanks && reports == kRanks - 1 ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  via::Cluster cluster;
+  std::vector<via::NodeId> nodes;
+  for (mp::Rank r = 0; r < kRanks; ++r) {
+    via::NodeSpec spec;
+    spec.policy = via::PolicyKind::Kiobuf;
+    nodes.push_back(cluster.add_node(spec));
+  }
+  return check_quiescent(cluster, ring(cluster, nodes));
 }

@@ -3,9 +3,12 @@
 // control messages and large data blocks, letting the protocol switch and
 // the registration cache do their jobs - the scenario the paper's
 // introduction motivates ("the buffers must be registered on the fly").
+// Exits 1 if a block arrives damaged, or if a node still holds a pin once
+// the channel is gone.
 //
 //   ./build/examples/zero_copy_pipeline
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "msg/transport.h"
@@ -13,15 +16,22 @@
 
 using namespace vialock;
 
-int main() {
-  via::Cluster cluster;
-  via::NodeSpec spec;
-  spec.kernel.frames = 4096;
-  spec.nic.tpt_entries = 4096;
-  spec.policy = via::PolicyKind::Kiobuf;
-  const auto n0 = cluster.add_node(spec);
-  const auto n1 = cluster.add_node(spec);
+namespace {
 
+/// 1 if any node still holds pins, TPT entries or governor charge (each
+/// violation is printed to stderr), else `rc`.
+int check_quiescent(via::Cluster& cluster, int rc) {
+  for (std::size_t n = 0; n < cluster.size(); ++n) {
+    for (const std::string& v :
+         cluster.node(static_cast<via::NodeId>(n)).quiescent()) {
+      std::fprintf(stderr, "node %zu: %s\n", n, v.c_str());
+      rc = 1;
+    }
+  }
+  return rc;
+}
+
+int pipeline(via::Cluster& cluster, via::NodeId n0, via::NodeId n1) {
   msg::Channel::Config cfg;
   cfg.user_heap_bytes = 4ULL << 20;
   msg::Channel channel(cluster, n0, n1, cfg);
@@ -78,4 +88,17 @@ int main() {
   std::printf("  virtual time      : %.2f ms\n",
               static_cast<double>(cluster.clock().now()) / 1e6);
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  via::Cluster cluster;
+  via::NodeSpec spec;
+  spec.kernel.frames = 4096;
+  spec.nic.tpt_entries = 4096;
+  spec.policy = via::PolicyKind::Kiobuf;
+  const auto n0 = cluster.add_node(spec);
+  const auto n1 = cluster.add_node(spec);
+  return check_quiescent(cluster, pipeline(cluster, n0, n1));
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "obs/span.h"
+#include "via/slot_ring.h"
 
 namespace vialock::mp {
 
@@ -63,8 +64,7 @@ struct Comm::Side {
   struct Link {
     // Remote (VIA) path:
     via::ViId vi = via::kInvalidVi;
-    VAddr slots = 0;  ///< credits recv slots + 1 send staging slot
-    via::MemHandle slots_mh;
+    via::SlotRing slots;  ///< credits recv slots + 1 send staging slot
     // Local (shared-memory) path:
     bool local = false;
     simkern::ShmId shm = simkern::kInvalidShm;
@@ -105,6 +105,17 @@ Comm::~Comm() {
   // Owner-checked: a later Comm that took the name over keeps it.
   if (!nodes_.empty()) {
     cluster_.node(nodes_[0]).kernel().metrics().unregister_source("mp", this);
+  }
+  // Each rank disconnects its links, drops its slot rings and its cache's
+  // registrations, and its task - created here - goes too.
+  for (Rank r = 0; r < sides_.size(); ++r) {
+    via::Node& node = cluster_.node(nodes_[r]);
+    const Pid pid = sides_[r]->pid;
+    for (const Side::Link& link : sides_[r]->links)
+      (void)cluster_.fabric().disconnect(nodes_[r], link.vi);
+    sides_[r].reset();
+    node.agent().release_tenant(pid);
+    node.kernel().exit_task(pid);
   }
 }
 
@@ -235,45 +246,23 @@ KStatus Comm::ensure_link(Rank i, Rank j) {
         std::make_unique<std::array<std::deque<std::uint32_t>, 2>>());
     return KStatus::Ok;
   }
+  // Each end: its VI, and a ring over the link memory with the receive
+  // credits posted behind one doorbell.
   for (const Rank r : {i, j}) {
     Side& s = *sides_[r];
-    const Rank peer = r == i ? j : i;
-    via::Node& node = cluster_.node(nodes_[r]);
-    const auto slots = node.kernel().sys_mmap_anon(s.pid, link_bytes, prot);
+    Side::Link& link = s.links[r == i ? j : i];
+    const auto slots =
+        cluster_.node(nodes_[r]).kernel().sys_mmap_anon(s.pid, link_bytes, prot);
     if (!slots) return KStatus::NoMem;
-    Side::Link& link = s.links[peer];
-    link.slots = *slots;
-    if (const KStatus st =
-            s.vipl.register_mem(link.slots, link_bytes, link.slots_mh);
+    if (const KStatus st = s.vipl.create_vi(link.vi); !ok(st)) return st;
+    if (const KStatus st = link.slots.open(s.vipl, link.vi, *slots, link_bytes,
+                                           slot, 0, config_.eager_credits);
         !ok(st)) {
       return st;
     }
-    if (const KStatus st = s.vipl.create_vi(link.vi); !ok(st)) return st;
   }
-  if (const KStatus st =
-          cluster_.fabric().connect(nodes_[i], sides_[i]->links[j].vi,
-                                    nodes_[j], sides_[j]->links[i].vi);
-      !ok(st)) {
-    return st;
-  }
-  // Pre-post the receive credits on both ends - one gather-list doorbell
-  // arms the whole credit ring per side.
-  for (const Rank r : {i, j}) {
-    Side& s = *sides_[r];
-    const Rank peer = r == i ? j : i;
-    Side::Link& link = s.links[peer];
-    std::vector<via::Vipl::RecvPost> posts;
-    posts.reserve(config_.eager_credits);
-    for (std::uint32_t c = 0; c < config_.eager_credits; ++c) {
-      posts.push_back({link.slots_mh,
-                       link.slots + static_cast<std::uint64_t>(c) * slot, slot,
-                       /*cookie=*/c});
-    }
-    if (const KStatus st = s.vipl.post_recv_batch(link.vi, posts); !ok(st)) {
-      return st;
-    }
-  }
-  return KStatus::Ok;
+  return cluster_.fabric().connect(nodes_[i], sides_[i]->links[j].vi,
+                                   nodes_[j], sides_[j]->links[i].vi);
 }
 
 bool Comm::has_direct_link(Rank a, Rank b) const {
@@ -333,8 +322,7 @@ KStatus Comm::push_raw(Rank from, Rank to, const WireHeader& header,
                                  config_.eager_credits +
                              idx) *
                                 slot
-          : link.slots + static_cast<std::uint64_t>(config_.eager_credits) *
-                             slot;
+          : link.slots.addr(config_.eager_credits);
   if (link.local) link.next_slot = (idx + 1) % config_.eager_credits;
   if (const KStatus st = kern.write_user(s.pid, slot_addr, bytes_of(header));
       !ok(st)) {
@@ -358,7 +346,7 @@ KStatus Comm::push_raw(Rank from, Rank to, const WireHeader& header,
     return KStatus::Ok;
   }
   if (const KStatus st = s.vipl.post_send(
-          link.vi, link.slots_mh, slot_addr,
+          link.vi, link.slots.handle(), slot_addr,
           static_cast<std::uint32_t>(sizeof(WireHeader)) + payload);
       !ok(st)) {
     return st;
@@ -606,9 +594,7 @@ bool Comm::drain(Rank rank) {
       if (!rc) break;
       if (!rc->done_ok()) continue;  // connection error: drop
       const auto slot_idx = static_cast<std::uint32_t>(rc->cookie);
-      const VAddr slot_addr =
-          link.slots +
-          static_cast<std::uint64_t>(slot_idx) * config_.eager_slot_size;
+      const VAddr slot_addr = link.slots.addr(slot_idx);
       WireHeader header;
       if (!ok(kern.read_user(s.pid, slot_addr,
                              std::as_writable_bytes(std::span{&header, 1})))) {
@@ -617,8 +603,7 @@ bool Comm::drain(Rank rank) {
       activity = true;
       process_arrival(rank, header, slot_addr);
       // Re-arm the consumed slot.
-      (void)s.vipl.post_recv(link.vi, link.slots_mh, slot_addr,
-                             config_.eager_slot_size, slot_idx);
+      (void)link.slots.repost(slot_idx);
     }
   }
   return activity;

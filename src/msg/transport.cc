@@ -9,6 +9,7 @@
 
 #include "msg/wire.h"
 #include "via/remote_window.h"
+#include "via/slot_ring.h"
 
 namespace vialock::msg {
 
@@ -84,27 +85,14 @@ struct Channel::Side {
                     ///< so they cannot identify the side)
   via::Vipl vipl;
   via::ViId vi = via::kInvalidVi;
-  VAddr slots = 0;          ///< eager bounce buffer array
-  MemHandle slots_mh;       ///< its registration
-  std::uint32_t num_slots = 0;
-  std::uint32_t slot_size = 0;
-  MemHandle heap_mh;        ///< whole-heap registration (Preregistered mode)
-  bool heap_registered = false;
+  via::SlotRing slots;  ///< eager bounce slots, every one posted
+  via::SlotRing heap;   ///< whole-heap registration (Preregistered mode)
   std::unique_ptr<core::RegistrationCache> cache;
   std::map<std::uint64_t, via::RemoteWindow> imports;  ///< PIO import cache
   // Reliable-delivery state: sequence numbers this side assigns to frames it
   // originates, and the next sequence number it expects to receive.
   std::uint32_t send_seq = 0;
   std::uint32_t recv_expected = 0;
-
-  [[nodiscard]] VAddr slot_addr(std::uint32_t i) const {
-    return slots + static_cast<std::uint64_t>(i) * slot_size;
-  }
-
-  /// Re-arm receive descriptor for slot `i`.
-  [[nodiscard]] KStatus repost(std::uint32_t i) {
-    return vipl.post_recv(vi, slots_mh, slot_addr(i), slot_size, /*cookie=*/i);
-  }
 };
 
 Channel::Channel(via::Cluster& cluster, via::NodeId sender,
@@ -118,6 +106,20 @@ Channel::~Channel() {
   if (!source_name_.empty()) {
     sender_node().kernel().metrics().unregister_source(source_name_, this);
   }
+  // Disconnect first, then drop each side: its cache's registrations, the
+  // heap and the slot ring. Tasks the channel created go with it.
+  if (src_) (void)cluster_.fabric().disconnect(sender_id_, src_->vi);
+  src_.reset();
+  dst_.reset();
+  const auto exit_own = [](via::Node& node, simkern::Pid configured,
+                           simkern::Pid pid) {
+    if (configured != simkern::kInvalidPid || pid == simkern::kInvalidPid)
+      return;
+    node.agent().release_tenant(pid);
+    node.kernel().exit_task(pid);
+  };
+  exit_own(sender_node(), config_.sender_pid, src_pid_);
+  exit_own(receiver_node(), config_.receiver_pid, dst_pid_);
 }
 
 KStatus Channel::init() {
@@ -150,8 +152,6 @@ KStatus Channel::init() {
                                         ? via::ViAttributes::unreliable()
                                         : via::ViAttributes::reliable();
     if (const KStatus st = s->vipl.create_vi(s->vi, attrs); !ok(st)) return st;
-    s->slot_size = config_.eager_slot_size;
-    s->num_slots = config_.eager_credits;
   }
   if (const KStatus st = cluster_.fabric().connect(sender_id_, src_->vi,
                                                    receiver_id_, dst_->vi);
@@ -160,32 +160,15 @@ KStatus Channel::init() {
   }
 
   // Eager bounce buffers: mmap + register once, pre-post all receive slots.
-  struct SideSetup {
-    Side* side;
-    via::Node* node;
-    simkern::Pid pid;
-  };
-  for (auto [side, node, pid] : {SideSetup{src_.get(), &sn, src_pid_},
-                                 SideSetup{dst_.get(), &rn, dst_pid_}}) {
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(side->slot_size) * side->num_slots;
-    const auto addr = node->kernel().sys_mmap_anon(pid, bytes, prot);
+  const std::uint64_t bytes =
+      std::uint64_t{config_.eager_slot_size} * config_.eager_credits;
+  for (Side* side : {src_.get(), dst_.get()}) {
+    const auto addr = side->host.kernel().sys_mmap_anon(side->vipl.pid(),
+                                                        bytes, prot);
     if (!addr) return KStatus::NoMem;
-    side->slots = *addr;
-    if (const KStatus st = side->vipl.register_mem(side->slots, bytes,
-                                                   side->slots_mh);
-        !ok(st)) {
-      return st;
-    }
-    // Pre-post every receive slot with one gather-list submission: a single
-    // doorbell arms the whole ring instead of one PCI write per slot.
-    std::vector<via::Vipl::RecvPost> posts;
-    posts.reserve(side->num_slots);
-    for (std::uint32_t i = 0; i < side->num_slots; ++i) {
-      posts.push_back({side->slots_mh, side->slot_addr(i), side->slot_size,
-                       /*cookie=*/i});
-    }
-    if (const KStatus st = side->vipl.post_recv_batch(side->vi, posts);
+    if (const KStatus st =
+            side->slots.open(side->vipl, side->vi, *addr, bytes,
+                             config_.eager_slot_size, 0, config_.eager_credits);
         !ok(st)) {
       return st;
     }
@@ -195,17 +178,15 @@ KStatus Channel::init() {
   }
 
   if (config_.preregister_heaps) {
-    if (const KStatus st = src_->vipl.register_mem(
-            src_heap_, config_.user_heap_bytes, src_->heap_mh);
-        !ok(st)) {
-      return st;
+    for (auto [side, heap] : {std::pair{src_.get(), src_heap_},
+                              std::pair{dst_.get(), dst_heap_}}) {
+      if (const KStatus st =
+              side->heap.open(side->vipl, side->vi, heap,
+                              config_.user_heap_bytes, 0, 0, 0);
+          !ok(st)) {
+        return st;
+      }
     }
-    if (const KStatus st = dst_->vipl.register_mem(
-            dst_heap_, config_.user_heap_bytes, dst_->heap_mh);
-        !ok(st)) {
-      return st;
-    }
-    src_->heap_registered = dst_->heap_registered = true;
   }
 
   // Publish the channel's counters on the sender node's registry (one node
@@ -265,8 +246,8 @@ KStatus Channel::harvest(Side& from, Side& to, std::uint32_t& slot) {
 
 KStatus Channel::send_slot0(Side& from, Side& to, std::uint32_t len,
                             std::uint32_t& slot) {
-  if (const KStatus st = from.vipl.post_send(from.vi, from.slots_mh,
-                                             from.slot_addr(0), len);
+  if (const KStatus st = from.vipl.post_send(from.vi, from.slots.handle(),
+                                             from.slots.addr(0), len);
       !ok(st)) {
     return st;
   }
@@ -275,13 +256,13 @@ KStatus Channel::send_slot0(Side& from, Side& to, std::uint32_t len,
 
 KStatus Channel::eager_push(Side& from, Side& to,
                             std::span<const std::byte> msg) {
-  assert(msg.size() <= from.slot_size);
+  assert(msg.size() <= config_.eager_slot_size);
   // Copy into the sender's bounce slot 0 (single in-flight message in the
   // synchronous model) via one user-space copy... except the source here is
   // library-internal bytes, so write_user models the copy into the
   // registered buffer.
   if (const KStatus st = from.host.kernel().write_user(from.vipl.pid(),
-                                                       from.slot_addr(0), msg);
+                                                       from.slots.addr(0), msg);
       !ok(st)) {
     return st;
   }
@@ -293,7 +274,7 @@ KStatus Channel::eager_push(Side& from, Side& to,
     return st;
   }
   // Re-arm the consumed slot.
-  return to.repost(slot);
+  return to.slots.repost(slot);
 }
 
 KStatus Channel::eager(std::uint64_t src_off, std::uint64_t dst_off,
@@ -304,7 +285,7 @@ KStatus Channel::eager(std::uint64_t src_off, std::uint64_t dst_off,
 
   // Sender: one copy user buffer -> registered bounce slot.
   if (const KStatus st =
-          sk.copy_user(src_pid_, src_->slot_addr(0), src_heap_ + src_off, len);
+          sk.copy_user(src_pid_, src_->slots.addr(0), src_heap_ + src_off, len);
       !ok(st)) {
     return st;
   }
@@ -315,11 +296,11 @@ KStatus Channel::eager(std::uint64_t src_off, std::uint64_t dst_off,
 
   // Receiver: one copy bounce slot -> user buffer, then re-arm the slot.
   if (const KStatus st = rk.copy_user(dst_pid_, dst_heap_ + dst_off,
-                                      dst_->slot_addr(slot), len);
+                                      dst_->slots.addr(slot), len);
       !ok(st)) {
     return st;
   }
-  if (const KStatus st = dst_->repost(slot); !ok(st)) return st;
+  if (const KStatus st = dst_->slots.repost(slot); !ok(st)) return st;
 
   ++stats_.eager_msgs;
   stats_.bytes_moved += len;
@@ -398,11 +379,11 @@ bool Channel::send_ack(Side& acker, Side& waiter, std::uint32_t seq) {
   static_cast<void>(wire::store_pod(frame, hdr));  // frame is sized exactly
 
   ++stats_.frames_sent;
-  if (!ok(acker.host.kernel().write_user(acker.vipl.pid(), acker.slot_addr(0),
+  if (!ok(acker.host.kernel().write_user(acker.vipl.pid(), acker.slots.addr(0),
                                          frame))) {
     return false;
   }
-  if (!ok(acker.vipl.post_send(acker.vi, acker.slots_mh, acker.slot_addr(0),
+  if (!ok(acker.vipl.post_send(acker.vi, acker.slots.handle(), acker.slots.addr(0),
                                sizeof(FrameHeader)))) {
     return false;
   }
@@ -420,8 +401,8 @@ bool Channel::send_ack(Side& acker, Side& waiter, std::uint32_t seq) {
   const bool readable =
       rc->done_ok() && rc->transferred == sizeof(FrameHeader) &&
       ok(waiter.host.kernel().read_user(waiter.vipl.pid(),
-                                        waiter.slot_addr(slot), rx));
-  if (!ok(waiter.repost(slot))) return false;
+                                        waiter.slots.addr(slot), rx));
+  if (!ok(waiter.slots.repost(slot))) return false;
   if (!readable) return false;
   FrameHeader got{};
   if (!wire::load_pod(rx, got)) return false;
@@ -436,7 +417,7 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
                                std::span<const std::byte> payload,
                                std::vector<std::byte>& out) {
   const Reliability& rel = config_.reliability;
-  if (payload.size() + sizeof(FrameHeader) > from.slot_size)
+  if (payload.size() + sizeof(FrameHeader) > config_.eager_slot_size)
     return KStatus::Inval;
 
   // The frame span covers every delivery attempt; retransmit spans open
@@ -468,13 +449,13 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
     if (attempt > 0) count_retry(from, hdr.seq, attempt);
     ++stats_.frames_sent;
     if (const KStatus st =
-            from.host.kernel().write_user(from.vipl.pid(), from.slot_addr(0), frame);
+            from.host.kernel().write_user(from.vipl.pid(), from.slots.addr(0), frame);
         !ok(st)) {
       return st;
     }
     const auto sent = send_status(
         from,
-        from.vipl.post_send(from.vi, from.slots_mh, from.slot_addr(0),
+        from.vipl.post_send(from.vi, from.slots.handle(), from.slots.addr(0),
                             static_cast<std::uint32_t>(frame.size())),
         attempt);
     if (!sent) continue;
@@ -495,8 +476,8 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
     std::vector<std::byte> rx(rc->transferred);
     const bool readable =
         rc->done_ok() &&
-        ok(to.host.kernel().read_user(to.vipl.pid(), to.slot_addr(slot), rx));
-    if (const KStatus st = to.repost(slot); !ok(st)) return st;
+        ok(to.host.kernel().read_user(to.vipl.pid(), to.slots.addr(slot), rx));
+    if (const KStatus st = to.slots.repost(slot); !ok(st)) return st;
     if (!readable) {
       charge_timeout(attempt);
       continue;
@@ -611,7 +592,7 @@ KStatus Channel::reliable_rdma(const MemHandle& src_mh, VAddr src_addr,
     // means the write was dropped in flight.
     if (const auto rc = dst_->vipl.recv_done(dst_->vi); rc) {
       if (const KStatus st =
-              dst_->repost(static_cast<std::uint32_t>(rc->cookie));
+              dst_->slots.repost(static_cast<std::uint32_t>(rc->cookie));
           !ok(st)) {
         return st;
       }
@@ -702,7 +683,7 @@ KStatus Channel::rdma_put(const MemHandle& src_mh, VAddr src_addr,
   // re-arm.
   std::uint32_t slot = 0;
   if (const KStatus st = harvest(*src_, *dst_, slot); !ok(st)) return st;
-  return dst_->repost(slot);
+  return dst_->slots.repost(slot);
 }
 
 KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
@@ -737,9 +718,11 @@ KStatus Channel::rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
 
 KStatus Channel::preregistered(std::uint64_t src_off, std::uint64_t dst_off,
                                std::uint32_t len) {
-  if (!src_->heap_registered || !dst_->heap_registered) return KStatus::Proto;
-  if (const KStatus st = rdma_put(src_->heap_mh, src_heap_ + src_off,
-                                  dst_->heap_mh, dst_heap_ + dst_off, len);
+  const MemHandle& src_mh = src_->heap.handle();
+  const MemHandle& dst_mh = dst_->heap.handle();
+  if (!src_mh.valid() || !dst_mh.valid()) return KStatus::Proto;
+  if (const KStatus st = rdma_put(src_mh, src_heap_ + src_off, dst_mh,
+                                  dst_heap_ + dst_off, len);
       !ok(st)) {
     return st;
   }

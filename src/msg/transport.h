@@ -109,9 +109,10 @@ class Channel {
     core::EvictionPolicy cache_policy = core::EvictionPolicy::Lru;
     std::uint64_t user_heap_bytes = 8ULL << 20;  ///< per-process message heap
     bool preregister_heaps = false;  ///< enable the Preregistered protocol
-    /// Existing processes to attach to (kInvalidPid: create fresh tasks).
-    /// Lets several channels share one process per node (the scenario
-    /// engine's tenant channels do this).
+    /// Existing processes to attach to (kInvalidPid: create fresh tasks,
+    /// which the channel releases and exits on destruction). Lets several
+    /// channels share one process per node (the scenario engine's tenant
+    /// channels do this).
     simkern::Pid sender_pid = simkern::kInvalidPid;
     simkern::Pid receiver_pid = simkern::kInvalidPid;
     Reliability reliability;

@@ -1158,20 +1158,13 @@ void ScenarioEngine::teardown() {
     c.held.clear();
   }
 
-  std::vector<std::pair<HostId, simkern::Pid>> infra;
-  if (comm_) {
-    for (std::uint32_t r = 0; r < spec_.hosts; ++r)
-      infra.emplace_back(r, comm_->rank_pid(r));
-    comm_.reset();
-  }
+  comm_.reset();
   // Highest (from, to) first: trace exports record teardown in this order.
   while (!channels_.empty()) channels_.pop_back();
 
   for (HostId h = 0; h < spec_.hosts; ++h)
     for (const Tenant& t : tenants_[h])
       cluster_->node(h).agent().release_tenant(t.pid);
-  for (const auto& [h, pid] : infra)
-    cluster_->node(h).agent().release_tenant(pid);
   for (HostId h = 0; h < spec_.hosts; ++h)
     if (auto* gov = cluster_->node(h).governor()) gov->flush();
 }
@@ -1194,13 +1187,8 @@ void ScenarioEngine::audit() {
   }
   for (HostId h = 0; h < spec_.hosts; ++h) {
     via::Node& node = cluster_->node(h);
-    if (auto* gov = node.governor(); gov != nullptr && gov->total_charged() != 0)
-      violation("host " + std::to_string(h) + ": governor still charges " +
-                std::to_string(gov->total_charged()) + " pages after teardown");
-    if (node.kernel().pinned_frames() != 0)
-      violation("host " + std::to_string(h) + ": " +
-                std::to_string(node.kernel().pinned_frames()) +
-                " frames still pinned after teardown");
+    for (const std::string& s : node.quiescent())
+      violation("host " + std::to_string(h) + ": " + s);
     for (const std::string& s : node.kernel().self_check())
       violation("host " + std::to_string(h) + " self-check: " + s);
   }

@@ -23,6 +23,7 @@
 
 #include "svc/kv_proto.h"
 #include "via/node.h"
+#include "via/slot_ring.h"
 #include "via/vipl.h"
 
 namespace vialock::svc {
@@ -149,30 +150,31 @@ class KvClient {
     bool rendezvous = false;
   };
 
+  /// A closed connection's VI, ring and window memory (0 when a failed
+  /// connect() could not map it).
+  struct Spare {
+    via::ViId vi = via::kInvalidVi;
+    simkern::VAddr ring = 0;
+    simkern::VAddr window = 0;
+  };
+
   struct Conn {
     bool open = false;
     std::uint32_t gen = 0;
     via::ViId vi = via::kInvalidVi;
     std::uint32_t server_conn = 0;
-    simkern::VAddr rings = 0;   ///< window request + window response slots
-    via::MemHandle rings_mh;
-    simkern::VAddr window = 0;  ///< window * value_window_bytes, RDMA-enabled
-    via::MemHandle window_mh;
+    /// `window` request then `window` response slots; the responses posted.
+    via::SlotRing rings;
+    /// One value_window_bytes slot per request slot, RDMA-enabled.
+    via::SlotRing window;
     std::uint32_t inflight = 0;
     std::vector<bool> slot_busy;
     std::map<std::uint64_t, Pending> pending;  ///< req_id -> request
     std::vector<via::Vipl::SendPost> staged;
   };
 
-  [[nodiscard]] simkern::VAddr req_slot(const Conn& c, std::uint32_t i) const {
-    return c.rings + static_cast<std::uint64_t>(i) * config_.slot_size;
-  }
   [[nodiscard]] simkern::VAddr rsp_slot(const Conn& c, std::uint32_t i) const {
-    return req_slot(c, config_.window + i);
-  }
-  [[nodiscard]] simkern::VAddr win_slot(const Conn& c, std::uint32_t i) const {
-    return c.window +
-           static_cast<std::uint64_t>(i) * config_.value_window_bytes;
+    return c.rings.addr(config_.window + i);
   }
   [[nodiscard]] std::uint64_t ring_bytes() const {
     return 2ULL * config_.window * config_.slot_size;
@@ -205,9 +207,9 @@ class KvClient {
   std::vector<Conn> conns_;
   std::vector<std::uint32_t> free_conns_;
   ViConnTable vi_to_conn_;
-  std::vector<via::ViId> free_vis_;
-  std::vector<simkern::VAddr> free_rings_;
-  std::vector<simkern::VAddr> free_windows_;
+  /// Closed connections' VIs and memory, reused by connect(): VIs are
+  /// NIC-permanent and the memory stays mapped.
+  std::vector<Spare> spares_;
   std::uint64_t next_req_id_ = 1;
   std::uint32_t next_gen_ = 1;
   std::uint32_t open_conns_ = 0;

@@ -114,6 +114,21 @@ inline constexpr std::uint64_t kRdmaBit = 1ULL << 63;
   return (cookie >> 32) == (gen & 0x7FFFFFFFu);
 }
 
+/// A reset element of `items` to reuse: an index off `free`, else a new one
+/// at the end.
+template <typename T>
+[[nodiscard]] std::uint32_t claim(std::vector<T>& items,
+                                  std::vector<std::uint32_t>& free) {
+  if (free.empty()) {
+    items.emplace_back();
+    return static_cast<std::uint32_t>(items.size() - 1);
+  }
+  const std::uint32_t id = free.back();
+  free.pop_back();
+  items[id] = T{};
+  return id;
+}
+
 /// Which connection owns each VI, for routing completions. Nic::create_vi
 /// hands out dense ids, so the map is a flat table indexed by ViId: kNoConn
 /// marks a VI with no live connection, and a ViId beyond the table (a VI

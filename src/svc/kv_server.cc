@@ -129,103 +129,69 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
     return KStatus::Again;
   }
 
-  // VI: recycle a disconnected one (the NIC never destroys VIs) or mint one.
-  via::ViId vi = via::kInvalidVi;
-  bool fresh_vi = false;
-  if (!t.free_vis.empty()) {
-    vi = t.free_vis.back();
-    t.free_vis.pop_back();
-  } else {
-    if (const KStatus st = t.vipl->create_vi(vi); !ok(st)) return st;
-    fresh_vi = true;
+  // A closed connection's VI (the NIC never destroys VIs) and ring memory
+  // are reused; what is missing is minted or mapped.
+  Spare spare;
+  if (!t.spares.empty()) {
+    spare = t.spares.back();
+    t.spares.pop_back();
   }
-
-  // Slot-ring memory: recycled across churn, mapped once per high-water conn.
-  VAddr rings = 0;
-  if (!t.free_rings.empty()) {
-    rings = t.free_rings.back();
-    t.free_rings.pop_back();
-  } else {
-    const auto a = node_.kernel().sys_mmap_anon(
-        t.pid, page_align_up(ring_bytes()),
-        simkern::VmFlag::Read | simkern::VmFlag::Write);
-    if (!a) {
-      t.free_vis.push_back(vi);
-      return KStatus::NoMem;
-    }
-    rings = *a;
+  const bool fresh_vi = spare.vi == via::kInvalidVi;
+  if (fresh_vi) {
+    if (const KStatus st = t.vipl->create_vi(spare.vi); !ok(st)) return st;
   }
-  const auto recycle = [&] {
-    t.free_vis.push_back(vi);
-    t.free_rings.push_back(rings);
-  };
+  if (spare.ring == 0) {
+    spare.ring = node_.kernel()
+                     .sys_mmap_anon(t.pid, page_align_up(ring_bytes()),
+                                    simkern::VmFlag::Read | simkern::VmFlag::Write)
+                     .value_or(0);
+  }
+  if (spare.ring == 0) {
+    t.spares.push_back(spare);
+    return KStatus::NoMem;
+  }
 
   // The registration is the governed step: this is where quota/ceiling bite.
-  MemHandle mh;
-  if (const KStatus st =
-          t.vipl->register_mem(rings, ring_bytes(), mh,
-                               via::KernelAgent::RegisterOptions::send_recv_only());
+  // The ring arms the whole request ring with one gather-list doorbell.
+  via::SlotRing ring;
+  if (const KStatus st = ring.open(
+          *t.vipl, spare.vi, spare.ring, ring_bytes(), config_.slot_size, 0,
+          config_.recv_credits, cookie_of(next_gen_, 0),
+          via::KernelAgent::RegisterOptions::send_recv_only());
       !ok(st)) {
     ++stats_.admission_rejected;
-    recycle();
+    t.spares.push_back(spare);
     return st;
   }
 
   if (fresh_vi) {
-    if (!ok(t.vipl->attach_recv_cq(vi, recv_cq_)) ||
-        !ok(t.vipl->attach_send_cq(vi, send_cq_))) {
-      (void)t.vipl->deregister_mem(mh);
-      recycle();
+    if (!ok(t.vipl->attach_recv_cq(spare.vi, recv_cq_)) ||
+        !ok(t.vipl->attach_send_cq(spare.vi, send_cq_))) {
+      t.spares.push_back(spare);
       return KStatus::Inval;
     }
   }
 
   if (const KStatus st =
-          cluster_.fabric().connect(node_id_, vi, client_node, client_vi);
+          cluster_.fabric().connect(node_id_, spare.vi, client_node, client_vi);
       !ok(st)) {
-    (void)t.vipl->deregister_mem(mh);
-    recycle();
+    t.spares.push_back(spare);
     return st;
   }
 
-  std::uint32_t id;
-  if (!free_conns_.empty()) {
-    id = free_conns_.back();
-    free_conns_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(conns_.size());
-    conns_.emplace_back();
-  }
+  const std::uint32_t id = claim(conns_, free_conns_);
   Conn& c = conns_[id];
-  c = Conn{};
   c.open = true;
   c.tenant = tenant;
   c.gen = next_gen_++;
-  c.vi = vi;
-  c.rings = rings;
-  c.rings_mh = mh;
-  vi_to_conn_.bind(vi, id);
-  {
-    // Arm the whole request ring with one gather-list doorbell.
-    std::vector<via::Vipl::RecvPost> posts;
-    posts.reserve(config_.recv_credits);
-    for (std::uint32_t i = 0; i < config_.recv_credits; ++i) {
-      posts.push_back(
-          {c.rings_mh, req_slot(c, i), config_.slot_size, cookie_of(c.gen, i)});
-    }
-    (void)tenant_of(c).vipl->post_recv_batch(c.vi, posts);
-  }
+  c.vi = spare.vi;
+  c.ring = std::move(ring);
+  vi_to_conn_.bind(spare.vi, id);
 
   ++stats_.conns_accepted;
   ++open_conns_;
   conn_out = id;
   return KStatus::Ok;
-}
-
-void KvServer::repost(Conn& c, std::uint32_t slot) {
-  Tenant& t = tenant_of(c);
-  (void)t.vipl->post_recv(c.vi, c.rings_mh, req_slot(c, slot),
-                          config_.slot_size, cookie_of(c.gen, slot));
 }
 
 KStatus KvServer::close(std::uint32_t conn) {
@@ -243,25 +209,17 @@ void KvServer::abandon(std::uint32_t conn) {
 
 void KvServer::teardown_conn(Conn& c, bool abrupt) {
   Tenant& t = tenant_of(c);
-  via::Vi& v = node_.nic().vi(c.vi);
-  if (v.connected()) (void)cluster_.fabric().disconnect(node_id_, c.vi);
-  // Discard the incarnation's posted descriptors and per-VI completions: a
-  // reused VI must not scatter a new peer's data into deregistered slots.
-  v.recv_queue.clear();
-  v.send_completed.clear();
-  v.recv_completed.clear();
-  // Eager-slot release. Under a lazy governor the dereg may be deferred -
-  // an *abrupt* teardown flushes so the dead connection's pins and charge
-  // are gone now, not at the next batch boundary.
-  (void)t.vipl->deregister_mem(c.rings_mh);
-  if (abrupt) {
-    if (auto* gov = node_.governor()) (void)gov->flush();
-  }
+  (void)cluster_.fabric().disconnect(node_id_, c.vi);  // Proto if already down
+  // The ring discards the incarnation's posted descriptors and per-VI
+  // completions before it deregisters: a reused VI must not scatter a new
+  // peer's data into deregistered slots. Under a lazy governor the dereg may
+  // be deferred - an *abrupt* teardown flushes so the dead connection's pins
+  // and charge are gone now, not at the next batch boundary.
+  t.spares.push_back({c.vi, c.ring.addr(0)});
+  c.ring.close();
+  if (auto* gov = node_.governor(); abrupt && gov) (void)gov->flush();
   vi_to_conn_.unbind(c.vi);
-  free_conns_.push_back(
-      static_cast<std::uint32_t>(&c - conns_.data()));
-  t.free_vis.push_back(c.vi);
-  t.free_rings.push_back(c.rings);
+  free_conns_.push_back(static_cast<std::uint32_t>(&c - conns_.data()));
   c.open = false;
   --open_conns_;
 }
@@ -325,13 +283,13 @@ bool KvServer::execute(std::uint32_t conn_id, std::uint32_t slot,
   std::array<std::byte, sizeof(KvRequest)> hdr{};
   const bool parsed =
       transferred >= sizeof(KvRequest) &&
-      ok(node_.kernel().read_user(t.pid, req_slot(c, slot), hdr)) &&
+      ok(node_.kernel().read_user(t.pid, c.ring.addr(slot), hdr)) &&
       msg::wire::load_pod(hdr, req) && req.magic == kReqMagic;
   if (!parsed) {
     // Unparseable header: no trustworthy req_id to answer to. Count it,
     // return the credit, and let the client's pipeline notice the gap.
     ++stats_.bad_requests;
-    repost(c, slot);
+    (void)c.ring.repost(slot);
     return false;
   }
 
@@ -353,7 +311,7 @@ bool KvServer::execute(std::uint32_t conn_id, std::uint32_t slot,
       break;
     case KvOp::Put:
       ++stats_.puts;
-      do_put(c, req, req_slot(c, slot), rsp);
+      do_put(c, req, c.ring.addr(slot), rsp);
       break;
     default:
       ++stats_.bad_requests;
@@ -372,7 +330,7 @@ bool KvServer::execute(std::uint32_t conn_id, std::uint32_t slot,
                                 static_cast<std::uint32_t>(sizeof(KvResponse)) +
                                     inline_len});
 
-  repost(c, slot);  // the request credit returns before the reply leaves
+  (void)c.ring.repost(slot);  // the credit returns before the reply leaves
   op_ns_.add(static_cast<std::uint64_t>(sw.elapsed()));
   return true;
 }
@@ -610,13 +568,13 @@ void KvServer::flush_replies(std::vector<StagedReply>& replies) {
     Tenant& t = tenant_of(c);
     if (list.size() == 1) {
       const StagedReply& r = *list.front();
-      (void)t.vipl->post_send(c.vi, c.rings_mh, rsp_slot(c, r.slot), r.len,
+      (void)t.vipl->post_send(c.vi, c.ring.handle(), rsp_slot(c, r.slot), r.len,
                               cookie_of(c.gen, r.slot));
     } else {
       std::vector<via::Vipl::SendPost> posts;
       posts.reserve(list.size());
       for (const StagedReply* r : list)
-        posts.push_back(via::Vipl::SendPost{c.rings_mh, rsp_slot(c, r->slot),
+        posts.push_back(via::Vipl::SendPost{c.ring.handle(), rsp_slot(c, r->slot),
                                             r->len, cookie_of(c.gen, r->slot)});
       (void)t.vipl->post_send_batch(c.vi, posts);
       stats_.batched_replies += posts.size();

@@ -41,6 +41,7 @@
 #include "pinmgr/pin_governor.h"
 #include "svc/kv_proto.h"
 #include "via/node.h"
+#include "via/slot_ring.h"
 #include "via/vipl.h"
 
 namespace vialock::svc {
@@ -162,6 +163,13 @@ class KvServer {
     std::uint32_t crc = 0;
   };
 
+  /// A closed connection's VI and ring memory (0 when a failed accept could
+  /// not map it).
+  struct Spare {
+    via::ViId vi = via::kInvalidVi;
+    simkern::VAddr ring = 0;
+  };
+
   struct Tenant {
     std::string name;
     pinmgr::QosTier tier = pinmgr::QosTier::BestEffort;
@@ -172,9 +180,8 @@ class KvServer {
     std::uint64_t arena_off = 0;  ///< bump pointer
     std::unordered_map<std::uint64_t, Value> store;
     // Churn recycling: VIs are NIC-permanent and ring memory stays mapped,
-    // so both are free lists rather than ever-growing allocations.
-    std::vector<via::ViId> free_vis;
-    std::vector<simkern::VAddr> free_rings;
+    // so both are reused rather than ever-growing allocations.
+    std::vector<Spare> spares;
   };
 
   struct Conn {
@@ -182,8 +189,8 @@ class KvServer {
     std::uint32_t tenant = 0;
     std::uint32_t gen = 0;  ///< distinguishes reincarnations on a reused VI
     via::ViId vi = via::kInvalidVi;
-    simkern::VAddr rings = 0;
-    via::MemHandle rings_mh;
+    /// Request slots (posted) then response slots, in one registration.
+    via::SlotRing ring;
     std::uint32_t next_rsp = 0;      ///< round-robin reply slot cursor
     std::uint32_t rsp_inflight = 0;  ///< replies posted, completion not seen
   };
@@ -197,11 +204,8 @@ class KvServer {
   };
 
   [[nodiscard]] Tenant& tenant_of(const Conn& c) { return *tenants_[c.tenant]; }
-  [[nodiscard]] simkern::VAddr req_slot(const Conn& c, std::uint32_t i) const {
-    return c.rings + static_cast<std::uint64_t>(i) * config_.slot_size;
-  }
   [[nodiscard]] simkern::VAddr rsp_slot(const Conn& c, std::uint32_t i) const {
-    return req_slot(c, config_.recv_credits + i);
+    return c.ring.addr(config_.recv_credits + i);
   }
   [[nodiscard]] std::uint64_t ring_bytes() const {
     return 2ULL * config_.recv_credits * config_.slot_size;
@@ -213,8 +217,6 @@ class KvServer {
   /// One service cycle; fills `harvested` with the recv completions drained
   /// (so drain() can tell "no work executed" from "queue empty").
   std::uint32_t service_once(std::uint32_t& harvested);
-  /// Re-post the request slot's receive descriptor (returns the credit).
-  void repost(Conn& c, std::uint32_t slot);
   /// Execute one request from `slot`; stages the reply. Returns false when
   /// the header was unparseable (no reply possible).
   bool execute(std::uint32_t conn_id, std::uint32_t slot,

@@ -54,6 +54,22 @@ class Node {
   }
   [[nodiscard]] pinmgr::PinGovernor* governor() { return governor_.get(); }
 
+  /// What the node still holds once every layer on it is gone: governor
+  /// charge, pinned frames and live TPT entries, one violation each. Empty
+  /// when the node is quiescent.
+  [[nodiscard]] std::vector<std::string> quiescent() const {
+    std::vector<std::string> out;
+    const auto held = [&out](std::uint64_t n, std::string before,
+                             std::string after) {
+      if (n != 0) out.push_back(before + std::to_string(n) + after);
+    };
+    held(governor_ ? governor_->total_charged() : 0, "governor still charges ",
+         " pages after teardown");
+    held(kernel_.pinned_frames(), "", " frames still pinned after teardown");
+    held(nic_.tpt().used(), "", " TPT entries still live after teardown");
+    return out;
+  }
+
   /// Arm fault injection on this node's kernel, NIC, kernel agent, and
   /// governor (nullptr disarms).
   void set_fault_engine(fault::FaultEngine* engine) {

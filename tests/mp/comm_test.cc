@@ -223,6 +223,7 @@ TEST(Comm, FailedLongReceiveReleasesTheSender) {
       EXPECT_EQ(comm.wait(r), max_len >= kLen);
       EXPECT_TRUE(comm.wait(s)) << "the FIN must complete the sender";
     }
+    for (const via::NodeId n : nodes) test::expect_quiescent(cluster.node(n));
     return cluster.node(nodes[0]).kernel().pinned_frames();
   };
   EXPECT_EQ(sender_pins_after(1024), sender_pins_after(kLen));
@@ -231,13 +232,16 @@ TEST(Comm, FailedLongReceiveReleasesTheSender) {
   via::Cluster cluster;
   const via::NodeId n = cluster.add_node(test::small_node(
       via::PolicyKind::Kiobuf, /*frames=*/2048, /*tpt_entries=*/2048));
-  Comm comm(cluster, {n, n});
-  ASSERT_TRUE(ok(comm.init()));
-  ASSERT_TRUE(comm.uses_shm(0, 1));
-  ASSERT_TRUE(ok(comm.stage(0, 0, payload)));
-  const ReqId s = comm.isend(0, 1, 3, 0, kLen);
-  EXPECT_FALSE(comm.wait(comm.irecv(1, 0, 3, 0, 1024)));
-  EXPECT_TRUE(comm.wait(s)) << "the FIN must complete the local sender";
+  {
+    Comm comm(cluster, {n, n});
+    ASSERT_TRUE(ok(comm.init()));
+    ASSERT_TRUE(comm.uses_shm(0, 1));
+    ASSERT_TRUE(ok(comm.stage(0, 0, payload)));
+    const ReqId s = comm.isend(0, 1, 3, 0, kLen);
+    EXPECT_FALSE(comm.wait(comm.irecv(1, 0, 3, 0, 1024)));
+    EXPECT_TRUE(comm.wait(s)) << "the FIN must complete the local sender";
+  }
+  test::expect_quiescent(cluster.node(n));
 }
 
 TEST(Comm, PostedQueueMatchesInPostOrder) {

@@ -499,10 +499,39 @@ TEST_P(RendezvousFailureTest, FailedTransferReleasesItsCacheReferences) {
     for (const via::NodeId n : {a, b}) {
       out.push_back(cluster.node(n).kernel().pinned_frames());
       out.push_back(cluster.node(n).agent().live_registrations());
+      test::expect_quiescent(cluster.node(n));
     }
     return out;
   };
   EXPECT_EQ(leftovers(/*fail=*/true), leftovers(/*fail=*/false));
+}
+
+// The same failure with both heaps registered whole at init(): ~Channel
+// releases the heap registrations as well as the slot rings.
+TEST(Transport, PreregisteredHeapsAreReleasedOnTeardown) {
+  constexpr std::uint32_t kLen = 16 * 1024;
+  for (const bool fail : {false, true}) {
+    via::Cluster cluster;
+    fault::FaultPlan plan;
+    plan.add({.site = fault::FaultSite::Connection,
+              .action = fault::FaultAction::Fail,
+              .after_events = 2,
+              .max_triggers = 1});
+    fault::FaultEngine engine(plan, cluster.clock());
+    const via::NodeId a = cluster.add_node(test::small_node(
+        via::PolicyKind::Kiobuf, /*frames=*/2048, /*tpt_entries=*/2048));
+    const via::NodeId b = cluster.add_node(test::small_node(
+        via::PolicyKind::Kiobuf, /*frames=*/2048, /*tpt_entries=*/2048));
+    {
+      Channel channel(cluster, a, b, ChannelBox::default_config());
+      ASSERT_TRUE(ok(channel.init()));
+      EXPECT_TRUE(ok(channel.transfer(Protocol::Preregistered, 0, 0, kLen)));
+      EXPECT_TRUE(ok(channel.transfer(Protocol::Rendezvous, 0, 0, kLen)));
+      if (fail) cluster.inject_faults(&engine);
+      EXPECT_EQ(ok(channel.transfer(Protocol::Rendezvous, 0, 0, kLen)), !fail);
+    }
+    for (const via::NodeId n : {a, b}) test::expect_quiescent(cluster.node(n));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, RendezvousFailureTest,

@@ -264,6 +264,32 @@ TEST_F(KvBox, ConnectionChurnRecyclesEverything) {
   EXPECT_EQ(server->tenant_keys(t), 6u);
 }
 
+TEST(KvTeardown, DestroyedClientAndServerLeaveBothNodesQuiescent) {
+  // One connection each left open, closed on both sides, and abandoned by
+  // the client mid-pipeline; then both objects go.
+  KvRig rig;
+  rig.build();
+  const std::uint32_t t = rig.server->add_tenant(
+      {"t0", 256, pinmgr::QosTier::Guaranteed});
+  std::uint32_t open = 0, closed = 0, abandoned = 0;
+  ASSERT_TRUE(ok(rig.client->connect(*rig.server, t, open)));
+  ASSERT_TRUE(ok(rig.client->connect(*rig.server, t, closed)));
+  ASSERT_TRUE(ok(rig.client->connect(*rig.server, t, abandoned)));
+  for (const std::uint32_t conn : {open, closed, abandoned})
+    EXPECT_EQ(rig.put_now(conn, conn, 4096).status, KvStatus::Ok);
+  const std::uint32_t sc = rig.client->server_conn(closed);
+  ASSERT_TRUE(ok(rig.client->close(closed)));
+  ASSERT_TRUE(ok(rig.server->close(sc)));
+  std::uint64_t req_id = 0;
+  ASSERT_TRUE(ok(rig.client->get(abandoned, abandoned, req_id)));
+  (void)rig.client->flush(abandoned);
+  ASSERT_TRUE(ok(rig.client->abandon(abandoned)));
+  rig.client.reset();
+  rig.server.reset();
+  test::expect_quiescent(rig.cluster->node(rig.sn));
+  test::expect_quiescent(rig.cluster->node(rig.cn));
+}
+
 TEST_F(KvBox, ClientSkipsCompletionsOfUnknownVis) {
   const std::uint32_t t = server->add_tenant({"t0", 256,
                                               pinmgr::QosTier::Guaranteed});

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "../test_util.h"
 #include "via/node.h"
@@ -23,6 +24,12 @@ inline via::NodeSpec small_node(via::PolicyKind policy = via::PolicyKind::Kiobuf
   spec.nic.max_superpage_order = 0;
   spec.policy = policy;
   return spec;
+}
+
+/// Fail the test with each pin, TPT entry or governor charge `node` still
+/// holds (Node::quiescent()).
+inline void expect_quiescent(via::Node& node) {
+  for (const std::string& v : node.quiescent()) ADD_FAILURE() << v;
 }
 
 /// Two nodes, one process each, a connected VI pair and a registered 16-page
