@@ -108,15 +108,24 @@ Comm::~Comm() {
   }
   // Each rank disconnects its links, drops its slot rings and its cache's
   // registrations, and its task - created here - goes too.
+  std::vector<std::pair<via::NodeId, simkern::ShmId>> segments;
   for (Rank r = 0; r < sides_.size(); ++r) {
     via::Node& node = cluster_.node(nodes_[r]);
     const Pid pid = sides_[r]->pid;
-    for (const Side::Link& link : sides_[r]->links)
-      (void)cluster_.fabric().disconnect(nodes_[r], link.vi);
+    const std::vector<Side::Link>& links = sides_[r]->links;
+    for (Rank peer = 0; peer < links.size(); ++peer) {
+      (void)cluster_.fabric().disconnect(nodes_[r], links[peer].vi);
+      if (links[peer].local && r < peer)
+        segments.emplace_back(nodes_[r], links[peer].shm);
+    }
     sides_[r].reset();
     node.agent().release_tenant(pid);
     node.kernel().exit_task(pid);
   }
+  // A local link's segment outlives its attachments; with both ranks gone,
+  // removing it returns its frames.
+  for (const auto& [node, seg] : segments)
+    (void)cluster_.node(node).kernel().shm_destroy(seg);
 }
 
 simkern::Pid Comm::rank_pid(Rank r) const { return sides_[r]->pid; }

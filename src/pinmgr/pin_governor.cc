@@ -15,8 +15,7 @@ constexpr QosTier kDefaultTier = QosTier::BestEffort;
 PinGovernor::PinGovernor(simkern::Kernel& kern, GovernorConfig config)
     : kern_(kern),
       config_(config),
-      charge_ns_(kern.metrics().histogram("pinmgr.charge_ns")),
-      global_pins_(kern.phys().num_frames(), 0) {
+      charge_ns_(kern.metrics().histogram("pinmgr.charge_ns")) {
   kern_.metrics().register_source("pinmgr", this, [this](obs::MetricSink& s) {
     s.counter("admitted", stats_.admitted);
     s.counter("rejected_quota", stats_.rejected_quota);
@@ -59,30 +58,25 @@ void PinGovernor::set_tenant(simkern::Pid pid, std::uint32_t quota_pages,
 void PinGovernor::remove_tenant(simkern::Pid pid) {
   auto it = tenants_.find(pid);
   if (it == tenants_.end()) return;
-  Tenant& t = it->second;
+  const Tenant t = std::move(it->second);
+  tenants_.erase(it);
   if (t.charged > 0) {
     // The caller should have deregistered everything first (KernelAgent::
     // release_tenant does), but a tenant that exits with live charges must
-    // not strand its frames in the global accounting: the seed erased the
-    // record and leaked every surviving pin from global_pins_ /
-    // total_charged_ forever, silently shrinking the host ceiling. Uncharge
-    // the survivors, multiplicity-aware, before dropping the record.
+    // not strand its frames in total_charged_: the seed erased the record
+    // and kept counting every surviving frame forever, silently shrinking
+    // the host ceiling. With the record gone, each surviving frame no other
+    // tenant holds leaves the host count.
     ++stats_.forced_tenant_removals;
     for (simkern::Pfn pfn = 0; pfn < t.pins.size(); ++pfn) {
-      std::uint32_t& global = global_pins_[pfn];
-      if (t.pins[pfn] == 0 || global == 0) continue;
-      if (global <= t.pins[pfn]) {
-        global = 0;
-        if (total_charged_ > 0) --total_charged_;
-        ++stats_.forced_frames_uncharged;
-      } else {
-        global -= t.pins[pfn];
-      }
+      if (t.pins[pfn] == 0 || charged_anywhere(pfn)) continue;
+      assert(total_charged_ > 0);
+      --total_charged_;
+      ++stats_.forced_frames_uncharged;
     }
     kern_.trace().record(kern_.clock().now(), TraceEvent::PinUncharged, pid,
                          t.charged, total_charged_);
   }
-  tenants_.erase(it);
   ++stats_.tenants_removed;
 }
 
@@ -122,12 +116,20 @@ std::uint32_t PinGovernor::tier_limit(QosTier tier) const {
                                           : 0;
 }
 
-std::uint32_t PinGovernor::fresh_frames(
-    const std::vector<std::uint32_t>& pins,
-    std::span<const simkern::Pfn> pfns) {
-  std::uint32_t fresh = 0;
+bool PinGovernor::charged_anywhere(simkern::Pfn pfn) const {
+  for (const auto& [pid, t] : tenants_) {
+    if (!t.pins.empty() && t.pins[pfn] > 0) return true;
+  }
+  return false;
+}
+
+PinGovernor::Fresh PinGovernor::fresh_frames(
+    const Tenant& t, std::span<const simkern::Pfn> pfns) const {
+  Fresh fresh;
   for (const simkern::Pfn pfn : pfns) {
-    if (pins.empty() || pins[pfn] == 0) ++fresh;
+    if (!t.pins.empty() && t.pins[pfn] > 0) continue;
+    ++fresh.tenant;
+    if (!charged_anywhere(pfn)) ++fresh.host;
   }
   return fresh;
 }
@@ -180,11 +182,10 @@ KStatus PinGovernor::charge(simkern::Pid pid,
   bool flushed = false;
   bool reclaimed = false;
   for (;;) {
-    const std::uint32_t fresh_tenant = fresh_frames(t.pins, pfns);
-    const std::uint32_t fresh_global = fresh_frames(global_pins_, pfns);
-    const bool quota_ok = t.charged + fresh_tenant <= t.quota;
+    const Fresh fresh = fresh_frames(t, pfns);
+    const bool quota_ok = t.charged + fresh.tenant <= t.quota;
     const bool ceiling_ok =
-        total_charged_ + fresh_global <= tier_limit(t.tier);
+        total_charged_ + fresh.host <= tier_limit(t.tier);
     if (quota_ok && ceiling_ok) break;
     if (!flushed && !queue_.empty()) {
       flushed = true;
@@ -194,7 +195,7 @@ KStatus PinGovernor::charge(simkern::Pid pid,
     if (!reclaimed && !ceiling_ok && t.tier == QosTier::Guaranteed &&
         !clients_.empty()) {
       reclaimed = true;
-      reclaim_from_clients(total_charged_ + fresh_global -
+      reclaim_from_clients(total_charged_ + fresh.host -
                            tier_limit(t.tier));
       continue;
     }
@@ -202,16 +203,17 @@ KStatus PinGovernor::charge(simkern::Pid pid,
     return reject(stats_.rejected_ceiling, KStatus::Again);
   }
 
-  if (t.pins.empty()) t.pins.assign(global_pins_.size(), 0);
+  if (t.pins.empty()) t.pins.assign(kern_.phys().num_frames(), 0);
   for (const simkern::Pfn pfn : pfns) {
     kern_.clock().advance(kern_.costs().pin_account_frame);
-    if (t.pins[pfn]++ == 0) {
+    if (t.pins[pfn] == 0) {
+      if (!charged_anywhere(pfn)) ++total_charged_;
       ++t.charged;
       ++stats_.frames_charged;
     } else {
       ++stats_.dedup_hits;
     }
-    if (global_pins_[pfn]++ == 0) ++total_charged_;
+    ++t.pins[pfn];
   }
   t.peak = std::max(t.peak, t.charged);
   ++t.admissions;
@@ -233,13 +235,10 @@ void PinGovernor::uncharge(simkern::Pid pid,
     const bool charged = pfn < t.pins.size() && t.pins[pfn] > 0;
     assert(charged && "uncharge of uncharged frame");
     if (!charged) continue;
-    if (--t.pins[pfn] == 0) {
-      assert(t.charged > 0);
-      --t.charged;
-    }
-    std::uint32_t& global = global_pins_[pfn];
-    assert(global > 0);
-    if (global > 0 && --global == 0) {
+    if (--t.pins[pfn] > 0) continue;
+    assert(t.charged > 0);
+    --t.charged;
+    if (!charged_anywhere(pfn)) {
       assert(total_charged_ > 0);
       --total_charged_;
     }

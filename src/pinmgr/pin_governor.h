@@ -24,6 +24,11 @@
 //     registered ReclaimClients (RegistrationCache) to evict cold idle
 //     entries before the kernel swaps hot pages.
 //
+// One pin count per frame: each tenant's `pins` array is the only per-frame
+// count. Whether a frame is charged anywhere on the host is a walk over the
+// tenants' arrays (a handful per host), so no host-wide copy can drift from
+// them; total_charged_ counts the frames that walk finds held.
+//
 // Determinism: pin counts are per-frame arrays walked by ascending pfn, all
 // else is std::map or insertion-ordered vectors; same-seed runs bit-identical.
 #pragma once
@@ -132,9 +137,9 @@ class PinGovernor final : public simkern::PressureHandler {
   void set_tenant(simkern::Pid pid, std::uint32_t quota_pages, QosTier tier);
   /// Tenant exit. All its charges should already be released (KernelAgent::
   /// release_tenant deregisters live registrations first); drops the record.
-  /// A tenant that still holds charges has them uncharged from the global
-  /// accounting first (stats().forced_tenant_removals counts it) - an exit
-  /// never strands frames in global_pins_ / total_charged_.
+  /// A tenant that still holds charges has them dropped with its record
+  /// (stats().forced_tenant_removals counts it): every frame no other tenant
+  /// holds leaves total_charged_, so an exit never strands frames there.
   void remove_tenant(simkern::Pid pid);
   [[nodiscard]] bool tenant_known(simkern::Pid pid) const {
     return tenants_.contains(pid);
@@ -211,10 +216,15 @@ class PinGovernor final : public simkern::PressureHandler {
   [[nodiscard]] Tenant& tenant(simkern::Pid pid);  ///< get-or-create
   /// Ceiling a tenant of `tier` may charge up to.
   [[nodiscard]] std::uint32_t tier_limit(QosTier tier) const;
-  /// Frames of `pfns` not yet charged to `t` / not yet charged anywhere.
-  [[nodiscard]] static std::uint32_t fresh_frames(
-      const std::vector<std::uint32_t>& pins,
-      std::span<const simkern::Pfn> pfns);
+  /// Whether any tenant holds a charge on `pfn`. The host-wide count per
+  /// frame is the sum of the tenants' `pins`, walked rather than kept.
+  [[nodiscard]] bool charged_anywhere(simkern::Pfn pfn) const;
+  struct Fresh {
+    std::uint32_t tenant = 0;  ///< frames not yet charged to the tenant
+    std::uint32_t host = 0;    ///< ... and not charged to any tenant
+  };
+  [[nodiscard]] Fresh fresh_frames(const Tenant& t,
+                                   std::span<const simkern::Pfn> pfns) const;
   std::uint32_t drain();
   std::uint32_t reclaim_from_clients(std::uint32_t target_pages);
 
@@ -224,8 +234,7 @@ class PinGovernor final : public simkern::PressureHandler {
   /// Admission-path latency (owned by the kernel's metric registry).
   obs::Histogram& charge_ns_;
   std::map<simkern::Pid, Tenant> tenants_;
-  std::vector<std::uint32_t> global_pins_;  ///< frame -> total pins
-  std::uint32_t total_charged_ = 0;
+  std::uint32_t total_charged_ = 0;  ///< frames charged to any tenant
   std::vector<PendingDereg> queue_;
   std::vector<ReclaimClient*> clients_;
   bool draining_ = false;  ///< a drain or reclaim pass is executing

@@ -365,10 +365,6 @@ KStatus Kernel::shm_destroy(ShmId id) {
   return KStatus::Ok;
 }
 
-std::uint64_t Kernel::shm_bytes(ShmId id) const {
-  return id < shms_.size() ? shms_[id].bytes : 0;
-}
-
 // ---------------------------------------------------------------------------
 // Self-check: global accounting audit
 // ---------------------------------------------------------------------------

@@ -166,7 +166,6 @@ class Kernel {
   /// shmctl(IPC_RMID) + final detach: release the segment's frames. Live
   /// attachments keep their frames (their PTE references) until unmapped.
   [[nodiscard]] KStatus shm_destroy(ShmId id);
-  [[nodiscard]] std::uint64_t shm_bytes(ShmId id) const;
 
   // --- mlock family (mlock.cc) -------------------------------------------------
   /// sys_mlock: full syscall with CAP_IPC_LOCK + RLIMIT_MEMLOCK checks

@@ -24,7 +24,9 @@ KvClient::~KvClient() {
   for (Conn& c : conns_) {
     if (c.open) teardown_conn(c);
   }
-  if (pid_ != simkern::kInvalidPid) node_.agent().release_tenant(pid_);
+  if (pid_ == simkern::kInvalidPid) return;
+  node_.agent().release_tenant(pid_);
+  node_.kernel().exit_task(pid_);
 }
 
 KStatus KvClient::open() {

@@ -82,6 +82,7 @@ class KvClient {
   /// A client process named `task_name` on `node` of `cluster`.
   KvClient(via::Cluster& cluster, via::NodeId node, std::string task_name,
            KvClientConfig config);
+  /// Tears down every open connection, then releases and exits the process.
   ~KvClient();
 
   KvClient(const KvClient&) = delete;

@@ -595,7 +595,10 @@ void KvServer::shutdown() {
   }
   for (const auto& t : tenants_) t->cache->flush();
   if (auto* gov = node_.governor()) (void)gov->flush();
-  for (const auto& t : tenants_) node_.agent().release_tenant(t->pid);
+  for (const auto& t : tenants_) {
+    node_.agent().release_tenant(t->pid);
+    node_.kernel().exit_task(t->pid);
+  }
 }
 
 }  // namespace vialock::svc

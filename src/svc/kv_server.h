@@ -141,9 +141,9 @@ class KvServer {
   void drain();
 
   /// Close every connection, flush every tenant's cache and the governor,
-  /// release every tenant pid - after this the node audits clean (zero
-  /// pinned frames, zero governor charge). Idempotent; the destructor calls
-  /// it.
+  /// release and exit every tenant process - after this the node audits
+  /// clean (zero pinned frames, zero governor charge, the tenants' ring and
+  /// arena frames freed). Idempotent; the destructor calls it.
   void shutdown();
 
   [[nodiscard]] const KvServerStats& stats() const { return stats_; }

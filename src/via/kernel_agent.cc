@@ -1,7 +1,6 @@
 #include "via/kernel_agent.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -13,7 +12,6 @@ KernelAgent::KernelAgent(simkern::Kernel& kern, Nic& nic, LockPolicy& policy)
       policy_(policy),
       register_ns_(kern.metrics().histogram("via.agent.register_ns")),
       dereg_ns_(kern.metrics().histogram("via.agent.dereg_ns")),
-      refresh_ns_(kern.metrics().histogram("via.agent.refresh_ns")),
       tpt_alloc_pages_(kern.metrics().histogram("via.tpt.alloc_pages")) {
   kern_.metrics().register_source(
       "via.agent", this, [this](obs::MetricSink& s) {
@@ -24,9 +22,7 @@ KernelAgent::KernelAgent(simkern::Kernel& kern, Nic& nic, LockPolicy& policy)
         s.counter("tpt_full", stats_.tpt_full);
         s.counter("admission_rejects", stats_.admission_rejects);
         s.counter("lazy_deregs", stats_.lazy_deregs);
-        s.counter("refresh_failures", stats_.refresh_failures);
         s.counter("tpt_entries_programmed", stats_.tpt_entries_programmed);
-        s.counter("refresh_splits", stats_.refresh_splits);
         s.gauge("live_registrations", regs_.size());
       });
 }
@@ -67,7 +63,6 @@ KStatus KernelAgent::register_mem(simkern::Pid pid, simkern::VAddr addr,
   if (tag == kInvalidTag || len == 0) return charge(KStatus::Inval);
 
   Registration reg;
-  reg.opts = opts;
   const KStatus st = policy_.lock(pid, addr, len, reg.lock);
   if (!ok(st)) {
     ++stats_.lock_failures;
@@ -122,34 +117,36 @@ KStatus KernelAgent::deregister_mem(const MemHandle& handle) {
     dereg_ns_.add(sw.elapsed());
     return st;
   };
-  std::shared_ptr<Registration> reg;
-  if (const auto it = regs_.find(handle.id); it != regs_.end()) {
-    reg = std::make_shared<Registration>(std::move(it->second));
-    regs_.erase(it);
-  }
-  if (!reg) {
+  const auto it = regs_.find(handle.id);
+  if (it == regs_.end()) {
     kern_.clock().advance(kern_.costs().syscall);  // the failed ioctl
     ++kern_.mutable_stats().syscalls;
     return charge(KStatus::NoEnt);
   }
+  Registration reg = std::move(it->second);
+  regs_.erase(it);
 
   if (governor_ && governor_->lazy_enabled()) {
     // Defer: append to the governor's user-level dereg ring (no kernel
     // entry); the TPT slots and pins are released at the batched drain.
+    // The release closure must be copyable, so only this path moves the
+    // registration to the heap.
+    auto held = std::make_shared<Registration>(std::move(reg));
     pinmgr::PendingDereg d;
-    d.pid = reg->lock.pid;
-    d.reg_id = reg->handle.id;
-    d.pages = reg->handle.pages;
-    d.release = [this, reg] { return finish_dereg(*reg); };
+    d.pid = held->lock.pid;
+    d.reg_id = held->handle.id;
+    d.pages = held->handle.pages;
+    d.release = [this, held] { return finish_dereg(*held); };
     if (governor_->defer_dereg(std::move(d))) {
       ++stats_.lazy_deregs;
       return charge(KStatus::Ok);
     }
+    reg = std::move(*held);  // refused mid-drain: release eagerly
   }
 
   kern_.clock().advance(kern_.costs().syscall);
   ++kern_.mutable_stats().syscalls;
-  finish_dereg(*reg);
+  finish_dereg(reg);
   return charge(KStatus::Ok);
 }
 
@@ -219,101 +216,6 @@ void KernelAgent::release_tenant(simkern::Pid pid) {
     finish_dereg(reg);
   }
   if (governor_) governor_->remove_tenant(pid);
-}
-
-KStatus KernelAgent::refresh_tpt(MemHandle& handle) {
-  const obs::ScopedSpan span(kern_.spans(), "via.refresh_tpt");
-  const VirtualStopwatch sw(kern_.clock());
-  const auto charge = [&](KStatus st) {
-    refresh_ns_.add(sw.elapsed());
-    return st;
-  };
-  kern_.clock().advance(kern_.costs().syscall);
-  ++kern_.mutable_stats().syscalls;
-  const auto found = regs_.find(handle.id);
-  if (found == regs_.end()) return charge(KStatus::NoEnt);
-  // The element reference survives rehashes; callers must not deregister a
-  // handle while a refresh of it is in flight.
-  Registration& reg = found->second;
-
-  // Semantically a re-registration that keeps its TPT slots: drop the old
-  // pin and take a fresh one, so the policy's reference accounting follows
-  // the pages wherever they live now.
-  const simkern::Pid pid = reg.lock.pid;
-  const simkern::VAddr addr = reg.lock.addr;
-  const std::uint64_t len = reg.lock.len;
-  if (governor_) governor_->uncharge(pid, reg.lock.pfns);
-  policy_.unlock(reg.lock);
-  reg.lock = LockHandle{};
-
-  // Any failure past this point must tear the registration down completely:
-  // the old pin is gone, so keeping the entry alive would leave TPT slots
-  // programmed with stale pfns and a LockHandle that pins nothing - the TPT
-  // would disagree with both the MMU and the pin accounting.
-  const auto teardown = [&] {
-    policy_.unlock(reg.lock);  // no-op on an inactive handle
-    nic_.tpt().release(reg.handle.tpt_base, reg.handle.tpt_count);
-    regs_.erase(handle.id);  // by id: iterators don't survive rehashes
-    ++stats_.refresh_failures;
-    kern_.trace().record(kern_.clock().now(),
-                         vialock::TraceEvent::RegionDeregistered, pid, addr,
-                         handle.tpt_base);
-  };
-
-  const KStatus st = policy_.lock(pid, addr, len, reg.lock);
-  if (!ok(st)) {
-    // Seed bug: this returned with the dead registration still in regs_ -
-    // an empty LockHandle, leaked TPT slots, stale pfns live in the NIC.
-    teardown();
-    return charge(st);
-  }
-  if (reg.lock.pfns.size() != reg.handle.pages) {
-    // Seed bug: returned Fault while keeping the fresh (uncharged) pin and
-    // the stale TPT programming.
-    teardown();
-    return charge(KStatus::Fault);
-  }
-  if (governor_) {
-    // Re-admit the refreshed frames. Same tenant, same page count: this can
-    // only fail through injected admission races; surface that cleanly by
-    // tearing the registration down rather than keeping an uncharged pin.
-    const KStatus gst = governor_->charge(pid, reg.lock.pfns);
-    if (!ok(gst)) {
-      teardown();
-      return charge(gst);
-    }
-  }
-
-  const std::vector<SuperpageRun> runs = decompose_superpages(
-      reg.lock.pfns, nic_.config().max_superpage_order);
-  if (runs.size() == reg.handle.tpt_count) {
-    // Same shape: reprogram the existing range in place.
-    program_runs(reg.handle.tpt_base, runs, reg.lock.pfns, reg.handle.tag,
-                 reg.opts);
-  } else {
-    // The swapper relocated frames inside a superpage run, splitting (or
-    // re-merging) the decomposition. The entry count changed, so the old
-    // range no longer fits: claim a fresh range, program it, then release
-    // the old one. A failed claim must roll back everything acquired in
-    // this refresh - the new pin and the governor charge - on top of the
-    // usual teardown, or pinned_frames()/quota accounting leak.
-    ++stats_.refresh_splits;
-    const auto entries = static_cast<std::uint32_t>(runs.size());
-    const TptIndex nbase = tpt_alloc(entries);
-    if (nbase == kInvalidTptIndex) {
-      if (governor_) governor_->uncharge(pid, reg.lock.pfns);
-      ++stats_.tpt_full;
-      teardown();
-      return charge(KStatus::NoSpc);
-    }
-    tpt_alloc_pages_.add(entries);
-    program_runs(nbase, runs, reg.lock.pfns, reg.handle.tag, reg.opts);
-    nic_.tpt().release(reg.handle.tpt_base, reg.handle.tpt_count);
-    reg.handle.tpt_base = nbase;
-    reg.handle.tpt_count = entries;
-  }
-  handle = reg.handle;
-  return charge(KStatus::Ok);
 }
 
 const LockHandle* KernelAgent::lock_handle(std::uint64_t reg_id) const {

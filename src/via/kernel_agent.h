@@ -37,14 +37,9 @@ struct AgentStats {
   std::uint64_t tpt_full = 0;
   std::uint64_t admission_rejects = 0;       ///< governor refused a registration
   std::uint64_t lazy_deregs = 0;             ///< deregs deferred to the governor
-  std::uint64_t refresh_failures = 0;        ///< refresh_tpt torn a registration
-                                             ///< down on a failed re-pin
   std::uint64_t tpt_entries_programmed = 0;  ///< entries written (== pages
                                              ///< at order 0; fewer with
                                              ///< superpages)
-  std::uint64_t refresh_splits = 0;          ///< refresh reallocated the TPT range
-                                             ///< because relocation changed the
-                                             ///< superpage decomposition
 };
 
 class KernelAgent {
@@ -97,34 +92,13 @@ class KernelAgent {
   /// VipDeregisterMem: release TPT entries and undo the pin.
   [[nodiscard]] KStatus deregister_mem(const MemHandle& handle);
 
-  /// Refresh the TPT entries of a live registration from the *current* page
-  /// tables. This is the "TLB-consistency" repair a U-Net/MM-style system
-  /// would do; exposed so experiments can measure what re-registration costs.
-  ///
-  /// Failure contract: refresh is a re-registration, so if the re-pin
-  /// cannot be completed (lock failure, page-count mismatch, governor
-  /// rejection, TPT alloc failure on a superpage split) the registration is
-  /// torn down entirely - TPT slots released, nothing left pinned or
-  /// charged, the handle dead (stats().refresh_failures counts it). A
-  /// failed refresh never leaves a half-alive registration whose TPT
-  /// entries disagree with the pin accounting - the paper's section 3.2
-  /// inconsistency class.
-  ///
-  /// With superpages, relocation of one frame inside a superpage run
-  /// changes the decomposition: refresh then allocates a fresh TPT range
-  /// for the new (split) layout, programs it, and releases the old range
-  /// (stats().refresh_splits). The caller's handle is updated in place -
-  /// tpt_base/tpt_count may change on success and the handle is dead after
-  /// a failure.
-  [[nodiscard]] KStatus refresh_tpt(MemHandle& handle);
-
   /// Route registrations through `governor` (nullptr detaches). The governor
   /// must outlive the agent or be detached first.
   void set_governor(pinmgr::PinGovernor* governor) { governor_ = governor; }
   [[nodiscard]] pinmgr::PinGovernor* governor() { return governor_; }
 
   /// Attach the chaos engine (nullptr detaches): arms the TptAlloc site so
-  /// table-claim failures are injectable mid-registration and mid-refresh.
+  /// table-claim failures are injectable mid-registration.
   void set_fault_engine(fault::FaultEngine* engine) { faults_ = engine; }
 
   /// Tenant teardown: flush the governor's deferred deregistrations, then
@@ -148,7 +122,6 @@ class KernelAgent {
   struct Registration {
     MemHandle handle;
     LockHandle lock;
-    RegisterOptions opts;
   };
 
   /// TPT release + uncharge + unlock + stats; returns pages released.
@@ -172,7 +145,6 @@ class KernelAgent {
   // Ioctl latency histograms, owned by the kernel's metric registry.
   obs::Histogram& register_ns_;
   obs::Histogram& dereg_ns_;
-  obs::Histogram& refresh_ns_;
   obs::Histogram& tpt_alloc_pages_;
   std::unordered_map<std::uint64_t, Registration> regs_;
   std::uint64_t next_reg_id_ = 1;

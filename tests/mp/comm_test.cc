@@ -244,6 +244,28 @@ TEST(Comm, FailedLongReceiveReleasesTheSender) {
   test::expect_quiescent(cluster.node(n));
 }
 
+// A node-local link pipelines through a shared segment that outlives its
+// attachments: ~Comm removes it once both ranks are gone, or every Comm
+// leaves the frames its exchanges touched allocated on the node.
+TEST(Comm, DestroyedLocalLinkReturnsItsSharedMemory) {
+  via::Cluster cluster;
+  const via::NodeId n = cluster.add_node(test::small_node(
+      via::PolicyKind::Kiobuf, /*frames=*/2048, /*tpt_entries=*/2048));
+  const std::uint32_t free_before = cluster.node(n).kernel().free_frames();
+  {
+    Comm comm(cluster, {n, n});
+    ASSERT_TRUE(ok(comm.init()));
+    ASSERT_TRUE(comm.uses_shm(0, 1));
+    ASSERT_TRUE(ok(comm.stage(0, 0, pattern(512, 12))));
+    const ReqId r = comm.irecv(1, 0, 4, 0, 4096);
+    ASSERT_TRUE(comm.wait(comm.isend(0, 1, 4, 0, 512)));
+    ASSERT_TRUE(comm.wait(r));
+    ASSERT_EQ(comm.stats().local_msgs, 1u);
+  }
+  EXPECT_EQ(cluster.node(n).kernel().free_frames(), free_before);
+  test::expect_quiescent(cluster.node(n));
+}
+
 TEST(Comm, PostedQueueMatchesInPostOrder) {
   CommBox box;
   // Two receives, both match (source 0, tag 1); first-posted gets the

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "../via/via_util.h"
 #include "fault/fault.h"
 #include "obs/export.h"
+#include "util/rng.h"
 
 namespace vialock::pinmgr {
 namespace {
@@ -152,9 +155,9 @@ TEST(PinGovernor, ReleaseTenantLeaksNothing) {
 
 TEST(PinGovernor, RemoveTenantWithLiveChargesUnchargesGlobally) {
   // Seed bug: remove_tenant() guarded "no live charges" with assert only; an
-  // NDEBUG build erased the tenant record and leaked its frames in
-  // global_pins_ / total_charged_ forever, silently shrinking the host
-  // ceiling. The forced path must uncharge the survivors first.
+  // NDEBUG build erased the tenant record and kept counting its frames in
+  // total_charged_ forever, silently shrinking the host ceiling. The forced
+  // path must uncharge the survivors first.
   GovernorConfig cfg;
   cfg.host_ceiling = 16;
   GovBox box(cfg);
@@ -265,6 +268,157 @@ TEST(PinGovernor, ForcedRemovalKeepsSurvivorAndGlobalExact) {
   EXPECT_EQ(sc.counts(), (Counts{0, 3, 3}));
   sc.box.gov.uncharge(sc.b, SharedCharges::kB);
   EXPECT_EQ(sc.counts(), (Counts{0, 0, 0}));
+}
+
+// Reference model of the governor's accounting: one multiset of frames per
+// tenant. The host count is the number of frames any tenant holds, and the
+// admission rule is the documented one (quota first, then the tier's share
+// of the ceiling), with no rescue stage: no lazy queue, no reclaim client.
+struct GovModel {
+  struct Tenant {
+    bool known = false;
+    QosTier tier = QosTier::BestEffort;
+    std::uint32_t quota = 0;
+    std::map<simkern::Pfn, std::uint32_t> pins;  ///< frame -> multiplicity
+    std::vector<std::vector<simkern::Pfn>> live;  ///< admitted charges
+  };
+
+  [[nodiscard]] bool held_by_any(simkern::Pfn pfn) const {
+    for (const Tenant& t : tenants)
+      if (t.pins.contains(pfn)) return true;
+    return false;
+  }
+  [[nodiscard]] std::uint32_t host_charged() const {
+    std::set<simkern::Pfn> held;
+    for (const Tenant& t : tenants)
+      for (const auto& [pfn, n] : t.pins) held.insert(pfn);
+    return static_cast<std::uint32_t>(held.size());
+  }
+
+  /// The admission result charge() must return; applies it when Ok.
+  KStatus charge(std::size_t i, const std::vector<simkern::Pfn>& pfns) {
+    Tenant& t = tenants[i];
+    if (!t.known) {
+      t.known = true;
+      t.quota = cfg.default_quota;
+    }
+    std::uint32_t fresh_tenant = 0, fresh_host = 0;
+    for (const simkern::Pfn pfn : pfns) {
+      if (t.pins.contains(pfn)) continue;
+      ++fresh_tenant;
+      if (!held_by_any(pfn)) ++fresh_host;
+    }
+    const std::uint32_t limit = t.tier == QosTier::Guaranteed
+                                    ? cfg.host_ceiling
+                                    : cfg.host_ceiling - cfg.guaranteed_reserve;
+    if (t.pins.size() + fresh_tenant > t.quota) return KStatus::NoMem;
+    if (host_charged() + fresh_host > limit) return KStatus::Again;
+    for (const simkern::Pfn pfn : pfns) ++t.pins[pfn];
+    t.live.push_back(pfns);
+    return KStatus::Ok;
+  }
+  void uncharge(std::size_t i, std::size_t charge) {
+    Tenant& t = tenants[i];
+    for (const simkern::Pfn pfn : t.live[charge])
+      if (--t.pins[pfn] == 0) t.pins.erase(pfn);
+    t.live.erase(t.live.begin() + static_cast<std::ptrdiff_t>(charge));
+  }
+  /// Returns the frames the removal takes off the host count.
+  std::uint32_t remove(std::size_t i) {
+    const Tenant gone = tenants[i];
+    tenants[i] = Tenant{};
+    std::uint32_t freed = 0;
+    for (const auto& [pfn, n] : gone.pins)
+      if (!held_by_any(pfn)) ++freed;
+    return freed;
+  }
+
+  GovernorConfig cfg;
+  std::array<Tenant, 3> tenants;
+};
+
+TEST(PinGovernor, HostCountMatchesPerTenantModel) {
+  GovernorConfig cfg;
+  cfg.host_ceiling = 32;
+  cfg.default_quota = 10;
+  cfg.guaranteed_reserve = 8;
+  constexpr std::uint32_t kFrames = 64;
+  constexpr std::array<QosTier, 3> kTiers{
+      QosTier::Guaranteed, QosTier::BestEffort, QosTier::BestEffort};
+  constexpr std::array<std::uint32_t, 3> kQuotas{24, 12, 16};
+  std::map<KStatus, std::uint32_t> results;
+  std::uint64_t forced = 0;
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    GovBox box(cfg, kFrames);
+    PinGovernor& gov = box.gov;
+    auto& kern = box.node.kernel();
+    const std::array<simkern::Pid, 3> pids{box.pid, kern.create_task("b"),
+                                           kern.create_task("c")};
+    GovModel model;
+    model.cfg = cfg;
+    for (std::size_t i = 0; i < pids.size(); ++i) {
+      gov.set_tenant(pids[i], kQuotas[i], kTiers[i]);
+      model.tenants[i].known = true;
+      model.tenants[i].tier = kTiers[i];
+      model.tenants[i].quota = kQuotas[i];
+    }
+    Rng rng(seed);
+
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const std::size_t i = rng.below(pids.size());
+      GovModel::Tenant& mt = model.tenants[i];
+      const std::uint64_t op = rng.below(20);
+      if (op < 11) {
+        // Charge: a fresh run of frames from a narrow window, so sets
+        // overlap across tenants, or one of the tenant's own sets again.
+        std::vector<simkern::Pfn> pfns;
+        if (!mt.live.empty() && op < 3) {
+          pfns = mt.live[rng.below(mt.live.size())];
+        } else {
+          const auto start = static_cast<simkern::Pfn>(rng.below(40));
+          const auto len = static_cast<simkern::Pfn>(1 + rng.below(8));
+          for (simkern::Pfn pfn = start; pfn < start + len; ++pfn)
+            pfns.push_back(pfn);
+        }
+        const KStatus want = model.charge(i, pfns);
+        ASSERT_EQ(gov.charge(pids[i], pfns), want);
+        ++results[want];
+      } else if (op < 18) {
+        if (mt.live.empty()) continue;
+        const std::size_t c = rng.below(mt.live.size());
+        gov.uncharge(pids[i], mt.live[c]);
+        model.uncharge(i, c);
+      } else {
+        const GovernorStats before = gov.stats();
+        const bool had_charges = !mt.pins.empty();
+        const bool known = mt.known;
+        const std::uint32_t freed = model.remove(i);
+        gov.remove_tenant(pids[i]);
+        EXPECT_EQ(gov.stats().tenants_removed,
+                  before.tenants_removed + (known ? 1 : 0));
+        EXPECT_EQ(gov.stats().forced_tenant_removals,
+                  before.forced_tenant_removals + (had_charges ? 1 : 0));
+        EXPECT_EQ(gov.stats().forced_frames_uncharged,
+                  before.forced_frames_uncharged + freed);
+        forced += had_charges ? 1 : 0;
+      }
+
+      ASSERT_EQ(gov.total_charged(), model.host_charged());
+      for (std::size_t t = 0; t < pids.size(); ++t) {
+        EXPECT_EQ(gov.tenant_known(pids[t]), model.tenants[t].known);
+        ASSERT_EQ(gov.tenant_charged(pids[t]), model.tenants[t].pins.size())
+            << "tenant " << t;
+      }
+    }
+  }
+  // The seeds reach every admission outcome and the forced-removal path.
+  EXPECT_GT(results[KStatus::Ok], 0u);
+  EXPECT_GT(results[KStatus::NoMem], 0u);
+  EXPECT_GT(results[KStatus::Again], 0u);
+  EXPECT_GT(forced, 0u);
 }
 
 TEST(PinGovernor, UnchargeByTenantThatNeverChargedChangesNoCount) {

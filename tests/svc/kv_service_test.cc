@@ -266,7 +266,8 @@ TEST_F(KvBox, ConnectionChurnRecyclesEverything) {
 
 TEST(KvTeardown, DestroyedClientAndServerLeaveBothNodesQuiescent) {
   // One connection each left open, closed on both sides, and abandoned by
-  // the client mid-pipeline; then both objects go.
+  // the client mid-pipeline; then both objects go, and with them the
+  // processes they created and every frame those mapped.
   KvRig rig;
   rig.build();
   const std::uint32_t t = rig.server->add_tenant(
@@ -284,8 +285,20 @@ TEST(KvTeardown, DestroyedClientAndServerLeaveBothNodesQuiescent) {
   ASSERT_TRUE(ok(rig.client->get(abandoned, abandoned, req_id)));
   (void)rig.client->flush(abandoned);
   ASSERT_TRUE(ok(rig.client->abandon(abandoned)));
+  std::vector<simkern::Pid> server_pids;
+  for (const pinmgr::TenantInfo& ti : rig.gov->tenants())
+    server_pids.push_back(ti.pid);
+  ASSERT_EQ(server_pids.size(), 1u);
+  const simkern::Pid client_pid = rig.client->pid();
   rig.client.reset();
   rig.server.reset();
+  simkern::Kernel& skern = rig.cluster->node(rig.sn).kernel();
+  simkern::Kernel& ckern = rig.cluster->node(rig.cn).kernel();
+  for (const simkern::Pid pid : server_pids)
+    EXPECT_FALSE(skern.task_exists(pid)) << "server tenant pid " << pid;
+  EXPECT_FALSE(ckern.task_exists(client_pid));
+  EXPECT_EQ(skern.free_frames(), rig.server_free_frames);
+  EXPECT_EQ(ckern.free_frames(), rig.client_free_frames);
   test::expect_quiescent(rig.cluster->node(rig.sn));
   test::expect_quiescent(rig.cluster->node(rig.cn));
 }

@@ -28,6 +28,8 @@ struct KvRig {
     cn = cluster->add_node(
         test::small_node(via::PolicyKind::Kiobuf, 2048, 1024));
     gov = &cluster->node(sn).enable_governor(gcfg);
+    server_free_frames = cluster->node(sn).kernel().free_frames();
+    client_free_frames = cluster->node(cn).kernel().free_frames();
     server = std::make_unique<KvServer>(*cluster, sn, scfg);
     ASSERT_TRUE(ok(server->init()));
     client = std::make_unique<KvClient>(*cluster, cn, "cli", ccfg);
@@ -87,6 +89,8 @@ struct KvRig {
   std::unique_ptr<via::Cluster> cluster;
   via::NodeId sn = 0, cn = 0;
   pinmgr::PinGovernor* gov = nullptr;
+  /// Each node's free frames just before the server and client were built.
+  std::uint32_t server_free_frames = 0, client_free_frames = 0;
   std::unique_ptr<KvServer> server;
   std::unique_ptr<KvClient> client;
   std::unique_ptr<fault::FaultEngine> faults;

@@ -1,11 +1,8 @@
 // kernel_agent_test.cc - registration ioctls: TPT programming, handle
-// lifecycle, TPT exhaustion, the refresh escape hatch.
+// lifecycle, TPT exhaustion and its rollback.
 #include "via/kernel_agent.h"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <vector>
 
 #include "fault/fault.h"
 #include "via_util.h"
@@ -139,151 +136,6 @@ TEST(KernelAgent, InvalidArgumentsRejected) {
   EXPECT_EQ(agent.create_ptag(9999), kInvalidTag);
 }
 
-TEST(KernelAgent, RefreshTptRepairsStaleEntriesAfterRelocation) {
-  // With the broken refcount policy, refresh_tpt() is the (expensive) repair
-  // a U-Net/MM-style TLB-consistency scheme would perform.
-  AgentBox box(PolicyKind::Refcount);
-  auto& kern = box.node.kernel();
-  auto& agent = box.node.agent();
-  const auto pid = kern.create_task("t");
-  const auto a = must_mmap(kern, pid, 4);
-  const ProtectionTag tag = agent.create_ptag(pid);
-  MemHandle mh;
-  ASSERT_TRUE(ok(agent.register_mem(pid, a, 4 * kPageSize, tag, mh)));
-  // Evict and fault back: TPT now stale.
-  for (int p = 0; p < 4; ++p)
-    kern.task(pid).mm.pt.walk(a + p * kPageSize)->accessed = false;
-  (void)kern.try_to_free_pages(4);
-  for (int p = 0; p < 4; ++p)
-    ASSERT_TRUE(ok(kern.touch(pid, a + p * kPageSize, true)));
-  EXPECT_NE(box.node.nic().tpt().get(mh.tpt_base).pfn,
-            *kern.resolve(pid, a));
-  ASSERT_TRUE(ok(agent.refresh_tpt(mh)));
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(box.node.nic().tpt().get(mh.tpt_base + i).pfn,
-              *kern.resolve(pid, a + i * kPageSize));
-  }
-  ASSERT_TRUE(ok(agent.deregister_mem(mh)));
-}
-
-TEST(KernelAgent, RefreshLockFailureTearsDownRegistration) {
-  // Seed bug: a failed re-lock during refresh_tpt returned with the dead
-  // registration still live - empty LockHandle, leaked TPT slots, stale pfns
-  // in the NIC. The failure contract now tears the registration down.
-  AgentBox box;
-  auto& kern = box.node.kernel();
-  auto& agent = box.node.agent();
-  const auto pid = kern.create_task("t");
-  const auto a = must_mmap(kern, pid, 4);
-  const ProtectionTag tag = agent.create_ptag(pid);
-  MemHandle mh;
-  ASSERT_TRUE(ok(agent.register_mem(pid, a, 4 * kPageSize, tag, mh)));
-
-  // Arm a kiobuf-map failure for the *next* map: event 0 was the initial
-  // registration's, event 1 is the refresh's re-lock.
-  fault::FaultPlan plan;
-  plan.add({.site = fault::FaultSite::KiobufMap,
-            .action = fault::FaultAction::Fail,
-            .max_triggers = 1});
-  fault::FaultEngine engine(plan, box.clock);
-  box.node.set_fault_engine(&engine);
-
-  EXPECT_EQ(agent.refresh_tpt(mh), KStatus::Again);
-  EXPECT_EQ(agent.stats().refresh_failures, 1u);
-  EXPECT_EQ(agent.live_registrations(), 0u) << "dead entry must not linger";
-  EXPECT_EQ(box.node.nic().tpt().used(), 0u) << "TPT slots must not leak";
-  // The original pin was dropped and the re-pin never happened.
-  EXPECT_EQ(kern.phys().page(*kern.resolve(pid, a)).pin_count, 0u);
-  EXPECT_EQ(agent.deregister_mem(mh), KStatus::NoEnt) << "handle is dead";
-  EXPECT_TRUE(kern.self_check().empty());
-}
-
-// Delegates to a real kiobuf policy but can drop one pfn from the next lock
-// result - the only way to reach refresh_tpt's page-count-mismatch arm from
-// outside (a policy/MMU disagreement the agent must treat as fatal).
-class PfnDroppingPolicy final : public LockPolicy {
- public:
-  explicit PfnDroppingPolicy(simkern::Kernel& kern)
-      : LockPolicy(kern), inner_(kern) {}
-  [[nodiscard]] std::string_view name() const override { return "pfn-drop"; }
-  [[nodiscard]] KStatus lock(simkern::Pid pid, simkern::VAddr addr,
-                             std::uint64_t len, LockHandle& out) override {
-    const KStatus st = inner_.lock(pid, addr, len, out);
-    if (ok(st) && drop_next_ && !out.pfns.empty()) {
-      drop_next_ = false;
-      out.pfns.pop_back();
-    }
-    return st;
-  }
-  void unlock(LockHandle& h) override { inner_.unlock(h); }
-  [[nodiscard]] bool reliable() const override { return true; }
-  [[nodiscard]] bool supports_nesting() const override { return true; }
-  [[nodiscard]] bool walks_page_tables() const override { return false; }
-
-  void arm() { drop_next_ = true; }
-
- private:
-  KiobufLockPolicy inner_;
-  bool drop_next_ = false;
-};
-
-TEST(KernelAgent, RefreshPageCountMismatchTearsDown) {
-  // Seed bug: the mismatch arm returned Fault while keeping the fresh
-  // (uncharged) pin and the stale TPT programming.
-  Clock clock;
-  CostModel costs;
-  simkern::Kernel kern(test::small_config(), clock, costs);
-  Nic nic(kern, clock, costs);
-  PfnDroppingPolicy policy(kern);
-  KernelAgent agent(kern, nic, policy);
-
-  const auto pid = kern.create_task("t");
-  const auto a = must_mmap(kern, pid, 4);
-  const ProtectionTag tag = agent.create_ptag(pid);
-  MemHandle mh;
-  ASSERT_TRUE(ok(agent.register_mem(pid, a, 4 * kPageSize, tag, mh)));
-
-  policy.arm();  // the refresh re-lock comes back one pfn short
-  EXPECT_EQ(agent.refresh_tpt(mh), KStatus::Fault);
-  EXPECT_EQ(agent.stats().refresh_failures, 1u);
-  EXPECT_EQ(agent.live_registrations(), 0u);
-  EXPECT_EQ(nic.tpt().used(), 0u);
-  EXPECT_EQ(kern.phys().page(*kern.resolve(pid, a)).pin_count, 0u)
-      << "the fresh pin must have been unlocked, not kept";
-  EXPECT_TRUE(kern.self_check().empty());
-}
-
-TEST(KernelAgent, RefreshGovernorRejectTearsDown) {
-  AgentBox box;
-  auto& kern = box.node.kernel();
-  auto& agent = box.node.agent();
-  auto& gov = box.node.enable_governor({});
-  const auto pid = kern.create_task("t");
-  const auto a = must_mmap(kern, pid, 4);
-  const ProtectionTag tag = agent.create_ptag(pid);
-  MemHandle mh;
-  ASSERT_TRUE(ok(agent.register_mem(pid, a, 4 * kPageSize, tag, mh)));
-  EXPECT_EQ(gov.tenant_charged(pid), 4u);
-
-  // Event 0 was the registration's charge; fail the refresh's re-admission.
-  fault::FaultPlan plan;
-  plan.add({.site = fault::FaultSite::PinAdmission,
-            .action = fault::FaultAction::Fail,
-            .max_triggers = 1});
-  fault::FaultEngine engine(plan, box.clock);
-  box.node.set_fault_engine(&engine);
-  // after_events defaults to 0, but registration already consumed event 0
-  // before the engine was armed, so the next charge is the one that fails.
-
-  EXPECT_EQ(agent.refresh_tpt(mh), KStatus::Again);
-  EXPECT_EQ(agent.stats().refresh_failures, 1u);
-  EXPECT_EQ(agent.live_registrations(), 0u);
-  EXPECT_EQ(box.node.nic().tpt().used(), 0u);
-  EXPECT_EQ(gov.tenant_charged(pid), 0u) << "nothing charged, nothing pinned";
-  EXPECT_EQ(kern.phys().page(*kern.resolve(pid, a)).pin_count, 0u);
-  EXPECT_TRUE(kern.self_check().empty());
-}
-
 TEST(KernelAgent, TptAllocFaultRollsBackPinAndCharge) {
   // S2 regression: Tpt::alloc failing partway through a registration (here
   // via the injectable TptAlloc site) must roll back *everything* claimed
@@ -321,118 +173,6 @@ TEST(KernelAgent, TptAllocFaultRollsBackPinAndCharge) {
   EXPECT_EQ(gov.tenant_charged(pid), 4u);
   ASSERT_TRUE(ok(agent.deregister_mem(mh)));
   EXPECT_EQ(gov.total_charged(), 0u);
-}
-
-// Delegates to a real kiobuf policy but can reverse the pfn order of the
-// next lock result: to the decomposer a reversed run is 2^k order-0 runs, so
-// a refresh re-pin through this policy deterministically forces the
-// superpage-split arm without fighting the swapper for a mid-run relocation.
-class PfnPermutingPolicy final : public LockPolicy {
- public:
-  explicit PfnPermutingPolicy(simkern::Kernel& kern)
-      : LockPolicy(kern), inner_(kern) {}
-  [[nodiscard]] std::string_view name() const override { return "pfn-permute"; }
-  [[nodiscard]] KStatus lock(simkern::Pid pid, simkern::VAddr addr,
-                             std::uint64_t len, LockHandle& out) override {
-    const KStatus st = inner_.lock(pid, addr, len, out);
-    if (ok(st) && reverse_next_) {
-      reverse_next_ = false;
-      std::reverse(out.pfns.begin(), out.pfns.end());
-    }
-    return st;
-  }
-  void unlock(LockHandle& h) override { inner_.unlock(h); }
-  [[nodiscard]] bool reliable() const override { return true; }
-  [[nodiscard]] bool supports_nesting() const override { return true; }
-  [[nodiscard]] bool walks_page_tables() const override { return false; }
-
-  void arm() { reverse_next_ = true; }
-
- private:
-  KiobufLockPolicy inner_;
-  bool reverse_next_ = false;
-};
-
-TEST(KernelAgent, RefreshSplitsSuperpageWhenFramesRelocate) {
-  // Relocation inside a superpage run changes the decomposition: refresh
-  // must claim a fresh TPT range for the split layout, program it from the
-  // new frame list, and release the old range.
-  Clock clock;
-  CostModel costs;
-  simkern::Kernel kern(test::small_config(), clock, costs);
-  Nic nic(kern, clock, costs);  // default NicConfig: superpages enabled
-  PfnPermutingPolicy policy(kern);
-  KernelAgent agent(kern, nic, policy);
-
-  const auto pid = kern.create_task("t");
-  const auto a = must_mmap(kern, pid, 4);
-  const ProtectionTag tag = agent.create_ptag(pid);
-  MemHandle mh;
-  ASSERT_TRUE(ok(agent.register_mem(pid, a, 4 * kPageSize, tag, mh)));
-  ASSERT_LT(mh.tpt_count, 4u) << "fresh-kernel frames must form a superpage";
-  std::vector<simkern::Pfn> orig;
-  for (std::uint32_t i = 0; i < 4; ++i)
-    orig.push_back(*kern.resolve(pid, a + i * kPageSize));
-
-  policy.arm();  // the refresh re-pin reports the frames in reverse order
-  ASSERT_TRUE(ok(agent.refresh_tpt(mh)));
-  EXPECT_EQ(agent.stats().refresh_splits, 1u);
-  EXPECT_EQ(mh.tpt_count, 4u) << "a descending frame list never merges";
-  EXPECT_EQ(nic.tpt().used(), 4u) << "old range released, only the new held";
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    const auto tr = nic.tpt().translate(mh.tpt_base, mh.tpt_count,
-                                        i * kPageSize, tag, false, false);
-    ASSERT_TRUE(tr.has_value());
-    EXPECT_EQ(tr->pfn, orig[3 - i]) << "page " << i;
-  }
-  ASSERT_TRUE(ok(agent.deregister_mem(mh)));
-  EXPECT_EQ(nic.tpt().used(), 0u);
-  EXPECT_EQ(kern.pinned_frames(), 0u);
-  EXPECT_TRUE(kern.self_check().empty());
-}
-
-TEST(KernelAgent, RefreshSplitTptAllocFailureRollsBackEverything) {
-  // S2 regression, the deepest arm: the refresh already dropped the old pin,
-  // re-pinned, re-charged the governor, and *then* the split's table claim
-  // fails. Everything acquired in the refresh - the new pin and the new
-  // charge - must unwind on top of the usual teardown, or pinned_frames()
-  // and quota accounting leak on a dead registration.
-  Clock clock;
-  CostModel costs;
-  simkern::Kernel kern(test::small_config(), clock, costs);
-  Nic nic(kern, clock, costs);
-  PfnPermutingPolicy policy(kern);
-  KernelAgent agent(kern, nic, policy);
-  pinmgr::PinGovernor gov(kern, {});
-  agent.set_governor(&gov);
-
-  const auto pid = kern.create_task("t");
-  const auto a = must_mmap(kern, pid, 4);
-  const ProtectionTag tag = agent.create_ptag(pid);
-  MemHandle mh;
-  ASSERT_TRUE(ok(agent.register_mem(pid, a, 4 * kPageSize, tag, mh)));
-  ASSERT_LT(mh.tpt_count, 4u) << "test requires a superpage to split";
-  EXPECT_EQ(gov.tenant_charged(pid), 4u);
-
-  // Armed after registration, so the refresh split's claim is event 0.
-  fault::FaultPlan plan;
-  plan.add({.site = fault::FaultSite::TptAlloc,
-            .action = fault::FaultAction::Fail,
-            .max_triggers = 1});
-  fault::FaultEngine engine(plan, clock);
-  agent.set_fault_engine(&engine);
-
-  policy.arm();  // reversed pfns force the split arm on refresh
-  EXPECT_EQ(agent.refresh_tpt(mh), KStatus::NoSpc);
-  EXPECT_EQ(agent.stats().refresh_splits, 1u);
-  EXPECT_EQ(agent.stats().refresh_failures, 1u);
-  EXPECT_EQ(agent.stats().tpt_full, 1u);
-  EXPECT_EQ(agent.live_registrations(), 0u);
-  EXPECT_EQ(nic.tpt().used(), 0u) << "old range must not leak on teardown";
-  EXPECT_EQ(kern.pinned_frames(), 0u) << "the refresh's re-pin must unwind";
-  EXPECT_EQ(gov.total_charged(), 0u) << "the refresh's re-charge must unwind";
-  EXPECT_EQ(agent.deregister_mem(mh), KStatus::NoEnt) << "handle is dead";
-  EXPECT_TRUE(kern.self_check().empty());
 }
 
 TEST(KernelAgent, RegistrationChargesSyscallAndPciTime) {
