@@ -87,7 +87,7 @@ KStatus Fabric::repair(NodeId node_a, ViId vi_a, NodeId node_b, ViId vi_b) {
   return pair(node_a, vi_a, node_b, vi_b, /*repair=*/true);
 }
 
-DescStatus Fabric::transmit(Nic::Packet& pkt, std::vector<std::byte>* read_back) {
+DescStatus Fabric::transmit(Nic::Packet& pkt) {
   // Find the destination: the source VI's connection names the peer node.
   assert(pkt.src_node < nics_.size());
   Vi& src = nics_[pkt.src_node]->vi(pkt.src_vi);
@@ -115,8 +115,9 @@ DescStatus Fabric::transmit(Nic::Packet& pkt, std::vector<std::byte>* read_back)
   // doorbell -> gather -> wire -> (remote) deliver.
   const obs::ScopedSpan wire_span(nics_[pkt.src_node]->host().spans(),
                                   "via.wire");
-  const std::uint64_t bytes =
-      pkt.op == DescOp::RdmaRead ? pkt.read_length : pkt.payload.size();
+  // A Send or RdmaWrite carries its payload; an RdmaRead's payload is the
+  // room its response fills.
+  const std::uint64_t bytes = pkt.payload.size();
   clock_.advance(costs_.wire_latency + bytes * costs_.dma_path_per_byte);
 
   // Injected wire loss: the packet vanishes downstream of the sender's NIC,
@@ -133,7 +134,7 @@ DescStatus Fabric::transmit(Nic::Packet& pkt, std::vector<std::byte>* read_back)
     }
   }
 
-  const DescStatus st = nics_[dst]->deliver(pkt, read_back);
+  const DescStatus st = nics_[dst]->deliver(pkt);
   if (pkt.op == DescOp::RdmaRead && st == DescStatus::Done) {
     // The response path carries the data back.
     clock_.advance(costs_.wire_latency + bytes * costs_.dma_path_per_byte);

@@ -51,8 +51,7 @@ class Fabric {
                                ViId vi_b);
 
   /// Wire transfer + remote delivery; returns the sender-side status.
-  [[nodiscard]] DescStatus transmit(Nic::Packet& pkt,
-                                    std::vector<std::byte>* read_back);
+  [[nodiscard]] DescStatus transmit(Nic::Packet& pkt);
 
   /// Arm fault injection on the wire: Wire (packets vanish in flight after
   /// the sender's completion) and Connection (the link resets, both VIs go

@@ -137,14 +137,12 @@ template bool Nic::tpt_copy(const MemHandle&, simkern::VAddr,
                             TptAccess);
 
 bool Nic::gather_desc(const Descriptor& desc, ProtectionTag tag,
-                      std::vector<std::byte>& out) {
+                      std::span<std::byte> out) {
   if (desc.num_segments() > Descriptor::kMaxSegments) return false;
-  out.resize(desc.total_length());
   std::uint64_t done = 0;
   for (std::size_t i = 0; i < desc.num_segments(); ++i) {
     const DataSegment& seg = desc.segment(i);
-    if (!tpt_copy(seg.handle, seg.addr,
-                  std::span(out).subspan(done, seg.length), tag,
+    if (!tpt_copy(seg.handle, seg.addr, out.subspan(done, seg.length), tag,
                   TptAccess::Local)) {
       return false;
     }
@@ -243,9 +241,7 @@ std::optional<Nic::CqEntry> Nic::poll_cq(CqId cq) {
   if (cq >= cqs_.size()) return std::nullopt;
   clock_.advance(costs_.pci_reg_read);
   if (cqs_[cq].empty()) return std::nullopt;
-  CqEntry e = std::move(cqs_[cq].front());
-  cqs_[cq].pop_front();
-  return e;
+  return cqs_[cq].pop_front();
 }
 
 std::uint32_t Nic::poll_cq_batch(CqId cq, std::uint32_t max,
@@ -255,8 +251,7 @@ std::uint32_t Nic::poll_cq_batch(CqId cq, std::uint32_t max,
   ++stats_.cq_harvests;
   std::uint32_t n = 0;
   while (n < max && !cqs_[cq].empty()) {
-    out.push_back(std::move(cqs_[cq].front()));
-    cqs_[cq].pop_front();
+    out.push_back(cqs_[cq].pop_front());
     ++n;
   }
   stats_.cq_harvested += n;
@@ -282,7 +277,7 @@ KStatus Nic::post_send(ViId id, Descriptor desc) {
   return submit_send(id, std::move(desc));
 }
 
-KStatus Nic::post_send_batch(ViId id, std::vector<Descriptor> descs) {
+KStatus Nic::post_send_batch(ViId id, std::span<Descriptor> descs) {
   if (!vi_exists(id)) return KStatus::Inval;
   if (descs.empty()) return KStatus::Ok;
   const obs::ScopedSpan post_span(host_.spans(), "via.post_send_batch");
@@ -342,11 +337,15 @@ KStatus Nic::submit_send(ViId id, Descriptor desc) {
   pkt.remote = desc.remote;
   pkt.immediate = desc.immediate;
   pkt.has_immediate = desc.has_immediate;
+  // Send / RdmaWrite gather into the payload; an RdmaRead's read-back
+  // lands in it. The staging buffer only grows, so once it has held the
+  // largest packet no packet allocates.
+  const std::uint64_t bytes = desc.total_length();
+  if (bytes > staging_.size()) staging_.resize(bytes);
+  pkt.payload = std::span(staging_).first(bytes);
 
-  if (desc.op == DescOp::RdmaRead) {
-    pkt.read_length = static_cast<std::uint32_t>(desc.total_length());
-  } else {
-    // Send / RdmaWrite: gather the local segments under this VI's tag.
+  if (desc.op != DescOp::RdmaRead) {
+    // Gather the local segments under this VI's tag.
     const obs::ScopedSpan gather_span(host_.spans(), "via.dma.gather");
     if (!gather_desc(desc, v.tag, pkt.payload)) {
       ++stats_.protection_errors;
@@ -373,14 +372,13 @@ KStatus Nic::submit_send(ViId id, Descriptor desc) {
     }
   }
 
-  std::vector<std::byte> read_back;
   assert(fabric_ && "NIC not attached to a fabric");
-  const DescStatus st = fabric_->transmit(pkt, &read_back);
+  const DescStatus st = fabric_->transmit(pkt);
 
   if (desc.op == DescOp::RdmaRead && st == DescStatus::Done) {
-    stats_.bytes_rx += read_back.size();
+    stats_.bytes_rx += pkt.payload.size();
     ++stats_.rdma_reads;
-    if (!scatter_desc(desc, v.tag, read_back)) {
+    if (!scatter_desc(desc, v.tag, pkt.payload)) {
       ++stats_.protection_errors;
       complete_send(v, std::move(desc), DescStatus::ErrProtection);
       return KStatus::Ok;
@@ -405,7 +403,7 @@ KStatus Nic::post_recv(ViId id, Descriptor desc) {
   return KStatus::Ok;
 }
 
-KStatus Nic::post_recv_batch(ViId id, std::vector<Descriptor> descs) {
+KStatus Nic::post_recv_batch(ViId id, std::span<Descriptor> descs) {
   if (!vi_exists(id)) return KStatus::Inval;
   if (descs.empty()) return KStatus::Ok;
   Vi& v = vis_[id];
@@ -433,27 +431,26 @@ std::optional<Descriptor> Nic::poll_recv(ViId id) {
 }
 
 std::optional<Descriptor> Nic::poll_completed(
-    ViId id, std::deque<Descriptor> Vi::*completed) {
+    ViId id, Fifo<Descriptor> Vi::*completed) {
   if (!vi_exists(id)) return std::nullopt;
-  std::deque<Descriptor>& queue = vis_[id].*completed;
+  Fifo<Descriptor>& queue = vis_[id].*completed;
   clock_.advance(costs_.pci_reg_read);  // status poll
   if (queue.empty()) return std::nullopt;
   { const obs::ScopedSpan s(host_.spans(), "via.completion"); }
-  Descriptor d = std::move(queue.front());
-  queue.pop_front();
-  return d;
+  return queue.pop_front();
 }
 
 // ---------------------------------------------------------------------------
 // Receive path
 // ---------------------------------------------------------------------------
 
-DescStatus Nic::deliver(Packet& pkt, std::vector<std::byte>* read_back) {
+DescStatus Nic::deliver(Packet& pkt) {
   // Receiver-side DMA under the sender's trace: the fabric delivers inline
   // (one shared virtual clock), so the ambient context pushed around the
   // transfer is still in scope on this host's recorder.
   const obs::ScopedSpan deliver_span(host_.spans(), "via.dma.deliver");
-  dma_bytes_.add(pkt.payload.size());
+  // An RdmaRead request carries no data; its payload is the read-back room.
+  dma_bytes_.add(pkt.op == DescOp::RdmaRead ? 0 : pkt.payload.size());
   if (!vi_exists(pkt.dst_vi)) return DescStatus::ErrDisconnected;
   Vi& v = vis_[pkt.dst_vi];
   if (!v.connected() || v.peer_node != pkt.src_node || v.peer_vi != pkt.src_vi) {
@@ -481,8 +478,7 @@ DescStatus Nic::deliver(Packet& pkt, std::vector<std::byte>* read_back) {
         // connection broken" (reliable mode).
         return fail(DescStatus::ErrNoRecvDesc);
       }
-      Descriptor rd = std::move(v.recv_queue.front());
-      v.recv_queue.pop_front();
+      Descriptor rd = v.recv_queue.pop_front();
       if (pkt.payload.size() > rd.total_length()) {
         rd.status = DescStatus::ErrLength;
       } else if (!scatter_desc(rd, v.tag, pkt.payload)) {
@@ -513,8 +509,7 @@ DescStatus Nic::deliver(Packet& pkt, std::vector<std::byte>* read_back) {
       if (pkt.has_immediate) {
         // RDMA write with immediate data consumes a receive descriptor.
         if (v.recv_queue.empty()) return fail(DescStatus::ErrNoRecvDesc);
-        Descriptor rd = std::move(v.recv_queue.front());
-        v.recv_queue.pop_front();
+        Descriptor rd = v.recv_queue.pop_front();
         rd.status = DescStatus::Done;
         rd.transferred = 0;
         rd.immediate = pkt.immediate;
@@ -525,14 +520,12 @@ DescStatus Nic::deliver(Packet& pkt, std::vector<std::byte>* read_back) {
     }
 
     case DescOp::RdmaRead: {
-      assert(read_back);
-      read_back->resize(pkt.read_length);
-      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr,
-                    std::span(*read_back), v.tag, TptAccess::RdmaRead)) {
+      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr, pkt.payload, v.tag,
+                    TptAccess::RdmaRead)) {
         return fail(DescStatus::ErrProtection);
       }
       clock_.advance(costs_.dma_startup);
-      stats_.bytes_tx += pkt.read_length;
+      stats_.bytes_tx += pkt.payload.size();
       return DescStatus::Done;
     }
 

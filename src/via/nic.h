@@ -11,13 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "fault/fault.h"
 #include "simkern/kernel.h"
+#include "util/fifo.h"
 #include "via/descriptor.h"
 #include "via/tpt.h"
 #include "via/vi.h"
@@ -98,13 +98,15 @@ class Nic {
   /// fault) loses exactly the descriptor whose fetch it covered - the chain
   /// is linked in host memory, so the engine resynchronises on the next
   /// entry and the rest of the burst still posts.
-  [[nodiscard]] KStatus post_send_batch(ViId id, std::vector<Descriptor> descs);
+  /// The descriptors are moved out of `descs`.
+  [[nodiscard]] KStatus post_send_batch(ViId id, std::span<Descriptor> descs);
   [[nodiscard]] KStatus post_recv(ViId id, Descriptor desc);
   /// Burst receive pre-posting: ONE doorbell ring arms the whole chain.
   /// Receive descriptors are only fetched on packet arrival, so - unlike
   /// post_send_batch - nothing executes here; the doorbell cost amortises
-  /// across connection setup / credit-refill loops.
-  [[nodiscard]] KStatus post_recv_batch(ViId id, std::vector<Descriptor> descs);
+  /// across connection setup / credit-refill loops. The descriptors are
+  /// moved out of `descs`.
+  [[nodiscard]] KStatus post_recv_batch(ViId id, std::span<Descriptor> descs);
   [[nodiscard]] std::optional<Descriptor> poll_send(ViId id);
   [[nodiscard]] std::optional<Descriptor> poll_recv(ViId id);
 
@@ -152,22 +154,27 @@ class Nic {
                               TptAccess access);
 
   // --- fabric-facing receive path ----------------------------------------------
+  /// One packet on the wire. Its payload is a view of the sending NIC's
+  /// staging buffer, which holds the bytes of one packet at a time: a Send
+  /// or RdmaWrite gathers into it, and an RdmaRead request carries it, sized
+  /// to the read, for the responder to fill. The view stays valid because
+  /// Fabric::transmit delivers inline - the gather, the wire and the remote
+  /// scatter (or, for a read, the read-back and the local scatter) run in
+  /// one call, and nothing between them posts on the sending NIC.
   struct Packet {
     NodeId src_node = kInvalidNode;
     ViId src_vi = kInvalidVi;
     ViId dst_vi = kInvalidVi;
     DescOp op = DescOp::Send;
-    std::vector<std::byte> payload;
+    std::span<std::byte> payload;
     RemoteSegment remote;  ///< RDMA target / source
-    std::uint32_t read_length = 0;  ///< RdmaRead: bytes requested
     std::uint32_t immediate = 0;
     bool has_immediate = false;
   };
 
   /// Deliver a packet arriving from the wire. Returns the status the sender's
-  /// descriptor completes with; for RdmaRead fills `read_back`.
-  [[nodiscard]] DescStatus deliver(Packet& pkt,
-                                   std::vector<std::byte>* read_back);
+  /// descriptor completes with; an RdmaRead fills `pkt.payload`.
+  [[nodiscard]] DescStatus deliver(Packet& pkt);
 
   [[nodiscard]] const NicStats& stats() const { return stats_; }
   [[nodiscard]] const NicConfig& config() const { return config_; }
@@ -181,7 +188,7 @@ class Nic {
  private:
   /// Gather every segment of `desc` (under `tag`) into `out`, in order.
   [[nodiscard]] bool gather_desc(const Descriptor& desc, ProtectionTag tag,
-                                 std::vector<std::byte>& out);
+                                 std::span<std::byte> out);
   /// Scatter `data` across the segments of `desc` in order.
   [[nodiscard]] bool scatter_desc(const Descriptor& desc, ProtectionTag tag,
                                   std::span<const std::byte> data);
@@ -193,7 +200,7 @@ class Nic {
   [[nodiscard]] bool doorbell_dropped();
   /// poll_send / poll_recv on the VI's `completed` queue.
   [[nodiscard]] std::optional<Descriptor> poll_completed(
-      ViId id, std::deque<Descriptor> Vi::*completed);
+      ViId id, Fifo<Descriptor> Vi::*completed);
   /// Fetch-and-execute one posted send descriptor (everything post_send does
   /// after the doorbell ring and fault check): gather, transmit, complete.
   [[nodiscard]] KStatus submit_send(ViId id, Descriptor desc);
@@ -204,7 +211,9 @@ class Nic {
   NicConfig config_;
   Tpt tpt_;
   std::vector<Vi> vis_;
-  std::vector<std::deque<CqEntry>> cqs_;
+  std::vector<Fifo<CqEntry>> cqs_;
+  /// The payload of the packet in flight (Packet).
+  std::vector<std::byte> staging_;
   Fabric* fabric_ = nullptr;
   NodeId node_id_ = kInvalidNode;
   fault::FaultEngine* faults_ = nullptr;

@@ -1,5 +1,6 @@
 #include "via/tpt.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace vialock::via {
@@ -16,7 +17,8 @@ TptIndex Tpt::alloc(std::uint32_t count) {
 void Tpt::release(TptIndex base, std::uint32_t count) {
   assert(base + count <= capacity());
   free_.release(base, count);  // checks double-free in debug builds
-  for (std::uint32_t j = base; j < base + count; ++j) entries_[j] = TptEntry{};
+  const auto stored = std::min<std::size_t>(base + count, entries_.size());
+  for (std::size_t j = base; j < stored; ++j) entries_[j] = TptEntry{};
   used_ -= count;
 }
 
@@ -27,7 +29,7 @@ std::optional<Tpt::Translation> Tpt::translate(TptIndex base,
                                                bool rdma_write,
                                                bool rdma_read) const {
   const auto page = static_cast<std::uint64_t>(offset >> simkern::kPageShift);
-  if (count == 0 || base >= capacity() || count > capacity() - base)
+  if (count == 0 || base >= entries_.size() || count > entries_.size() - base)
     return std::nullopt;
 
   // Fast path: in the order-0 dense layout entry i covers exactly page i, so

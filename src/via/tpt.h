@@ -8,6 +8,7 @@
 // to the wrong physical page, the failure mode of the whole paper.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -49,11 +50,9 @@ static_assert(sizeof(TptEntry) == 16);
 class Tpt {
  public:
   explicit Tpt(std::uint32_t num_entries)
-      : entries_(num_entries), free_(num_entries) {}
+      : capacity_(num_entries), free_(num_entries) {}
 
-  [[nodiscard]] std::uint32_t capacity() const {
-    return static_cast<std::uint32_t>(entries_.size());
-  }
+  [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint32_t used() const {
     return static_cast<std::uint32_t>(used_);
   }
@@ -77,8 +76,17 @@ class Tpt {
   /// Release a range previously returned by alloc().
   void release(TptIndex base, std::uint32_t count);
 
-  void set(TptIndex idx, const TptEntry& e) { entries_[idx] = e; }
-  [[nodiscard]] const TptEntry& get(TptIndex idx) const { return entries_[idx]; }
+  /// Program entry `idx` (< capacity()). Storage grows to the highest index
+  /// ever set, so a table pays only for the entries first-fit reached.
+  void set(TptIndex idx, const TptEntry& e) {
+    assert(idx < capacity_);
+    if (idx >= entries_.size()) entries_.resize(idx + 1);
+    entries_[idx] = e;
+  }
+  /// Entry `idx`; an index past every programmed one reads as unset.
+  [[nodiscard]] TptEntry get(TptIndex idx) const {
+    return idx < entries_.size() ? entries_[idx] : TptEntry{};
+  }
 
   struct Translation {
     simkern::Pfn pfn;
@@ -89,8 +97,10 @@ class Tpt {
   /// match and - when `rdma_write`/`rdma_read` - the RDMA enable attributes.
   /// `count` is the number of TPT entries the region occupies (the handle's
   /// tpt_count); the entries must hold ascending page_start values, which
-  /// registration guarantees. Order-0 dense layouts (page_start == index)
-  /// hit a direct-probe fast path; mixed-order layouts binary-search.
+  /// registration guarantees, and must all have been programmed: a range
+  /// reaching past the highest programmed entry does not translate.
+  /// Order-0 dense layouts (page_start == index) hit a direct-probe fast
+  /// path; mixed-order layouts binary-search.
   [[nodiscard]] std::optional<Translation> translate(TptIndex base,
                                                      std::uint32_t count,
                                                      std::uint64_t offset,
@@ -99,6 +109,8 @@ class Tpt {
                                                      bool rdma_read) const;
 
  private:
+  std::uint32_t capacity_;
+  /// Entries [0, highest index set]; the rest of the table reads as unset.
   std::vector<TptEntry> entries_;
   /// Ordered free-extent index over [0, capacity): allocation and release
   /// cost O(log holes) instead of scanning every entry.

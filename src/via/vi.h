@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string_view>
 
+#include "util/fifo.h"
 #include "via/descriptor.h"
 #include "via/tpt.h"
 
@@ -60,9 +60,9 @@ struct Vi {
   CqId send_cq = kInvalidCq;  ///< send completions route here when set
   CqId recv_cq = kInvalidCq;  ///< receive completions route here when set
 
-  std::deque<Descriptor> recv_queue;      ///< posted, not yet consumed
-  std::deque<Descriptor> send_completed;  ///< completions awaiting poll
-  std::deque<Descriptor> recv_completed;
+  Fifo<Descriptor> recv_queue;      ///< posted, not yet consumed
+  Fifo<Descriptor> send_completed;  ///< completions awaiting poll
+  Fifo<Descriptor> recv_completed;
 
   [[nodiscard]] bool connected() const { return state == ViState::Connected; }
 };

@@ -71,19 +71,17 @@ KStatus Vipl::rdma_read(ViId vi, const MemHandle& local_mh,
 }
 
 KStatus Vipl::post_send_batch(ViId vi, std::span<const SendPost> posts) {
-  std::vector<Descriptor> descs;
-  descs.reserve(posts.size());
+  batch_.clear();
   for (const SendPost& p : posts)
-    descs.push_back(build(DescOp::Send, p.mh, p.addr, p.len, p.cookie));
-  return agent_.nic().post_send_batch(vi, std::move(descs));
+    batch_.push_back(build(DescOp::Send, p.mh, p.addr, p.len, p.cookie));
+  return agent_.nic().post_send_batch(vi, batch_);
 }
 
 KStatus Vipl::post_recv_batch(ViId vi, std::span<const RecvPost> posts) {
-  std::vector<Descriptor> descs;
-  descs.reserve(posts.size());
+  batch_.clear();
   for (const RecvPost& p : posts)
-    descs.push_back(build(DescOp::Recv, p.mh, p.addr, p.len, p.cookie));
-  return agent_.nic().post_recv_batch(vi, std::move(descs));
+    batch_.push_back(build(DescOp::Recv, p.mh, p.addr, p.len, p.cookie));
+  return agent_.nic().post_recv_batch(vi, batch_);
 }
 
 KStatus Vipl::post_send_sg(ViId vi, std::vector<DataSegment> segs,

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "util/status.h"
 #include "via/kernel_agent.h"
@@ -129,6 +130,9 @@ class Vipl {
   KernelAgent& agent_;
   simkern::Pid pid_;
   ProtectionTag tag_ = kInvalidTag;
+  /// The descriptors of the burst being posted, kept so that a steady
+  /// stream of bursts allocates nothing (the NIC moves them out).
+  std::vector<Descriptor> batch_;
 };
 
 }  // namespace vialock::via

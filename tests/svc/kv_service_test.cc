@@ -76,7 +76,7 @@ void land_foreign_completion(via::Cluster& cluster, via::NodeId node,
   pkt.src_vi = peer_vi;
   pkt.dst_vi = vi;
   pkt.op = via::DescOp::Send;
-  ASSERT_EQ(nic.deliver(pkt, nullptr), via::DescStatus::Done);
+  ASSERT_EQ(nic.deliver(pkt), via::DescStatus::Done);
 }
 
 TEST_F(KvBox, InlineRoundTripServesPutAndGet) {

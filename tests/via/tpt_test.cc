@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "simkern/types.h"
 
 namespace vialock::via {
@@ -143,6 +145,121 @@ TEST(Tpt, ReleaseInvalidatesEntries) {
   ASSERT_EQ(again, base);  // first-fit reuses the slot
   EXPECT_FALSE(tpt.translate(again, 1, 0, 7, false, false))
       << "stale entry must not survive release";
+}
+
+// --- storage on demand: the table holds entries only up to the highest one
+//     ever programmed, and must read exactly like an eagerly sized table ---
+
+TEST(Tpt, GetPastHighWaterMarkReadsUnset) {
+  Tpt tpt(64);
+  EXPECT_FALSE(tpt.get(0).valid) << "nothing programmed yet";
+  EXPECT_FALSE(tpt.get(63).valid);
+  tpt.set(3, entry(0, 100, 7));
+  EXPECT_TRUE(tpt.get(3).valid);
+  EXPECT_EQ(tpt.get(3).pfn, 100u);
+  EXPECT_FALSE(tpt.get(2).valid) << "below the mark, never programmed";
+  EXPECT_FALSE(tpt.get(4).valid) << "past the mark";
+  EXPECT_FALSE(tpt.get(63).valid);
+  EXPECT_EQ(tpt.get(63).tag, kInvalidTag);
+}
+
+TEST(Tpt, TranslatePastHighWaterMarkFails) {
+  Tpt tpt(16);
+  const TptIndex a = tpt.alloc(2);  // [0,2), programmed
+  tpt.set(a, entry(0, 100, 7));
+  tpt.set(a + 1, entry(1, 101, 7));
+  const TptIndex b = tpt.alloc(4);  // [2,6), allocated, never programmed
+  EXPECT_FALSE(tpt.translate(b, 4, 0, 7, false, false));
+  EXPECT_FALSE(tpt.translate(b, 4, 3 * kPageSize, 7, false, false));
+  // A range that starts inside the programmed entries but reaches past them.
+  EXPECT_FALSE(tpt.translate(a, 4, 0, 7, false, false));
+  // A forged handle wholly past the mark, and one past the capacity.
+  EXPECT_FALSE(tpt.translate(10, 2, 0, 7, false, false));
+  EXPECT_FALSE(tpt.translate(15, 4, 0, 7, false, false));
+  EXPECT_TRUE(tpt.translate(a, 2, kPageSize, 7, false, false));
+}
+
+TEST(Tpt, ReleaseNeverProgrammedRangeIsClean) {
+  Tpt tpt(16);
+  const TptIndex a = tpt.alloc(8);
+  ASSERT_EQ(a, 0u);
+  tpt.release(a, 8);  // no entry was ever stored
+  EXPECT_EQ(tpt.used(), 0u);
+  EXPECT_EQ(tpt.free_extent_count(), 1u);
+  // A range straddling the mark: only the stored part is cleared.
+  const TptIndex b = tpt.alloc(6);
+  tpt.set(b, entry(0, 100, 7));
+  tpt.set(b + 1, entry(1, 101, 7));
+  tpt.release(b, 6);
+  EXPECT_FALSE(tpt.get(b).valid);
+  EXPECT_FALSE(tpt.get(b + 1).valid);
+  EXPECT_FALSE(tpt.get(b + 5).valid);
+  EXPECT_EQ(tpt.used(), 0u);
+  EXPECT_EQ(tpt.alloc(16), 0u) << "the whole table is free again";
+}
+
+TEST(Tpt, LazyTableMatchesEagerlySizedTable) {
+  constexpr std::uint32_t kEntries = 64;
+  Tpt lazy(kEntries);
+  Tpt eager(kEntries);
+  eager.set(kEntries - 1, TptEntry{});  // storage for every entry up front
+  struct Region {
+    TptIndex base;
+    std::uint32_t count;
+  };
+  std::vector<Region> live;
+  const auto same = [&](int step) {
+    EXPECT_EQ(lazy.capacity(), eager.capacity()) << "step " << step;
+    EXPECT_EQ(lazy.used(), eager.used()) << "step " << step;
+    EXPECT_EQ(lazy.free_entries(), eager.free_entries()) << "step " << step;
+    EXPECT_EQ(lazy.free_extent_count(), eager.free_extent_count())
+        << "step " << step;
+    EXPECT_EQ(lazy.largest_free_run(), eager.largest_free_run())
+        << "step " << step;
+    for (TptIndex i = 0; i < kEntries; ++i) {
+      EXPECT_EQ(lazy.get(i).valid, eager.get(i).valid)
+          << "step " << step << " entry " << i;
+      EXPECT_EQ(lazy.get(i).pfn, eager.get(i).pfn)
+          << "step " << step << " entry " << i;
+    }
+    for (const Region& r : live) {
+      for (std::uint32_t p = 0; p < r.count; ++p) {
+        const auto l = lazy.translate(r.base, r.count, p * kPageSize, 7,
+                                      false, false);
+        const auto e = eager.translate(r.base, r.count, p * kPageSize, 7,
+                                       false, false);
+        ASSERT_EQ(l.has_value(), e.has_value()) << "step " << step;
+        if (l) {
+          EXPECT_EQ(l->pfn, e->pfn);
+        }
+      }
+    }
+  };
+  const std::uint32_t sizes[] = {3, 5, 1, 8, 2, 4, 6, 7};
+  int step = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::uint32_t count : sizes) {
+      const TptIndex lb = lazy.alloc(count);
+      ASSERT_EQ(lb, eager.alloc(count)) << "first-fit placements agree";
+      if (lb == kInvalidTptIndex) continue;
+      for (std::uint32_t p = 0; p < count; ++p) {
+        const TptEntry e = entry(p, 1000 * round + lb + p, 7);
+        lazy.set(lb + p, e);
+        eager.set(lb + p, e);
+      }
+      live.push_back({lb, count});
+      same(++step);
+    }
+    // Release every other region, oldest first: holes for the next round.
+    for (std::size_t k = 0; k < live.size(); k += 2) {
+      lazy.release(live[k].base, live[k].count);
+      eager.release(live[k].base, live[k].count);
+    }
+    std::vector<Region> kept;
+    for (std::size_t k = 1; k < live.size(); k += 2) kept.push_back(live[k]);
+    live = kept;
+    same(++step);
+  }
 }
 
 }  // namespace
