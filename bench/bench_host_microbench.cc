@@ -99,6 +99,65 @@ void BM_EagerTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_EagerTransfer)->Arg(64)->Arg(4096);
 
+// One 64-byte eager round trip per iteration, round-robin over N connected
+// VI pairs, each with its own buffer slot: at N = 1024 every transfer finds
+// its VIs' records, rings and slots cold, as a server's connections are.
+void BM_ManyConnectionTransfer(benchmark::State& state) {
+  constexpr std::uint32_t kMsg = 64;
+  const auto pairs = static_cast<std::uint32_t>(state.range(0));
+  via::Cluster cluster;
+  via::NodeSpec spec;
+  spec.kernel = bench_kernel();
+  spec.nic.max_vis = pairs;
+  const via::NodeId nodes[2] = {cluster.add_node(spec), cluster.add_node(spec)};
+  struct Side {
+    std::unique_ptr<via::Vipl> vipl;
+    simkern::VAddr buf = 0;
+    via::MemHandle mh;
+    std::vector<via::ViId> vis;
+  } sides[2];
+  const std::uint64_t len = simkern::page_align_up(std::uint64_t{pairs} * kMsg);
+  for (int s = 0; s < 2; ++s) {
+    auto& kern = cluster.node(nodes[s]).kernel();
+    const auto pid = kern.create_task("conn");
+    sides[s].vipl =
+        std::make_unique<via::Vipl>(cluster.node(nodes[s]).agent(), pid);
+    const auto buf = kern.sys_mmap_anon(
+        pid, len, simkern::VmFlag::Read | simkern::VmFlag::Write);
+    if (!buf || !ok(sides[s].vipl->open()) ||
+        !ok(sides[s].vipl->register_mem(*buf, len, sides[s].mh))) {
+      state.SkipWithError("setup failed");
+      return;
+    }
+    sides[s].buf = *buf;
+    sides[s].vis.resize(pairs);
+    for (via::ViId& vi : sides[s].vis) (void)sides[s].vipl->create_vi(vi);
+  }
+  for (std::uint32_t k = 0; k < pairs; ++k) {
+    if (!ok(cluster.fabric().connect(nodes[0], sides[0].vis[k], nodes[1],
+                                     sides[1].vis[k]))) {
+      state.SkipWithError("connect failed");
+      return;
+    }
+  }
+  // One leg: post the receive at `to`, send from `from`, reap both.
+  const auto leg = [&](Side& from, Side& to, std::uint32_t k) {
+    const simkern::VAddr slot = std::uint64_t{k} * kMsg;
+    (void)to.vipl->post_recv(to.vis[k], to.mh, to.buf + slot, kMsg);
+    (void)from.vipl->post_send(from.vis[k], from.mh, from.buf + slot, kMsg);
+    benchmark::DoNotOptimize(from.vipl->send_done(from.vis[k]));
+    benchmark::DoNotOptimize(to.vipl->recv_done(to.vis[k]));
+  };
+  std::uint32_t k = 0;
+  for (auto _ : state) {
+    leg(sides[0], sides[1], k);
+    leg(sides[1], sides[0], k);
+    k = k + 1 == pairs ? 0 : k + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ManyConnectionTransfer)->Arg(1)->Arg(1024);
+
 void BM_PressureCycle(benchmark::State& state) {
   for (auto _ : state) {
     Clock clock;

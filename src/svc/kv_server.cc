@@ -1,5 +1,6 @@
 #include "svc/kv_server.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -551,34 +552,46 @@ std::uint32_t KvServer::harvest_sends() {
 }
 
 void KvServer::flush_replies(std::vector<StagedReply>& replies) {
-  // Group per connection (ordered - deterministic doorbell order), then ring
-  // one doorbell per connection: a burst of replies to one client costs one
-  // MMIO write, not one per reply.
-  std::map<std::uint32_t, std::vector<const StagedReply*>> by_conn;
+  // Group per connection (ascending id, each connection's replies in staging
+  // order - a deterministic doorbell order), then ring one doorbell per
+  // connection: a burst of replies to one client costs one MMIO write, not
+  // one per reply.
+  flush_order_.clear();
   for (const StagedReply& r : replies) {
-    Conn& c = conns_[r.conn];
+    const Conn& c = conns_[r.conn];
     if (!c.open || c.gen != r.gen) {
       ++stats_.requests_dropped;  // connection died between execute and flush
       continue;
     }
-    by_conn[r.conn].push_back(&r);
+    flush_order_.push_back(&r);
   }
-  for (const auto& [conn_id, list] : by_conn) {
+  std::stable_sort(flush_order_.begin(), flush_order_.end(),
+                   [](const StagedReply* a, const StagedReply* b) {
+                     return a->conn < b->conn;
+                   });
+  for (std::size_t i = 0; i < flush_order_.size();) {
+    const std::uint32_t conn_id = flush_order_[i]->conn;
+    std::size_t end = i + 1;
+    while (end < flush_order_.size() && flush_order_[end]->conn == conn_id)
+      ++end;
     Conn& c = conns_[conn_id];
     Tenant& t = tenant_of(c);
-    if (list.size() == 1) {
-      const StagedReply& r = *list.front();
+    if (end - i == 1) {
+      const StagedReply& r = *flush_order_[i];
       (void)t.vipl->post_send(c.vi, c.ring.handle(), rsp_slot(c, r.slot), r.len,
                               cookie_of(c.gen, r.slot));
     } else {
-      std::vector<via::Vipl::SendPost> posts;
-      posts.reserve(list.size());
-      for (const StagedReply* r : list)
-        posts.push_back(via::Vipl::SendPost{c.ring.handle(), rsp_slot(c, r->slot),
-                                            r->len, cookie_of(c.gen, r->slot)});
-      (void)t.vipl->post_send_batch(c.vi, posts);
-      stats_.batched_replies += posts.size();
+      flush_posts_.clear();
+      for (std::size_t k = i; k < end; ++k) {
+        const StagedReply& r = *flush_order_[k];
+        flush_posts_.push_back(via::Vipl::SendPost{
+            c.ring.handle(), rsp_slot(c, r.slot), r.len,
+            cookie_of(c.gen, r.slot)});
+      }
+      (void)t.vipl->post_send_batch(c.vi, flush_posts_);
+      stats_.batched_replies += flush_posts_.size();
     }
+    i = end;
   }
   replies.clear();
 }

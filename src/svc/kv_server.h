@@ -268,6 +268,8 @@ class KvServer {
   std::vector<via::Nic::CqEntry> harvest_buf_;
   std::vector<via::Nic::CqEntry> send_buf_;
   std::vector<std::byte> value_buf_;
+  std::vector<const StagedReply*> flush_order_;  ///< flush_replies' grouping
+  std::vector<via::Vipl::SendPost> flush_posts_;
 };
 
 }  // namespace vialock::svc

@@ -100,6 +100,7 @@ KStatus KernelAgent::register_mem(simkern::Pid pid, simkern::VAddr addr,
                   .length = len,
                   .tag = tag,
                   .id = next_reg_id_++};
+  nic_.set_region(out);
   reg.handle = out;
   regs_.emplace(out.id, std::move(reg));
   ++stats_.registrations;
@@ -187,6 +188,7 @@ void KernelAgent::program_runs(TptIndex base, std::span<const SuperpageRun> runs
 
 std::uint32_t KernelAgent::finish_dereg(Registration& reg) {
   const std::uint32_t pages = reg.handle.pages;
+  nic_.clear_region(reg.handle.tpt_base);
   nic_.tpt().release(reg.handle.tpt_base, reg.handle.tpt_count);
   if (governor_) governor_->uncharge(reg.lock.pid, reg.lock.pfns);
   policy_.unlock(reg.lock);

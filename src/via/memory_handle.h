@@ -1,8 +1,13 @@
 // memory_handle.h - the user-visible result of VipRegisterMem.
 //
 // A memory handle names a contiguous TPT entry range covering the registered
-// virtual range. Descriptors address buffers as (handle, virtual address);
-// the NIC turns that into a TPT offset and translates/checks per page.
+// virtual range. Descriptors address buffers as (handle, virtual address),
+// and the handle they carry is only the range's TPT base: the NIC resolves
+// it to the region's geometry and tag from its own region table, which the
+// kernel agent writes when it programs the TPT (Nic::set_region), and then
+// translates and checks every page. On that path a caller's copy of the
+// handle counts for nothing but its base; the NIC's raw local DMA and PIO
+// windows still take a whole MemHandle.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +17,30 @@
 #include "via/tpt.h"
 
 namespace vialock::via {
+
+/// One registered region as the NIC's region table records it, under the
+/// region's TPT base: what a handle in a descriptor resolves to. A record
+/// with kInvalidTag is empty - nothing is registered at that base.
+struct RegionRecord {
+  simkern::VAddr vaddr = 0;         ///< registered start (may be unaligned)
+  std::uint64_t length = 0;
+  std::uint32_t tpt_count = 0;      ///< TPT entries the region occupies
+  ProtectionTag tag = kInvalidTag;
+
+  /// Page-aligned start of the region the TPT entries cover.
+  [[nodiscard]] simkern::VAddr region_start() const {
+    return simkern::page_align_down(vaddr);
+  }
+
+  /// Byte offset of `addr` into the TPT entry range, or nullopt when `addr`
+  /// (+ len) is outside the registered range.
+  [[nodiscard]] std::optional<std::uint64_t> offset_of(simkern::VAddr addr,
+                                                       std::uint64_t len) const {
+    if (addr < vaddr || addr + len > vaddr + length) return std::nullopt;
+    return addr - region_start();
+  }
+};
+static_assert(sizeof(RegionRecord) == 24);
 
 struct MemHandle {
   TptIndex tpt_base = kInvalidTptIndex;
@@ -25,17 +54,12 @@ struct MemHandle {
 
   [[nodiscard]] bool valid() const { return tpt_base != kInvalidTptIndex; }
 
-  /// Page-aligned start of the region the TPT entries cover.
-  [[nodiscard]] simkern::VAddr region_start() const {
-    return simkern::page_align_down(vaddr);
+  /// The region table record this registration writes.
+  [[nodiscard]] RegionRecord record() const {
+    return {vaddr, length, tpt_count, tag};
   }
-
-  /// Byte offset of `addr` into the TPT entry range, or nullopt when `addr`
-  /// (+ len) is outside the registered range.
-  [[nodiscard]] std::optional<std::uint64_t> offset_of(simkern::VAddr addr,
-                                                       std::uint64_t len) const {
-    if (addr < vaddr || addr + len > vaddr + length) return std::nullopt;
-    return addr - region_start();
+  [[nodiscard]] simkern::VAddr region_start() const {
+    return record().region_start();
   }
 };
 

@@ -56,6 +56,7 @@ ViId Nic::create_vi(ProtectionTag tag, bool reliable) {
   v.tag = tag;
   v.reliable = reliable;
   vis_.push_back(std::move(v));
+  recv_tails_.emplace_back();
   return vis_.back().id;
 }
 
@@ -101,19 +102,28 @@ void Nic::program_tpt(TptIndex idx, const TptEntry& e) {
   ++stats_.tpt_writes;
 }
 
+void Nic::set_region(const MemHandle& mh) {
+  if (mh.tpt_base >= regions_.size()) regions_.resize(mh.tpt_base + 1);
+  regions_[mh.tpt_base] = mh.record();
+}
+
+void Nic::clear_region(TptIndex base) {
+  if (base < regions_.size()) regions_[base] = RegionRecord{};
+}
+
 // ---------------------------------------------------------------------------
 // The TPT walk: every DMA and PIO access to registered memory
 // ---------------------------------------------------------------------------
 
 template <typename Byte>
-bool Nic::tpt_copy(const MemHandle& mh, simkern::VAddr addr,
-                   std::span<Byte> bytes, ProtectionTag tag,
-                   TptAccess access) {
-  const auto base_off = mh.offset_of(addr, bytes.size());
-  if (!base_off || mh.tag != tag) return false;
+bool Nic::tpt_copy(TptIndex base, const RegionRecord& region,
+                   simkern::VAddr addr, std::span<Byte> bytes,
+                   ProtectionTag tag, TptAccess access) {
+  const auto base_off = region.offset_of(addr, bytes.size());
+  if (!base_off || region.tag != tag) return false;
   std::uint64_t done = 0;
   while (done < bytes.size()) {
-    const auto tr = tpt_.translate(mh.tpt_base, mh.tpt_count, *base_off + done,
+    const auto tr = tpt_.translate(base, region.tpt_count, *base_off + done,
                                    tag, access == TptAccess::RdmaWrite,
                                    access == TptAccess::RdmaRead);
     if (!tr) return false;
@@ -130,20 +140,28 @@ bool Nic::tpt_copy(const MemHandle& mh, simkern::VAddr addr,
   return true;
 }
 
-template bool Nic::tpt_copy(const MemHandle&, simkern::VAddr,
+template bool Nic::tpt_copy(TptIndex, const RegionRecord&, simkern::VAddr,
                             std::span<std::byte>, ProtectionTag, TptAccess);
-template bool Nic::tpt_copy(const MemHandle&, simkern::VAddr,
+template bool Nic::tpt_copy(TptIndex, const RegionRecord&, simkern::VAddr,
                             std::span<const std::byte>, ProtectionTag,
                             TptAccess);
 
-bool Nic::gather_desc(const Descriptor& desc, ProtectionTag tag,
+namespace {
+/// Segment `i` of a descriptor whose later segments are `extra`.
+const DataSegment& segment(const Descriptor& desc,
+                           std::span<const DataSegment> extra, std::size_t i) {
+  return i == 0 ? desc.local : extra[i - 1];
+}
+}  // namespace
+
+bool Nic::gather_desc(const Descriptor& desc,
+                      std::span<const DataSegment> extra, ProtectionTag tag,
                       std::span<std::byte> out) {
-  if (desc.num_segments() > Descriptor::kMaxSegments) return false;
   std::uint64_t done = 0;
   for (std::size_t i = 0; i < desc.num_segments(); ++i) {
-    const DataSegment& seg = desc.segment(i);
-    if (!tpt_copy(seg.handle, seg.addr, out.subspan(done, seg.length), tag,
-                  TptAccess::Local)) {
+    const DataSegment& seg = segment(desc, extra, i);
+    if (!tpt_copy(seg.handle, region(seg.handle), seg.addr,
+                  out.subspan(done, seg.length), tag, TptAccess::Local)) {
       return false;
     }
     clock_.advance(costs_.dma_startup);  // streaming is charged on the path
@@ -152,21 +170,38 @@ bool Nic::gather_desc(const Descriptor& desc, ProtectionTag tag,
   return true;
 }
 
-bool Nic::scatter_desc(const Descriptor& desc, ProtectionTag tag,
+bool Nic::scatter_desc(const Descriptor& desc,
+                       std::span<const DataSegment> extra, ProtectionTag tag,
                        std::span<const std::byte> data) {
-  if (desc.num_segments() > Descriptor::kMaxSegments) return false;
   std::uint64_t done = 0;
   for (std::size_t i = 0; i < desc.num_segments() && done < data.size(); ++i) {
-    const DataSegment& seg = desc.segment(i);
+    const DataSegment& seg = segment(desc, extra, i);
     const auto chunk = std::min<std::uint64_t>(seg.length, data.size() - done);
-    if (!tpt_copy(seg.handle, seg.addr, data.subspan(done, chunk), tag,
-                  TptAccess::Local)) {
+    if (!tpt_copy(seg.handle, region(seg.handle), seg.addr,
+                  data.subspan(done, chunk), tag, TptAccess::Local)) {
       return false;
     }
     clock_.advance(costs_.dma_startup);  // streaming is charged on the path
     done += chunk;
   }
   return done == data.size();
+}
+
+bool Nic::stamp(Descriptor& desc, std::span<const DataSegment> extra) {
+  if (extra.size() >= Descriptor::kMaxSegments) return false;
+  std::uint64_t total = desc.local.length;
+  for (const DataSegment& seg : extra) total += seg.length;
+  if (total > UINT32_MAX) return false;
+  desc.segment_count = static_cast<std::uint8_t>(1 + extra.size());
+  desc.total_bytes = static_cast<std::uint32_t>(total);
+  return true;
+}
+
+std::span<const DataSegment> Nic::pop_tail(const Vi& v, const Descriptor& rd,
+                                           SegmentTail& tail) {
+  if (rd.num_segments() == 1) return {};
+  tail = recv_tails_[v.id].pop_front();
+  return std::span<const DataSegment>(tail).first(rd.num_segments() - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,8 +295,9 @@ std::uint32_t Nic::poll_cq_batch(CqId cq, std::uint32_t max,
 
 void Nic::break_vi(Vi& v) { v.state = ViState::Error; }
 
-KStatus Nic::post_send(ViId id, Descriptor desc) {
-  if (!vi_exists(id)) return KStatus::Inval;
+KStatus Nic::post_send(ViId id, Descriptor desc,
+                       std::span<const DataSegment> extra) {
+  if (!vi_exists(id) || !stamp(desc, extra)) return KStatus::Inval;
   // Stitched under the originating send's trace (the ambient context the
   // transport pushed): doorbell ring -> descriptor fetch -> DMA gather ->
   // wire (fabric.cc) -> remote scatter (deliver()).
@@ -274,7 +310,7 @@ KStatus Nic::post_send(ViId id, Descriptor desc) {
   ++stats_.sends_posted;
 
   if (doorbell_dropped()) return KStatus::Ok;
-  return submit_send(id, std::move(desc));
+  return submit_send(id, desc, extra);
 }
 
 KStatus Nic::post_send_batch(ViId id, std::span<Descriptor> descs) {
@@ -301,7 +337,8 @@ KStatus Nic::post_send_batch(ViId id, std::span<Descriptor> descs) {
   // drop silently lost N-1 healthy sends - caught by NicBatch tests.)
   for (Descriptor& desc : descs) {
     if (doorbell_dropped()) continue;  // this descriptor alone is lost
-    const KStatus st = submit_send(id, std::move(desc));
+    (void)stamp(desc, {});
+    const KStatus st = submit_send(id, desc, {});
     if (!ok(st)) return st;
   }
   return KStatus::Ok;
@@ -322,7 +359,8 @@ bool Nic::doorbell_dropped() {
   return true;
 }
 
-KStatus Nic::submit_send(ViId id, Descriptor desc) {
+KStatus Nic::submit_send(ViId id, Descriptor desc,
+                         std::span<const DataSegment> extra) {
   Vi& v = vis_[id];
   if (!v.connected()) {
     complete_send(v, std::move(desc), DescStatus::ErrDisconnected);
@@ -347,7 +385,7 @@ KStatus Nic::submit_send(ViId id, Descriptor desc) {
   if (desc.op != DescOp::RdmaRead) {
     // Gather the local segments under this VI's tag.
     const obs::ScopedSpan gather_span(host_.spans(), "via.dma.gather");
-    if (!gather_desc(desc, v.tag, pkt.payload)) {
+    if (!gather_desc(desc, extra, v.tag, pkt.payload)) {
       ++stats_.protection_errors;
       complete_send(v, std::move(desc), DescStatus::ErrProtection);
       return KStatus::Ok;
@@ -378,7 +416,7 @@ KStatus Nic::submit_send(ViId id, Descriptor desc) {
   if (desc.op == DescOp::RdmaRead && st == DescStatus::Done) {
     stats_.bytes_rx += pkt.payload.size();
     ++stats_.rdma_reads;
-    if (!scatter_desc(desc, v.tag, pkt.payload)) {
+    if (!scatter_desc(desc, extra, v.tag, pkt.payload)) {
       ++stats_.protection_errors;
       complete_send(v, std::move(desc), DescStatus::ErrProtection);
       return KStatus::Ok;
@@ -391,8 +429,9 @@ KStatus Nic::submit_send(ViId id, Descriptor desc) {
   return KStatus::Ok;
 }
 
-KStatus Nic::post_recv(ViId id, Descriptor desc) {
-  if (!vi_exists(id)) return KStatus::Inval;
+KStatus Nic::post_recv(ViId id, Descriptor desc,
+                       std::span<const DataSegment> extra) {
+  if (!vi_exists(id) || !stamp(desc, extra)) return KStatus::Inval;
   Vi& v = vis_[id];
   clock_.advance(costs_.doorbell);
   ++stats_.doorbells;
@@ -400,6 +439,11 @@ KStatus Nic::post_recv(ViId id, Descriptor desc) {
   desc.op = DescOp::Recv;
   desc.status = DescStatus::Pending;
   v.recv_queue.push_back(std::move(desc));
+  if (!extra.empty()) {
+    SegmentTail tail;
+    std::copy(extra.begin(), extra.end(), tail.begin());
+    recv_tails_[id].push_back(std::move(tail));
+  }
   return KStatus::Ok;
 }
 
@@ -415,6 +459,7 @@ KStatus Nic::post_recv_batch(ViId id, std::span<Descriptor> descs) {
   stats_.recvs_posted += descs.size();
   descs_per_ring_.add(descs.size());
   for (Descriptor& desc : descs) {
+    (void)stamp(desc, {});
     desc.op = DescOp::Recv;
     desc.status = DescStatus::Pending;
     v.recv_queue.push_back(std::move(desc));
@@ -428,6 +473,14 @@ std::optional<Descriptor> Nic::poll_send(ViId id) {
 
 std::optional<Descriptor> Nic::poll_recv(ViId id) {
   return poll_completed(id, &Vi::recv_completed);
+}
+
+void Nic::clear_queues(ViId id) {
+  Vi& v = vis_[id];
+  v.recv_queue.clear();
+  v.send_completed.clear();
+  v.recv_completed.clear();
+  recv_tails_[id].clear();
 }
 
 std::optional<Descriptor> Nic::poll_completed(
@@ -479,9 +532,11 @@ DescStatus Nic::deliver(Packet& pkt) {
         return fail(DescStatus::ErrNoRecvDesc);
       }
       Descriptor rd = v.recv_queue.pop_front();
+      SegmentTail tail;
+      const std::span<const DataSegment> extra = pop_tail(v, rd, tail);
       if (pkt.payload.size() > rd.total_length()) {
         rd.status = DescStatus::ErrLength;
-      } else if (!scatter_desc(rd, v.tag, pkt.payload)) {
+      } else if (!scatter_desc(rd, extra, v.tag, pkt.payload)) {
         rd.status = DescStatus::ErrProtection;
       } else {
         rd.status = DescStatus::Done;
@@ -499,9 +554,9 @@ DescStatus Nic::deliver(Packet& pkt) {
     case DescOp::RdmaWrite: {
       // RDMA target checked under the *receiving* VI's tag with the
       // rdma_write_enable attribute.
-      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr,
-                    std::span<const std::byte>(pkt.payload), v.tag,
-                    TptAccess::RdmaWrite)) {
+      if (!tpt_copy(pkt.remote.handle, region(pkt.remote.handle),
+                    pkt.remote.addr, std::span<const std::byte>(pkt.payload),
+                    v.tag, TptAccess::RdmaWrite)) {
         return fail(DescStatus::ErrProtection);
       }
       clock_.advance(costs_.dma_startup);
@@ -510,6 +565,8 @@ DescStatus Nic::deliver(Packet& pkt) {
         // RDMA write with immediate data consumes a receive descriptor.
         if (v.recv_queue.empty()) return fail(DescStatus::ErrNoRecvDesc);
         Descriptor rd = v.recv_queue.pop_front();
+        SegmentTail tail;
+        (void)pop_tail(v, rd, tail);
         rd.status = DescStatus::Done;
         rd.transferred = 0;
         rd.immediate = pkt.immediate;
@@ -520,7 +577,8 @@ DescStatus Nic::deliver(Packet& pkt) {
     }
 
     case DescOp::RdmaRead: {
-      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr, pkt.payload, v.tag,
+      if (!tpt_copy(pkt.remote.handle, region(pkt.remote.handle),
+                    pkt.remote.addr, pkt.payload, v.tag,
                     TptAccess::RdmaRead)) {
         return fail(DescStatus::ErrProtection);
       }

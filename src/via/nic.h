@@ -90,7 +90,12 @@ class Nic {
   [[nodiscard]] bool vi_exists(ViId id) const;
 
   // --- work queues (doorbell-triggered, executed synchronously) ----------------
-  [[nodiscard]] KStatus post_send(ViId id, Descriptor desc);
+  /// `extra` holds a gather send's (or a scattering RdmaRead's) segments
+  /// after `desc.local`, at most kMaxSegments - 1 of them; the engine
+  /// consumes them before post_send returns. Inval when there are more, or
+  /// when the segments add up to more than 4 GiB.
+  [[nodiscard]] KStatus post_send(ViId id, Descriptor desc,
+                                  std::span<const DataSegment> extra = {});
   /// Burst submission: ONE doorbell ring announces the whole descriptor
   /// chain, then the engine fetches and executes each entry in order. The
   /// per-send doorbell cost amortises across the burst (the posting-side
@@ -98,17 +103,23 @@ class Nic {
   /// fault) loses exactly the descriptor whose fetch it covered - the chain
   /// is linked in host memory, so the engine resynchronises on the next
   /// entry and the rest of the burst still posts.
-  /// The descriptors are moved out of `descs`.
+  /// Every descriptor in a burst has one segment.
   [[nodiscard]] KStatus post_send_batch(ViId id, std::span<Descriptor> descs);
-  [[nodiscard]] KStatus post_recv(ViId id, Descriptor desc);
+  /// A scattering receive's segments after `desc.local` wait in the VI's
+  /// side ring until the receive is consumed; limits as for post_send.
+  [[nodiscard]] KStatus post_recv(ViId id, Descriptor desc,
+                                  std::span<const DataSegment> extra = {});
   /// Burst receive pre-posting: ONE doorbell ring arms the whole chain.
   /// Receive descriptors are only fetched on packet arrival, so - unlike
   /// post_send_batch - nothing executes here; the doorbell cost amortises
-  /// across connection setup / credit-refill loops. The descriptors are
-  /// moved out of `descs`.
+  /// across connection setup / credit-refill loops. Every descriptor in a
+  /// burst has one segment.
   [[nodiscard]] KStatus post_recv_batch(ViId id, std::span<Descriptor> descs);
   [[nodiscard]] std::optional<Descriptor> poll_send(ViId id);
   [[nodiscard]] std::optional<Descriptor> poll_recv(ViId id);
+  /// Drop everything queued on the VI - posted receives with their side-ring
+  /// segments, and both completion queues - and free the rings' storage.
+  void clear_queues(ViId id);
 
   // --- completion queues (VipCreateCQ / VipCQDone) ------------------------------
   struct CqEntry {
@@ -116,6 +127,7 @@ class Nic {
     bool is_send = false;
     Descriptor desc;
   };
+  static_assert(sizeof(CqEntry) == 64);
   [[nodiscard]] CqId create_cq();
   /// Route a VI's send / receive completions to a CQ (before any traffic).
   [[nodiscard]] KStatus attach_send_cq(ViId vi, CqId cq);
@@ -134,6 +146,18 @@ class Nic {
   /// Write one TPT entry, charging the PCI register-write cost.
   void program_tpt(TptIndex idx, const TptEntry& e);
 
+  // --- region table: what a descriptor's handle resolves to ---------------------
+  /// Record `mh`'s region under its TPT base. The kernel agent calls this
+  /// when it programs the region's TPT entries, and clear_region before it
+  /// releases them, so a handle resolves exactly while its entries are held.
+  /// Storage grows to the highest base ever set, as the TPT's does.
+  void set_region(const MemHandle& mh);
+  void clear_region(TptIndex base);
+  /// The region at `handle`; an empty record (kInvalidTag) when none is.
+  [[nodiscard]] RegionRecord region(TptIndex handle) const {
+    return handle < regions_.size() ? regions_[handle] : RegionRecord{};
+  }
+
   // --- raw local DMA (used by locktest step 5: the kernel agent pokes the
   //     physical page the NIC believes belongs to the registration) ------------
   [[nodiscard]] KStatus dma_write_local(const MemHandle& mh, simkern::VAddr addr,
@@ -142,16 +166,24 @@ class Nic {
                                        std::span<std::byte> out);
 
   /// The one TPT walk every DMA and PIO access goes through. Copies between
-  /// `bytes` and the registered range [addr, addr + bytes.size()) of `mh`:
-  /// a span of const bytes is written into the frames, a mutable span is
-  /// filled from them. Fails when the range lies outside the registration,
-  /// `mh.tag` is not `tag`, or a page does not translate under `access`;
-  /// it stops at that page, so part of the copy may have happened. Counts
-  /// no statistic and charges no virtual time: callers do both.
+  /// `bytes` and the range [addr, addr + bytes.size()) of `region`, whose
+  /// entries start at TPT index `base`: a span of const bytes is written
+  /// into the frames, a mutable span is filled from them. Fails when the
+  /// range lies outside the region, the region's tag is not `tag`, or a
+  /// page does not translate under `access`; it stops at that page, so part
+  /// of the copy may have happened. Counts no statistic and charges no
+  /// virtual time: callers do both.
+  template <typename Byte>
+  [[nodiscard]] bool tpt_copy(TptIndex base, const RegionRecord& region,
+                              simkern::VAddr addr, std::span<Byte> bytes,
+                              ProtectionTag tag, TptAccess access);
+  /// tpt_copy over the geometry a caller's handle states (local DMA, PIO).
   template <typename Byte>
   [[nodiscard]] bool tpt_copy(const MemHandle& mh, simkern::VAddr addr,
                               std::span<Byte> bytes, ProtectionTag tag,
-                              TptAccess access);
+                              TptAccess access) {
+    return tpt_copy(mh.tpt_base, mh.record(), addr, bytes, tag, access);
+  }
 
   // --- fabric-facing receive path ----------------------------------------------
   /// One packet on the wire. Its payload is a view of the sending NIC's
@@ -186,12 +218,25 @@ class Nic {
   void set_fault_engine(fault::FaultEngine* engine) { faults_ = engine; }
 
  private:
-  /// Gather every segment of `desc` (under `tag`) into `out`, in order.
-  [[nodiscard]] bool gather_desc(const Descriptor& desc, ProtectionTag tag,
-                                 std::span<std::byte> out);
+  /// Gather every segment of `desc` (`local`, then `extra`) under `tag`
+  /// into `out`, in order, resolving each handle in the region table.
+  [[nodiscard]] bool gather_desc(const Descriptor& desc,
+                                 std::span<const DataSegment> extra,
+                                 ProtectionTag tag, std::span<std::byte> out);
   /// Scatter `data` across the segments of `desc` in order.
-  [[nodiscard]] bool scatter_desc(const Descriptor& desc, ProtectionTag tag,
+  [[nodiscard]] bool scatter_desc(const Descriptor& desc,
+                                  std::span<const DataSegment> extra,
+                                  ProtectionTag tag,
                                   std::span<const std::byte> data);
+  /// Check a post's extra segments and stamp `desc`'s count and total;
+  /// false when they exceed kMaxSegments or 4 GiB.
+  [[nodiscard]] static bool stamp(Descriptor& desc,
+                                  std::span<const DataSegment> extra);
+  /// The side-ring segments of `rd`, just popped from `v`'s receive queue,
+  /// copied into `tail`; empty for a one-segment receive.
+  [[nodiscard]] std::span<const DataSegment> pop_tail(const Vi& v,
+                                                      const Descriptor& rd,
+                                                      SegmentTail& tail);
   void complete_send(Vi& v, Descriptor desc, DescStatus st);
   void complete_recv(Vi& v, Descriptor desc);
   void break_vi(Vi& v);
@@ -203,7 +248,8 @@ class Nic {
       ViId id, Fifo<Descriptor> Vi::*completed);
   /// Fetch-and-execute one posted send descriptor (everything post_send does
   /// after the doorbell ring and fault check): gather, transmit, complete.
-  [[nodiscard]] KStatus submit_send(ViId id, Descriptor desc);
+  [[nodiscard]] KStatus submit_send(ViId id, Descriptor desc,
+                                    std::span<const DataSegment> extra);
 
   simkern::Kernel& host_;
   Clock& clock_;
@@ -211,6 +257,11 @@ class Nic {
   NicConfig config_;
   Tpt tpt_;
   std::vector<Vi> vis_;
+  /// Per VI: the segments after the first of each posted multi-segment
+  /// receive, in posting order (SegmentTail).
+  std::vector<Fifo<SegmentTail>> recv_tails_;
+  /// Indexed by TPT base; entries [0, highest base set].
+  std::vector<RegionRecord> regions_;
   std::vector<Fifo<CqEntry>> cqs_;
   /// The payload of the packet in flight (Packet).
   std::vector<std::byte> staging_;

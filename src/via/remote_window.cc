@@ -14,7 +14,7 @@ std::optional<RemoteWindow> RemoteWindow::import(Fabric& fabric,
   // Import = set up the downstream translation; validated against the
   // exporter's live TPT state (first page suffices: contiguous range).
   const Tpt& tpt = fabric.nic(remote_node).tpt();
-  const auto base_off = exported.offset_of(exported.vaddr, 1);
+  const auto base_off = exported.record().offset_of(exported.vaddr, 1);
   if (!base_off) return std::nullopt;
   if (!tpt.translate(exported.tpt_base, exported.tpt_count, *base_off,
                      exported.tag, false, false)) {

@@ -22,10 +22,7 @@ KStatus SlotRing::open(Vipl& vipl, ViId vi, simkern::VAddr base,
 
 void SlotRing::close() {
   if (s_.vipl == nullptr) return;
-  Vi& v = s_.vipl->nic().vi(s_.vi);
-  v.recv_queue.clear();
-  v.send_completed.clear();
-  v.recv_completed.clear();
+  s_.vipl->nic().clear_queues(s_.vi);
   (void)s_.vipl->deregister_mem(s_.mh);
   s_.vipl = nullptr;
 }

@@ -60,6 +60,7 @@ KStatus UnetMmAgent::register_mem(Pid pid, VAddr addr, std::uint64_t len,
                   .length = len,
                   .tag = tag,
                   .id = next_reg_id_++};
+  nic_.set_region(out);
   regs_.emplace(out.id, Registration{out, pid});
   ++stats_.registrations;
   return KStatus::Ok;
@@ -69,6 +70,7 @@ KStatus UnetMmAgent::deregister_mem(const MemHandle& handle) {
   kern_.clock().advance(kern_.costs().syscall);
   auto it = regs_.find(handle.id);
   if (it == regs_.end()) return KStatus::NoEnt;
+  nic_.clear_region(it->second.handle.tpt_base);
   nic_.tpt().release(it->second.handle.tpt_base, it->second.handle.pages);
   regs_.erase(it);
   return KStatus::Ok;

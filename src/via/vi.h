@@ -50,15 +50,18 @@ struct ViAttributes {
 using CqId = std::uint32_t;
 inline constexpr CqId kInvalidCq = static_cast<CqId>(-1);
 
-struct Vi {
+/// One VI's NIC-side state: two cache lines. The scalars a transfer reads
+/// and the receive queue's header share the first line, the two per-VI
+/// completion rings the second.
+struct alignas(64) Vi {
   ViId id = kInvalidVi;
   ProtectionTag tag = kInvalidTag;
-  ViState state = ViState::Idle;
   NodeId peer_node = kInvalidNode;
   ViId peer_vi = kInvalidVi;
-  bool reliable = true;  ///< reliable delivery: errors break the connection
   CqId send_cq = kInvalidCq;  ///< send completions route here when set
   CqId recv_cq = kInvalidCq;  ///< receive completions route here when set
+  ViState state = ViState::Idle;
+  bool reliable = true;  ///< reliable delivery: errors break the connection
 
   Fifo<Descriptor> recv_queue;      ///< posted, not yet consumed
   Fifo<Descriptor> send_completed;  ///< completions awaiting poll
@@ -66,5 +69,6 @@ struct Vi {
 
   [[nodiscard]] bool connected() const { return state == ViState::Connected; }
 };
+static_assert(sizeof(Vi) == 128);
 
 }  // namespace vialock::via

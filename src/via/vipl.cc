@@ -27,24 +27,25 @@ KStatus Vipl::create_vi(ViId& out, ViAttributes attrs) {
   return KStatus::Ok;
 }
 
-Descriptor Vipl::build(DescOp op, const MemHandle& mh, simkern::VAddr addr,
-                       std::uint32_t len, std::uint64_t cookie) {
+Descriptor Vipl::build(DescOp op, DataSegment local, std::uint64_t cookie) {
   agent_.kern().clock().advance(agent_.kern().costs().descriptor_build);
   Descriptor d;
   d.cookie = cookie;
   d.op = op;
-  d.local = DataSegment{mh, addr, len};
+  d.local = local;
   return d;
 }
 
 KStatus Vipl::post_send(ViId vi, const MemHandle& mh, simkern::VAddr addr,
                         std::uint32_t len, std::uint64_t cookie) {
-  return agent_.nic().post_send(vi, build(DescOp::Send, mh, addr, len, cookie));
+  return agent_.nic().post_send(vi,
+                                build(DescOp::Send, {mh, addr, len}, cookie));
 }
 
 KStatus Vipl::post_recv(ViId vi, const MemHandle& mh, simkern::VAddr addr,
                         std::uint32_t len, std::uint64_t cookie) {
-  return agent_.nic().post_recv(vi, build(DescOp::Recv, mh, addr, len, cookie));
+  return agent_.nic().post_recv(vi,
+                                build(DescOp::Recv, {mh, addr, len}, cookie));
 }
 
 KStatus Vipl::rdma_write(ViId vi, const MemHandle& local_mh,
@@ -52,7 +53,7 @@ KStatus Vipl::rdma_write(ViId vi, const MemHandle& local_mh,
                          const MemHandle& remote_mh, simkern::VAddr remote_addr,
                          std::uint64_t cookie,
                          std::optional<std::uint32_t> immediate) {
-  Descriptor d = build(DescOp::RdmaWrite, local_mh, local_addr, len, cookie);
+  Descriptor d = build(DescOp::RdmaWrite, {local_mh, local_addr, len}, cookie);
   d.remote = RemoteSegment{remote_mh, remote_addr};
   if (immediate) {
     d.immediate = *immediate;
@@ -65,7 +66,7 @@ KStatus Vipl::rdma_read(ViId vi, const MemHandle& local_mh,
                         simkern::VAddr local_addr, std::uint32_t len,
                         const MemHandle& remote_mh, simkern::VAddr remote_addr,
                         std::uint64_t cookie) {
-  Descriptor d = build(DescOp::RdmaRead, local_mh, local_addr, len, cookie);
+  Descriptor d = build(DescOp::RdmaRead, {local_mh, local_addr, len}, cookie);
   d.remote = RemoteSegment{remote_mh, remote_addr};
   return agent_.nic().post_send(vi, std::move(d));
 }
@@ -73,35 +74,31 @@ KStatus Vipl::rdma_read(ViId vi, const MemHandle& local_mh,
 KStatus Vipl::post_send_batch(ViId vi, std::span<const SendPost> posts) {
   batch_.clear();
   for (const SendPost& p : posts)
-    batch_.push_back(build(DescOp::Send, p.mh, p.addr, p.len, p.cookie));
+    batch_.push_back(build(DescOp::Send, {p.mh, p.addr, p.len}, p.cookie));
   return agent_.nic().post_send_batch(vi, batch_);
 }
 
 KStatus Vipl::post_recv_batch(ViId vi, std::span<const RecvPost> posts) {
   batch_.clear();
   for (const RecvPost& p : posts)
-    batch_.push_back(build(DescOp::Recv, p.mh, p.addr, p.len, p.cookie));
+    batch_.push_back(build(DescOp::Recv, {p.mh, p.addr, p.len}, p.cookie));
   return agent_.nic().post_recv_batch(vi, batch_);
 }
 
-KStatus Vipl::post_send_sg(ViId vi, std::vector<DataSegment> segs,
+KStatus Vipl::post_send_sg(ViId vi, const std::vector<DataSegment>& segs,
                            std::uint64_t cookie) {
   if (segs.empty() || segs.size() > Descriptor::kMaxSegments)
     return KStatus::Inval;
-  Descriptor d = build(DescOp::Send, segs[0].handle, segs[0].addr,
-                       segs[0].length, cookie);
-  d.extra.assign(segs.begin() + 1, segs.end());
-  return agent_.nic().post_send(vi, std::move(d));
+  return agent_.nic().post_send(vi, build(DescOp::Send, segs[0], cookie),
+                                std::span(segs).subspan(1));
 }
 
-KStatus Vipl::post_recv_sg(ViId vi, std::vector<DataSegment> segs,
+KStatus Vipl::post_recv_sg(ViId vi, const std::vector<DataSegment>& segs,
                            std::uint64_t cookie) {
   if (segs.empty() || segs.size() > Descriptor::kMaxSegments)
     return KStatus::Inval;
-  Descriptor d = build(DescOp::Recv, segs[0].handle, segs[0].addr,
-                       segs[0].length, cookie);
-  d.extra.assign(segs.begin() + 1, segs.end());
-  return agent_.nic().post_recv(vi, std::move(d));
+  return agent_.nic().post_recv(vi, build(DescOp::Recv, segs[0], cookie),
+                                std::span(segs).subspan(1));
 }
 
 std::optional<Descriptor> Vipl::send_done(ViId vi) {

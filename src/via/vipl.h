@@ -62,10 +62,12 @@ class Vipl {
 
   // --- scatter/gather variants ----------------------------------------------
   /// Post a send over multiple data segments (gathered in order).
-  [[nodiscard]] KStatus post_send_sg(ViId vi, std::vector<DataSegment> segs,
+  [[nodiscard]] KStatus post_send_sg(ViId vi,
+                                     const std::vector<DataSegment>& segs,
                                      std::uint64_t cookie = 0);
   /// Post a receive scattering into multiple segments (filled in order).
-  [[nodiscard]] KStatus post_recv_sg(ViId vi, std::vector<DataSegment> segs,
+  [[nodiscard]] KStatus post_recv_sg(ViId vi,
+                                     const std::vector<DataSegment>& segs,
                                      std::uint64_t cookie = 0);
 
   /// VipSendDone / VipRecvDone (polling completion model: a PCI status read
@@ -123,8 +125,7 @@ class Vipl {
   [[nodiscard]] KernelAgent& agent() { return agent_; }
 
  private:
-  [[nodiscard]] Descriptor build(DescOp op, const MemHandle& mh,
-                                 simkern::VAddr addr, std::uint32_t len,
+  [[nodiscard]] Descriptor build(DescOp op, DataSegment local,
                                  std::uint64_t cookie);
 
   KernelAgent& agent_;

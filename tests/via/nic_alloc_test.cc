@@ -3,9 +3,10 @@
 // This binary replaces the global operator new with one that counts its
 // calls. On two connected nodes, after one warm-up round that lets every
 // queue, staging buffer and reused vector reach its working size, each kind
-// of transfer round - eager send/recv, RDMA write, RDMA read, and a batched
-// post_send_batch + poll_cq_batch harvest - runs 1,000 times and must not
-// allocate once. A per-descriptor or per-packet allocation anywhere in the
+// of transfer round - eager send/recv, RDMA write, RDMA read, a batched
+// post_send_batch + poll_cq_batch harvest, and a 3-segment gather send into
+// a 3-segment scatter receive - runs 1,000 times and must not allocate
+// once. A per-descriptor or per-packet allocation anywhere in the
 // Vipl -> Nic -> Fabric -> Nic path shows up as a count of 1,000 or more.
 #include <gtest/gtest.h>
 
@@ -57,6 +58,10 @@ class NicAllocation : public TwoNodeFixture {
       recvs.push_back({mh1, buf1 + k * 256, 256, k});
     }
     harvest.reserve(kBurst);
+    for (std::uint32_t k = 0; k < 3; ++k) {
+      gather.emplace_back(mh0, buf0 + k * 2 * kPageSize, 64);
+      scatter.emplace_back(mh1, buf1 + k * 2 * kPageSize + 128, 64);
+    }
   }
 
   /// Run `round` once to warm up, then kRounds times; the allocations the
@@ -74,6 +79,7 @@ class NicAllocation : public TwoNodeFixture {
   std::vector<via::Vipl::SendPost> sends;
   std::vector<via::Vipl::RecvPost> recvs;
   std::vector<via::Nic::CqEntry> harvest;
+  std::vector<via::DataSegment> gather, scatter;
 };
 
 TEST_F(NicAllocation, EagerSendRecvAllocatesNothing) {
@@ -114,6 +120,19 @@ TEST_F(NicAllocation, BatchPostAndHarvestAllocatesNothing) {
     ASSERT_EQ(v0->nic().poll_cq_batch(send_cq, kBurst, harvest), kBurst);
     ASSERT_EQ(v1->nic().poll_cq_batch(recv_cq, kBurst, harvest), kBurst);
     for (const via::Nic::CqEntry& e : harvest) ASSERT_TRUE(e.desc.done_ok());
+  });
+  EXPECT_EQ(n, 0u);
+}
+
+TEST_F(NicAllocation, ScatterGatherAllocatesNothing) {
+  const std::size_t n = allocations_in([&] {
+    ASSERT_TRUE(ok(v1->post_recv_sg(vi1, scatter)));
+    ASSERT_TRUE(ok(v0->post_send_sg(vi0, gather)));
+    const auto sent = v0->send_done(vi0);
+    const auto got = v1->recv_done(vi1);
+    ASSERT_TRUE(sent && sent->done_ok());
+    ASSERT_TRUE(got && got->done_ok());
+    ASSERT_EQ(got->transferred, 3 * 64u);
   });
   EXPECT_EQ(n, 0u);
 }

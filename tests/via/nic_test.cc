@@ -138,6 +138,64 @@ TEST_F(NicTest, RdmaToForeignRemoteHandleIsProtectionError) {
       << "segment 4 of figure 3: A must not reach memory C did not export";
 }
 
+TEST_F(NicTest, StaleHandleAfterDeregisterIsProtectionError) {
+  // A descriptor carries only a handle, the region's TPT base; the NIC
+  // resolves it from its own region table, which deregistration clears.
+  // The caller's stale MemHandle copy still states a live-looking region.
+  Nic& nic0 = cluster->node(n0).nic();
+  Nic& nic1 = cluster->node(n1).nic();
+  const auto repair = [&] {
+    ASSERT_TRUE(ok(cluster->fabric().repair(n0, vi0, n1, vi1)));
+  };
+
+  // 1. A send whose local segment names a deregistered handle.
+  const auto src = test::must_mmap(kern0(), p0, 4);
+  MemHandle gone;
+  ASSERT_TRUE(ok(v0->register_mem(src, 4 * kPageSize, gone)));
+  EXPECT_EQ(nic0.region(gone.tpt_base).tag, gone.tag);
+  ASSERT_TRUE(ok(v0->deregister_mem(gone)));
+  EXPECT_EQ(nic0.region(gone.tpt_base).tag, kInvalidTag);
+  ASSERT_TRUE(ok(v1->post_recv(vi1, mh1, buf1, 64)));
+  ASSERT_TRUE(ok(v0->post_send(vi0, gone, src, 64)));
+  auto sc = v0->send_done(vi0);
+  ASSERT_TRUE(sc.has_value());
+  EXPECT_EQ(sc->status, DescStatus::ErrProtection);
+  EXPECT_FALSE(v1->recv_done(vi1).has_value()) << "nothing was delivered";
+  repair();
+
+  // 2. An RDMA write to a deregistered remote handle.
+  const auto dst = test::must_mmap(kern1(), p1, 4);
+  MemHandle remote_gone;
+  ASSERT_TRUE(ok(v1->register_mem(dst, 4 * kPageSize, remote_gone)));
+  ASSERT_TRUE(ok(v1->deregister_mem(remote_gone)));
+  EXPECT_EQ(nic1.region(remote_gone.tpt_base).tag, kInvalidTag);
+  ASSERT_TRUE(ok(v0->rdma_write(vi0, mh0, buf0, 16, remote_gone, dst)));
+  sc = v0->send_done(vi0);
+  ASSERT_TRUE(sc.has_value());
+  EXPECT_EQ(sc->status, DescStatus::ErrProtection);
+  repair();
+
+  // 3. The stale handle's TPT base is reused by another process's
+  // registration: the handle now resolves to that region, under that
+  // process's tag, and vi0's tag check rejects it.
+  ASSERT_TRUE(ok(v0->register_mem(src, 4 * kPageSize, gone)));
+  ASSERT_TRUE(ok(v0->deregister_mem(gone)));
+  const auto pid2 = kern0().create_task("successor");
+  via::Vipl v2(cluster->node(n0).agent(), pid2);
+  ASSERT_TRUE(ok(v2.open()));
+  const auto buf2 = test::must_mmap(kern0(), pid2, 4);
+  MemHandle successor;
+  ASSERT_TRUE(ok(v2.register_mem(buf2, 4 * kPageSize, successor)));
+  ASSERT_EQ(successor.tpt_base, gone.tpt_base) << "first-fit reuses the base";
+  EXPECT_EQ(nic0.region(gone.tpt_base).tag, successor.tag);
+  ASSERT_NE(successor.tag, gone.tag);
+  ASSERT_TRUE(ok(v0->post_send(vi0, gone, src, 64)));  // case 1's recv waits
+  sc = v0->send_done(vi0);
+  ASSERT_TRUE(sc.has_value());
+  EXPECT_EQ(sc->status, DescStatus::ErrProtection);
+  EXPECT_GE(nic0.stats().protection_errors, 2u);
+}
+
 TEST_F(NicTest, RdmaWriteDisabledAttributeIsEnforced) {
   // The RDMA enables bind only the RDMA op they name: an RDMA write or read
   // needs its own enable, while send/recv, local DMA and PIO ignore both.

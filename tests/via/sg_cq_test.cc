@@ -149,9 +149,9 @@ TEST_F(SgCqTest, RdmaReadIntoScatterSegments) {
   Descriptor d;
   d.op = DescOp::RdmaRead;
   d.local = DataSegment{mh0, buf0 + kPageSize, 8};
-  d.extra = {DataSegment{mh0, buf0 + 3 * kPageSize, 8}};
   d.remote = RemoteSegment{mh1, buf1};
-  ASSERT_TRUE(ok(cluster->node(n0).nic().post_send(vi0, std::move(d))));
+  const DataSegment extra[] = {DataSegment{mh0, buf0 + 3 * kPageSize, 8}};
+  ASSERT_TRUE(ok(cluster->node(n0).nic().post_send(vi0, d, extra)));
   ASSERT_TRUE(v0->send_done(vi0)->done_ok());
   EXPECT_EQ(peek64(kern0(), p0, buf0 + kPageSize), 0x9999u);
   EXPECT_EQ(peek64(kern0(), p0, buf0 + 3 * kPageSize), 0x8888u);
