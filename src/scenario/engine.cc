@@ -772,7 +772,7 @@ class ScenarioEngine::KvServiceDriver final : public Driver {
     const VirtualStopwatch sw(clock_);
     svc::KvClient& cli = *a.client;
     std::uint32_t touched_server = UINT32_MAX;
-    std::vector<svc::KvResult> results;  ///< per-event harvest scratch
+    results_.clear();
 
     if (a.churn_remaining > 0 && a.ops_since_churn >= a.churn_every) {
       churn(a);
@@ -821,14 +821,14 @@ class ScenarioEngine::KvServiceDriver final : public Driver {
         (void)cli.flush(ref->conn);
         while (srv.service() != 0) {
         }
-        while (cli.harvest(results) != 0) {
+        while (cli.harvest(results_) != 0) {
         }
       }
     }
 
     const Nanos done = sched_.charge_host(a.host, issued, sw.elapsed());
     if (touched_server != UINT32_MAX) sched_.hold_host(touched_server, done);
-    for (const svc::KvResult& r : results) {
+    for (const svc::KvResult& r : results_) {
       ++counters_.transfers_attempted;
       const bool served = r.data_ok && (r.status == svc::KvStatus::Ok ||
                                         r.status == svc::KvStatus::NotFound);
@@ -854,6 +854,7 @@ class ScenarioEngine::KvServiceDriver final : public Driver {
   std::vector<std::unique_ptr<svc::KvServer>> servers_;  ///< hosts [0, servers)
   std::vector<Actor> actors_;  ///< one per client host
   std::vector<std::byte> value_;  ///< every put's value; fill_value writes it all
+  std::vector<svc::KvResult> results_;  ///< one op()'s harvest
 };
 
 // --- build --------------------------------------------------------------------

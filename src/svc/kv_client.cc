@@ -118,7 +118,7 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
   c.vi = spare.vi;
   c.rings = std::move(rings);
   c.window = std::move(window);
-  c.slot_busy.assign(config_.window, false);
+  c.pending.assign(config_.window, Pending{});
   c.open = true;
   c.server_conn = server_conn;
   vi_to_conn_.bind(spare.vi, id);
@@ -133,7 +133,7 @@ void KvClient::teardown_conn(Conn& c) {
   spares_.push_back({c.vi, c.rings.addr(0), c.window.addr(0)});
   c.rings.close();
   c.window.close();
-  stats_.requests_lost += c.pending.size();
+  for (const Pending& p : c.pending) stats_.requests_lost += p.req_id != 0;
   vi_to_conn_.unbind(c.vi);
   free_conns_.push_back(static_cast<std::uint32_t>(&c - conns_.data()));
   c.open = false;
@@ -159,9 +159,9 @@ bool KvClient::can_issue(std::uint32_t conn) const {
          conns_[conn].inflight < config_.window;
 }
 
-std::uint32_t KvClient::free_slot(const Conn& c) const {
+std::uint32_t KvClient::slot_of(const Conn& c, std::uint64_t req_id) const {
   for (std::uint32_t i = 0; i < config_.window; ++i) {
-    if (!c.slot_busy[i]) return i;
+    if (c.pending[i].req_id == req_id) return i;
   }
   return config_.window;
 }
@@ -170,7 +170,7 @@ KStatus KvClient::stage(std::uint32_t conn, KvRequest req,
                         std::span<const std::byte> inline_value,
                         std::uint64_t& req_id_out) {
   Conn& c = conns_[conn];
-  const std::uint32_t slot = free_slot(c);
+  const std::uint32_t slot = slot_of(c, 0);
   if (slot == config_.window) return KStatus::Busy;
 
   req.req_id = next_req_id_++;
@@ -193,10 +193,8 @@ KStatus KvClient::stage(std::uint32_t conn, KvRequest req,
       c.rings.handle(), addr,
       static_cast<std::uint32_t>(sizeof(KvRequest) + inline_value.size()),
       cookie_of(c.gen, slot)});
-  c.slot_busy[slot] = true;
   ++c.inflight;
-  c.pending[req.req_id] =
-      Pending{slot, req.op, req.key, req.rendezvous != 0};
+  c.pending[slot] = Pending{req.req_id, req.op, req.key, req.rendezvous != 0};
   req_id_out = req.req_id;
   return KStatus::Ok;
 }
@@ -229,7 +227,7 @@ KStatus KvClient::put(std::uint32_t conn, std::uint64_t key,
     if (const KStatus st = stage(conn, req, {}, req_id_out); !ok(st))
       return st;
     const Conn& c = conns_[conn];
-    const std::uint32_t slot = c.pending.at(req_id_out).slot;
+    const std::uint32_t slot = slot_of(c, req_id_out);
     if (!ok(node_.kernel().write_user(pid_, c.window.addr(slot), value)))
       return KStatus::Fault;
     stats_.rendezvous_bytes += value.size();
@@ -258,13 +256,8 @@ std::uint32_t KvClient::flush(std::uint32_t conn) {
   Conn& c = conns_[conn];
   if (c.staged.empty()) return 0;
   const auto n = static_cast<std::uint32_t>(c.staged.size());
-  if (n == 1) {
-    const via::Vipl::SendPost& p = c.staged.front();
-    (void)vipl_->post_send(c.vi, p.mh, p.addr, p.len, p.cookie);
-  } else {
-    (void)vipl_->post_send_batch(c.vi, c.staged);
-    ++stats_.doorbell_flushes;
-  }
+  (void)vipl_->post_send_batch(c.vi, c.staged);
+  if (n > 1) ++stats_.doorbell_flushes;
   c.staged.clear();
   return n;
 }
@@ -316,14 +309,14 @@ std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
       ++stats_.bad_responses;
       continue;
     }
-    const auto pit = c.pending.find(rsp.req_id);
-    if (pit == c.pending.end()) {
+    const std::uint32_t slot =
+        rsp.req_id == 0 ? config_.window : slot_of(c, rsp.req_id);
+    if (slot == config_.window) {
       ++stats_.bad_responses;
       continue;
     }
-    const Pending p = pit->second;
-    c.pending.erase(pit);
-    c.slot_busy[p.slot] = false;
+    const Pending p = c.pending[slot];
+    c.pending[slot] = Pending{};
     if (c.inflight) --c.inflight;
 
     KvResult r;
@@ -337,7 +330,7 @@ std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
     // End-to-end integrity: recompute the checksum over the bytes as they
     // arrived - inline behind the header, or RDMA-written into the window.
     if (p.op == KvOp::Get && rsp.status == KvStatus::Ok) {
-      const VAddr vaddr = rsp.rendezvous ? c.window.addr(p.slot)
+      const VAddr vaddr = rsp.rendezvous ? c.window.addr(slot)
                                          : raddr + sizeof(KvResponse);
       value_buf_.resize(rsp.value_len);
       r.data_ok = ok(node_.kernel().read_user(pid_, vaddr, value_buf_)) &&

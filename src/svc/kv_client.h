@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -74,7 +73,7 @@ struct KvClientStats {
   std::uint64_t broken_conns = 0;     ///< conns seen in a broken state
   std::uint64_t inline_bytes = 0;
   std::uint64_t rendezvous_bytes = 0;
-  std::uint64_t doorbell_flushes = 0; ///< flush() calls that posted a batch
+  std::uint64_t doorbell_flushes = 0; ///< flush() calls that posted > 1
 };
 
 class KvClient {
@@ -144,8 +143,10 @@ class KvClient {
   [[nodiscard]] std::uint32_t open_conns() const { return open_conns_; }
 
  private:
+  /// One request slot's request in flight; the slot is free when req_id
+  /// is 0 (request ids start at 1).
   struct Pending {
-    std::uint32_t slot = 0;
+    std::uint64_t req_id = 0;
     KvOp op = KvOp::Get;
     std::uint64_t key = 0;
     bool rendezvous = false;
@@ -169,8 +170,7 @@ class KvClient {
     /// One value_window_bytes slot per request slot, RDMA-enabled.
     via::SlotRing window;
     std::uint32_t inflight = 0;
-    std::vector<bool> slot_busy;
-    std::map<std::uint64_t, Pending> pending;  ///< req_id -> request
+    std::vector<Pending> pending;  ///< indexed by request slot
     std::vector<via::Vipl::SendPost> staged;
   };
 
@@ -184,8 +184,10 @@ class KvClient {
     return static_cast<std::uint64_t>(config_.window) *
            config_.value_window_bytes;
   }
-  /// First free request slot, or window (none free).
-  [[nodiscard]] std::uint32_t free_slot(const Conn& c) const;
+  /// The request slot holding `req_id`, or window (none does). Request id
+  /// 0 marks a free slot, so slot_of(c, 0) is the first free one.
+  [[nodiscard]] std::uint32_t slot_of(const Conn& c,
+                                      std::uint64_t req_id) const;
   /// Stage one request: build the header, write slot contents, remember the
   /// pending op.
   [[nodiscard]] KStatus stage(std::uint32_t conn, KvRequest req,

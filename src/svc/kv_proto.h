@@ -98,7 +98,7 @@ struct KvResponse {
 };
 static_assert(std::is_trivially_copyable_v<KvResponse>);
 
-/// Completion-cookie layout: bit 63 marks an RDMA leg (keyed by sequence);
+/// Completion-cookie layout: kRdmaBit alone marks the server's one RDMA leg;
 /// replies and posted request recvs carry (generation << 32 | slot) so a
 /// completion of a dead connection's previous incarnation is recognisable on
 /// a reused VI. Client and server must agree on it.

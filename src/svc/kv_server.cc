@@ -246,8 +246,7 @@ std::uint32_t KvServer::service_once(std::uint32_t& harvested) {
   ++stats_.batches;
   stats_.batched_completions += harvested;
 
-  std::vector<StagedReply> replies;
-  replies.reserve(harvested);
+  replies_.clear();
   std::uint32_t executed = 0;
   for (const via::Nic::CqEntry& e : harvest_buf_) {
     Conn* c = conn_for(e.vi, e.desc.cookie);
@@ -257,9 +256,9 @@ std::uint32_t KvServer::service_once(std::uint32_t& harvested) {
     }
     const auto slot = static_cast<std::uint32_t>(e.desc.cookie & 0xFFFFFFFFu);
     const auto conn_id = static_cast<std::uint32_t>(c - conns_.data());
-    if (execute(conn_id, slot, e.desc.transferred, replies)) ++executed;
+    if (execute(conn_id, slot, e.desc.transferred, replies_)) ++executed;
   }
-  flush_replies(replies);
+  flush_replies(replies_);
   (void)harvest_sends();
   return executed;
 }
@@ -506,21 +505,18 @@ via::DescStatus KvServer::run_rdma(Conn& c, bool write,
                                    const MemHandle& remote_mh,
                                    VAddr remote_addr) {
   Tenant& t = tenant_of(c);
-  const std::uint64_t cookie = kRdmaBit | next_rdma_seq_++;
+  rdma_done_.reset();
   const KStatus st =
       write ? t.vipl->rdma_write(c.vi, local_mh, local_addr, len, remote_mh,
-                                 remote_addr, cookie)
+                                 remote_addr, kRdmaBit)
             : t.vipl->rdma_read(c.vi, local_mh, local_addr, len, remote_mh,
-                                remote_addr, cookie);
+                                remote_addr, kRdmaBit);
   if (!ok(st)) return via::DescStatus::ErrProtection;
   // The fabric transmits inline, so the leg's completion is already queued;
   // harvest until it surfaces (earlier reply completions recycle on the way).
+  // Only this leg is in flight, so the first RDMA completion is its own.
   for (;;) {
-    if (const auto it = rdma_done_.find(cookie); it != rdma_done_.end()) {
-      const via::DescStatus result = it->second;
-      rdma_done_.erase(it);
-      return result;
-    }
+    if (rdma_done_) return *rdma_done_;
     if (harvest_sends() == 0) return via::DescStatus::ErrDisconnected;
   }
 }
@@ -532,7 +528,7 @@ std::uint32_t KvServer::harvest_sends() {
   if (n) stats_.batched_completions += n;
   for (const via::Nic::CqEntry& e : send_buf_) {
     if (e.desc.cookie & kRdmaBit) {
-      rdma_done_[e.desc.cookie] = e.desc.status;
+      rdma_done_ = e.desc.status;
       if (e.desc.status != via::DescStatus::Done) ++stats_.send_errors;
       continue;
     }
@@ -576,21 +572,15 @@ void KvServer::flush_replies(std::vector<StagedReply>& replies) {
       ++end;
     Conn& c = conns_[conn_id];
     Tenant& t = tenant_of(c);
-    if (end - i == 1) {
-      const StagedReply& r = *flush_order_[i];
-      (void)t.vipl->post_send(c.vi, c.ring.handle(), rsp_slot(c, r.slot), r.len,
-                              cookie_of(c.gen, r.slot));
-    } else {
-      flush_posts_.clear();
-      for (std::size_t k = i; k < end; ++k) {
-        const StagedReply& r = *flush_order_[k];
-        flush_posts_.push_back(via::Vipl::SendPost{
-            c.ring.handle(), rsp_slot(c, r.slot), r.len,
-            cookie_of(c.gen, r.slot)});
-      }
-      (void)t.vipl->post_send_batch(c.vi, flush_posts_);
-      stats_.batched_replies += flush_posts_.size();
+    flush_posts_.clear();
+    for (std::size_t k = i; k < end; ++k) {
+      const StagedReply& r = *flush_order_[k];
+      flush_posts_.push_back(via::Vipl::SendPost{
+          c.ring.handle(), rsp_slot(c, r.slot), r.len,
+          cookie_of(c.gen, r.slot)});
     }
+    (void)t.vipl->post_send_batch(c.vi, flush_posts_);
+    if (flush_posts_.size() > 1) stats_.batched_replies += flush_posts_.size();
     i = end;
   }
   replies.clear();

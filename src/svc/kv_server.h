@@ -31,8 +31,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -83,7 +83,7 @@ struct KvServerStats {
   // Batching.
   std::uint64_t batches = 0;              ///< service cycles that found work
   std::uint64_t batched_completions = 0;  ///< completions drained in batches
-  std::uint64_t batched_replies = 0;      ///< replies sent via one doorbell
+  std::uint64_t batched_replies = 0;      ///< replies in lists longer than 1
   // Hygiene.
   std::uint64_t requests_dropped = 0;  ///< stale completions of dead conns
   std::uint64_t send_errors = 0;       ///< reply/RDMA completed with an error
@@ -258,9 +258,9 @@ class KvServer {
   std::vector<Conn> conns_;
   std::vector<std::uint32_t> free_conns_;
   ViConnTable vi_to_conn_;
-  /// RDMA-leg completion results keyed by cookie, filled by harvest_sends.
-  std::map<std::uint64_t, via::DescStatus> rdma_done_;
-  std::uint64_t next_rdma_seq_ = 0;
+  /// The completion status of the RDMA leg in flight (cookie kRdmaBit),
+  /// filled by harvest_sends; run_rdma posts one leg at a time.
+  std::optional<via::DescStatus> rdma_done_;
   std::uint32_t next_gen_ = 1;
   std::uint32_t open_conns_ = 0;
   bool shut_down_ = false;
@@ -268,6 +268,7 @@ class KvServer {
   std::vector<via::Nic::CqEntry> harvest_buf_;
   std::vector<via::Nic::CqEntry> send_buf_;
   std::vector<std::byte> value_buf_;
+  std::vector<StagedReply> replies_;  ///< one service cycle's replies
   std::vector<const StagedReply*> flush_order_;  ///< flush_replies' grouping
   std::vector<via::Vipl::SendPost> flush_posts_;
 };

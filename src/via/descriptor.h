@@ -6,11 +6,11 @@
 // virtual addresses qualified by memory handles, and a handle is the
 // region's 32-bit TPT base: the NIC resolves it from its own region table
 // and validates every page against the TPT when the descriptor is processed.
-// A descriptor is 56 bytes and trivially copyable, so a work or completion
-// ring slot is one plain copy that never reads the slot it overwrites.
+// A descriptor names one segment of local memory (no layer scatters or
+// gathers), is 56 bytes and trivially copyable, so a work or completion ring
+// slot is one plain copy that never reads the slot it overwrites.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <type_traits>
@@ -73,33 +73,20 @@ struct RemoteSegment {
 };
 
 struct Descriptor {
-  /// VIA descriptors carry a segment count; four is a typical NIC limit.
-  static constexpr std::size_t kMaxSegments = 4;
-
   std::uint64_t cookie = 0;  ///< caller-chosen identifier, returned on poll
-  /// The first segment. Segments 2..kMaxSegments travel beside the
-  /// descriptor (Nic::post_send / post_recv), never inside it.
+  /// The one segment: what a send gathers, a receive scatters into, and an
+  /// RDMA op moves on this side. Its length is the descriptor's length.
   DataSegment local;
   RemoteSegment remote;  ///< RDMA ops only
   std::uint32_t immediate = 0;
   std::uint32_t transferred = 0;  ///< completion: bytes moved
-  /// Bytes over every segment and the segment count; the NIC stamps both
-  /// when the descriptor is posted.
-  std::uint32_t total_bytes = 0;
-  std::uint8_t segment_count = 1;
   DescOp op = DescOp::Send;
   DescStatus status = DescStatus::Pending;  ///< completion, filled by the NIC
   bool has_immediate = false;
 
   [[nodiscard]] bool done_ok() const { return status == DescStatus::Done; }
-  [[nodiscard]] std::size_t num_segments() const { return segment_count; }
-  [[nodiscard]] std::uint64_t total_length() const { return total_bytes; }
 };
 static_assert(sizeof(Descriptor) <= 64);
 static_assert(std::is_trivially_copyable_v<Descriptor>);
-
-/// Segments 2..kMaxSegments of one posted receive, held in its VI's side
-/// ring until the receive is consumed.
-using SegmentTail = std::array<DataSegment, Descriptor::kMaxSegments - 1>;
 
 }  // namespace vialock::via

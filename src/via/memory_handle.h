@@ -5,9 +5,11 @@
 // and the handle they carry is only the range's TPT base: the NIC resolves
 // it to the region's geometry and tag from its own region table, which the
 // kernel agent writes when it programs the TPT (Nic::set_region), and then
-// translates and checks every page. On that path a caller's copy of the
-// handle counts for nothing but its base; the NIC's raw local DMA and PIO
-// windows still take a whole MemHandle.
+// translates and checks every page. A caller's copy of the handle counts for
+// nothing but its base and tag - on descriptors, raw local DMA and PIO
+// windows alike - so widened geometry in a copy reaches no further than the
+// registration. The other fields are the registrant's own record; they
+// travel in svc, msg and mp wire headers, so the 48-byte layout is fixed.
 #pragma once
 
 #include <cstdint>
@@ -62,5 +64,6 @@ struct MemHandle {
     return record().region_start();
   }
 };
+static_assert(sizeof(MemHandle) == 48);
 
 }  // namespace vialock::via

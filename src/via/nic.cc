@@ -56,7 +56,6 @@ ViId Nic::create_vi(ProtectionTag tag, bool reliable) {
   v.tag = tag;
   v.reliable = reliable;
   vis_.push_back(std::move(v));
-  recv_tails_.emplace_back();
   return vis_.back().id;
 }
 
@@ -116,14 +115,14 @@ void Nic::clear_region(TptIndex base) {
 // ---------------------------------------------------------------------------
 
 template <typename Byte>
-bool Nic::tpt_copy(TptIndex base, const RegionRecord& region,
-                   simkern::VAddr addr, std::span<Byte> bytes,
+bool Nic::tpt_copy(TptIndex handle, simkern::VAddr addr, std::span<Byte> bytes,
                    ProtectionTag tag, TptAccess access) {
-  const auto base_off = region.offset_of(addr, bytes.size());
-  if (!base_off || region.tag != tag) return false;
+  const RegionRecord rec = region(handle);
+  const auto base_off = rec.offset_of(addr, bytes.size());
+  if (!base_off || rec.tag != tag) return false;
   std::uint64_t done = 0;
   while (done < bytes.size()) {
-    const auto tr = tpt_.translate(base, region.tpt_count, *base_off + done,
+    const auto tr = tpt_.translate(handle, rec.tpt_count, *base_off + done,
                                    tag, access == TptAccess::RdmaWrite,
                                    access == TptAccess::RdmaRead);
     if (!tr) return false;
@@ -140,68 +139,19 @@ bool Nic::tpt_copy(TptIndex base, const RegionRecord& region,
   return true;
 }
 
-template bool Nic::tpt_copy(TptIndex, const RegionRecord&, simkern::VAddr,
-                            std::span<std::byte>, ProtectionTag, TptAccess);
-template bool Nic::tpt_copy(TptIndex, const RegionRecord&, simkern::VAddr,
+template bool Nic::tpt_copy(TptIndex, simkern::VAddr, std::span<std::byte>,
+                            ProtectionTag, TptAccess);
+template bool Nic::tpt_copy(TptIndex, simkern::VAddr,
                             std::span<const std::byte>, ProtectionTag,
                             TptAccess);
 
-namespace {
-/// Segment `i` of a descriptor whose later segments are `extra`.
-const DataSegment& segment(const Descriptor& desc,
-                           std::span<const DataSegment> extra, std::size_t i) {
-  return i == 0 ? desc.local : extra[i - 1];
-}
-}  // namespace
-
-bool Nic::gather_desc(const Descriptor& desc,
-                      std::span<const DataSegment> extra, ProtectionTag tag,
-                      std::span<std::byte> out) {
-  std::uint64_t done = 0;
-  for (std::size_t i = 0; i < desc.num_segments(); ++i) {
-    const DataSegment& seg = segment(desc, extra, i);
-    if (!tpt_copy(seg.handle, region(seg.handle), seg.addr,
-                  out.subspan(done, seg.length), tag, TptAccess::Local)) {
-      return false;
-    }
-    clock_.advance(costs_.dma_startup);  // streaming is charged on the path
-    done += seg.length;
-  }
+bool Nic::scatter(const DataSegment& seg, ProtectionTag tag,
+                  std::span<const std::byte> data) {
+  if (data.empty()) return true;
+  if (!tpt_copy(seg.handle, seg.addr, data, tag, TptAccess::Local))
+    return false;
+  clock_.advance(costs_.dma_startup);  // streaming is charged on the path
   return true;
-}
-
-bool Nic::scatter_desc(const Descriptor& desc,
-                       std::span<const DataSegment> extra, ProtectionTag tag,
-                       std::span<const std::byte> data) {
-  std::uint64_t done = 0;
-  for (std::size_t i = 0; i < desc.num_segments() && done < data.size(); ++i) {
-    const DataSegment& seg = segment(desc, extra, i);
-    const auto chunk = std::min<std::uint64_t>(seg.length, data.size() - done);
-    if (!tpt_copy(seg.handle, region(seg.handle), seg.addr,
-                  data.subspan(done, chunk), tag, TptAccess::Local)) {
-      return false;
-    }
-    clock_.advance(costs_.dma_startup);  // streaming is charged on the path
-    done += chunk;
-  }
-  return done == data.size();
-}
-
-bool Nic::stamp(Descriptor& desc, std::span<const DataSegment> extra) {
-  if (extra.size() >= Descriptor::kMaxSegments) return false;
-  std::uint64_t total = desc.local.length;
-  for (const DataSegment& seg : extra) total += seg.length;
-  if (total > UINT32_MAX) return false;
-  desc.segment_count = static_cast<std::uint8_t>(1 + extra.size());
-  desc.total_bytes = static_cast<std::uint32_t>(total);
-  return true;
-}
-
-std::span<const DataSegment> Nic::pop_tail(const Vi& v, const Descriptor& rd,
-                                           SegmentTail& tail) {
-  if (rd.num_segments() == 1) return {};
-  tail = recv_tails_[v.id].pop_front();
-  return std::span<const DataSegment>(tail).first(rd.num_segments() - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +160,7 @@ std::span<const DataSegment> Nic::pop_tail(const Vi& v, const Descriptor& rd,
 
 KStatus Nic::dma_write_local(const MemHandle& mh, simkern::VAddr addr,
                              std::span<const std::byte> data) {
-  if (!tpt_copy(mh, addr, data, mh.tag, TptAccess::Local)) {
+  if (!tpt_copy(mh.tpt_base, addr, data, mh.tag, TptAccess::Local)) {
     ++stats_.protection_errors;
     return KStatus::Fault;
   }
@@ -220,7 +170,7 @@ KStatus Nic::dma_write_local(const MemHandle& mh, simkern::VAddr addr,
 
 KStatus Nic::dma_read_local(const MemHandle& mh, simkern::VAddr addr,
                             std::span<std::byte> out) {
-  if (!tpt_copy(mh, addr, out, mh.tag, TptAccess::Local)) {
+  if (!tpt_copy(mh.tpt_base, addr, out, mh.tag, TptAccess::Local)) {
     ++stats_.protection_errors;
     return KStatus::Fault;
   }
@@ -235,7 +185,7 @@ KStatus Nic::dma_read_local(const MemHandle& mh, simkern::VAddr addr,
 void Nic::complete_send(Vi& v, Descriptor desc, DescStatus st) {
   desc.status = st;
   if (st == DescStatus::Done) {
-    desc.transferred = static_cast<std::uint32_t>(desc.total_length());
+    desc.transferred = desc.local.length;
     ++stats_.sends_ok;
   } else if (v.reliable) {
     break_vi(v);
@@ -295,28 +245,15 @@ std::uint32_t Nic::poll_cq_batch(CqId cq, std::uint32_t max,
 
 void Nic::break_vi(Vi& v) { v.state = ViState::Error; }
 
-KStatus Nic::post_send(ViId id, Descriptor desc,
-                       std::span<const DataSegment> extra) {
-  if (!vi_exists(id) || !stamp(desc, extra)) return KStatus::Inval;
+KStatus Nic::post_send(ViId id, std::span<Descriptor> descs) {
+  if (!vi_exists(id)) return KStatus::Inval;
+  if (descs.empty()) return KStatus::Ok;
+  const bool burst = descs.size() > 1;
   // Stitched under the originating send's trace (the ambient context the
   // transport pushed): doorbell ring -> descriptor fetch -> DMA gather ->
   // wire (fabric.cc) -> remote scatter (deliver()).
-  const obs::ScopedSpan post_span(host_.spans(), "via.post_send");
-  {
-    const obs::ScopedSpan doorbell_span(host_.spans(), "via.doorbell");
-    clock_.advance(costs_.doorbell + costs_.dma_startup);  // doorbell + desc fetch
-  }
-  ++stats_.doorbells;
-  ++stats_.sends_posted;
-
-  if (doorbell_dropped()) return KStatus::Ok;
-  return submit_send(id, desc, extra);
-}
-
-KStatus Nic::post_send_batch(ViId id, std::span<Descriptor> descs) {
-  if (!vi_exists(id)) return KStatus::Inval;
-  if (descs.empty()) return KStatus::Ok;
-  const obs::ScopedSpan post_span(host_.spans(), "via.post_send_batch");
+  const obs::ScopedSpan post_span(
+      host_.spans(), burst ? "via.post_send_batch" : "via.post_send");
   {
     const obs::ScopedSpan doorbell_span(host_.spans(), "via.doorbell");
     // One MMIO ring announces the chain; the engine still fetches each
@@ -325,21 +262,20 @@ KStatus Nic::post_send_batch(ViId id, std::span<Descriptor> descs) {
                    costs_.dma_startup * static_cast<Nanos>(descs.size()));
   }
   ++stats_.doorbells;
-  ++stats_.doorbell_batches;
   stats_.sends_posted += descs.size();
-  descs_per_ring_.add(descs.size());
-
-  // Burst loss semantics: the chain lives in host memory, so a fault during
-  // the burst costs exactly the descriptor whose fetch it covered - the
-  // engine resynchronises on the chain's next link and the remaining
-  // descriptors still post. (The seed checked the fault once for the whole
-  // burst and dropped every descriptor behind it, so a single injected
-  // drop silently lost N-1 healthy sends - caught by NicBatch tests.)
-  for (Descriptor& desc : descs) {
+  if (burst) {
+    ++stats_.doorbell_batches;
+    descs_per_ring_.add(descs.size());
+  }
+  // Loss semantics: the chain lives in host memory, so a fault costs
+  // exactly the descriptor whose fetch it covered - the engine
+  // resynchronises on the chain's next link and the remaining descriptors
+  // still post. (The seed checked the fault once for a whole burst and
+  // dropped every descriptor behind it, so a single injected drop silently
+  // lost N-1 healthy sends - caught by NicBatch tests.)
+  for (const Descriptor& desc : descs) {
     if (doorbell_dropped()) continue;  // this descriptor alone is lost
-    (void)stamp(desc, {});
-    const KStatus st = submit_send(id, desc, {});
-    if (!ok(st)) return st;
+    submit_send(id, desc);
   }
   return KStatus::Ok;
 }
@@ -359,12 +295,11 @@ bool Nic::doorbell_dropped() {
   return true;
 }
 
-KStatus Nic::submit_send(ViId id, Descriptor desc,
-                         std::span<const DataSegment> extra) {
+void Nic::submit_send(ViId id, Descriptor desc) {
   Vi& v = vis_[id];
   if (!v.connected()) {
-    complete_send(v, std::move(desc), DescStatus::ErrDisconnected);
-    return KStatus::Ok;
+    complete_send(v, desc, DescStatus::ErrDisconnected);
+    return;
   }
 
   Packet pkt;
@@ -378,18 +313,20 @@ KStatus Nic::submit_send(ViId id, Descriptor desc,
   // Send / RdmaWrite gather into the payload; an RdmaRead's read-back
   // lands in it. The staging buffer only grows, so once it has held the
   // largest packet no packet allocates.
-  const std::uint64_t bytes = desc.total_length();
-  if (bytes > staging_.size()) staging_.resize(bytes);
-  pkt.payload = std::span(staging_).first(bytes);
+  const DataSegment& seg = desc.local;
+  if (seg.length > staging_.size()) staging_.resize(seg.length);
+  pkt.payload = std::span(staging_).first(seg.length);
 
   if (desc.op != DescOp::RdmaRead) {
-    // Gather the local segments under this VI's tag.
+    // Gather the local segment under this VI's tag.
     const obs::ScopedSpan gather_span(host_.spans(), "via.dma.gather");
-    if (!gather_desc(desc, extra, v.tag, pkt.payload)) {
+    if (!tpt_copy(seg.handle, seg.addr, pkt.payload, v.tag,
+                  TptAccess::Local)) {
       ++stats_.protection_errors;
-      complete_send(v, std::move(desc), DescStatus::ErrProtection);
-      return KStatus::Ok;
+      complete_send(v, desc, DescStatus::ErrProtection);
+      return;
     }
+    clock_.advance(costs_.dma_startup);  // streaming is charged on the path
     stats_.bytes_tx += pkt.payload.size();
 
     // Injected DMA faults: a bit-flip in the gathered payload (silent - the
@@ -416,38 +353,19 @@ KStatus Nic::submit_send(ViId id, Descriptor desc,
   if (desc.op == DescOp::RdmaRead && st == DescStatus::Done) {
     stats_.bytes_rx += pkt.payload.size();
     ++stats_.rdma_reads;
-    if (!scatter_desc(desc, extra, v.tag, pkt.payload)) {
+    if (!scatter(seg, v.tag, pkt.payload)) {
       ++stats_.protection_errors;
-      complete_send(v, std::move(desc), DescStatus::ErrProtection);
-      return KStatus::Ok;
+      complete_send(v, desc, DescStatus::ErrProtection);
+      return;
     }
   }
   if (desc.op == DescOp::RdmaWrite && st == DescStatus::Done) {
     ++stats_.rdma_writes;
   }
-  complete_send(v, std::move(desc), st);
-  return KStatus::Ok;
+  complete_send(v, desc, st);
 }
 
-KStatus Nic::post_recv(ViId id, Descriptor desc,
-                       std::span<const DataSegment> extra) {
-  if (!vi_exists(id) || !stamp(desc, extra)) return KStatus::Inval;
-  Vi& v = vis_[id];
-  clock_.advance(costs_.doorbell);
-  ++stats_.doorbells;
-  ++stats_.recvs_posted;
-  desc.op = DescOp::Recv;
-  desc.status = DescStatus::Pending;
-  v.recv_queue.push_back(std::move(desc));
-  if (!extra.empty()) {
-    SegmentTail tail;
-    std::copy(extra.begin(), extra.end(), tail.begin());
-    recv_tails_[id].push_back(std::move(tail));
-  }
-  return KStatus::Ok;
-}
-
-KStatus Nic::post_recv_batch(ViId id, std::span<Descriptor> descs) {
+KStatus Nic::post_recv(ViId id, std::span<Descriptor> descs) {
   if (!vi_exists(id)) return KStatus::Inval;
   if (descs.empty()) return KStatus::Ok;
   Vi& v = vis_[id];
@@ -455,11 +373,12 @@ KStatus Nic::post_recv_batch(ViId id, std::span<Descriptor> descs) {
   // lazily on packet arrival, so there is no per-entry engine work here.
   clock_.advance(costs_.doorbell);
   ++stats_.doorbells;
-  ++stats_.doorbell_batches;
   stats_.recvs_posted += descs.size();
-  descs_per_ring_.add(descs.size());
+  if (descs.size() > 1) {
+    ++stats_.doorbell_batches;
+    descs_per_ring_.add(descs.size());
+  }
   for (Descriptor& desc : descs) {
-    (void)stamp(desc, {});
     desc.op = DescOp::Recv;
     desc.status = DescStatus::Pending;
     v.recv_queue.push_back(std::move(desc));
@@ -480,7 +399,6 @@ void Nic::clear_queues(ViId id) {
   v.recv_queue.clear();
   v.send_completed.clear();
   v.recv_completed.clear();
-  recv_tails_[id].clear();
 }
 
 std::optional<Descriptor> Nic::poll_completed(
@@ -532,11 +450,9 @@ DescStatus Nic::deliver(Packet& pkt) {
         return fail(DescStatus::ErrNoRecvDesc);
       }
       Descriptor rd = v.recv_queue.pop_front();
-      SegmentTail tail;
-      const std::span<const DataSegment> extra = pop_tail(v, rd, tail);
-      if (pkt.payload.size() > rd.total_length()) {
+      if (pkt.payload.size() > rd.local.length) {
         rd.status = DescStatus::ErrLength;
-      } else if (!scatter_desc(rd, extra, v.tag, pkt.payload)) {
+      } else if (!scatter(rd.local, v.tag, pkt.payload)) {
         rd.status = DescStatus::ErrProtection;
       } else {
         rd.status = DescStatus::Done;
@@ -554,9 +470,9 @@ DescStatus Nic::deliver(Packet& pkt) {
     case DescOp::RdmaWrite: {
       // RDMA target checked under the *receiving* VI's tag with the
       // rdma_write_enable attribute.
-      if (!tpt_copy(pkt.remote.handle, region(pkt.remote.handle),
-                    pkt.remote.addr, std::span<const std::byte>(pkt.payload),
-                    v.tag, TptAccess::RdmaWrite)) {
+      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr,
+                    std::span<const std::byte>(pkt.payload), v.tag,
+                    TptAccess::RdmaWrite)) {
         return fail(DescStatus::ErrProtection);
       }
       clock_.advance(costs_.dma_startup);
@@ -565,8 +481,6 @@ DescStatus Nic::deliver(Packet& pkt) {
         // RDMA write with immediate data consumes a receive descriptor.
         if (v.recv_queue.empty()) return fail(DescStatus::ErrNoRecvDesc);
         Descriptor rd = v.recv_queue.pop_front();
-        SegmentTail tail;
-        (void)pop_tail(v, rd, tail);
         rd.status = DescStatus::Done;
         rd.transferred = 0;
         rd.immediate = pkt.immediate;
@@ -577,8 +491,7 @@ DescStatus Nic::deliver(Packet& pkt) {
     }
 
     case DescOp::RdmaRead: {
-      if (!tpt_copy(pkt.remote.handle, region(pkt.remote.handle),
-                    pkt.remote.addr, pkt.payload, v.tag,
+      if (!tpt_copy(pkt.remote.handle, pkt.remote.addr, pkt.payload, v.tag,
                     TptAccess::RdmaRead)) {
         return fail(DescStatus::ErrProtection);
       }

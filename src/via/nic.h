@@ -90,35 +90,25 @@ class Nic {
   [[nodiscard]] bool vi_exists(ViId id) const;
 
   // --- work queues (doorbell-triggered, executed synchronously) ----------------
-  /// `extra` holds a gather send's (or a scattering RdmaRead's) segments
-  /// after `desc.local`, at most kMaxSegments - 1 of them; the engine
-  /// consumes them before post_send returns. Inval when there are more, or
-  /// when the segments add up to more than 4 GiB.
-  [[nodiscard]] KStatus post_send(ViId id, Descriptor desc,
-                                  std::span<const DataSegment> extra = {});
-  /// Burst submission: ONE doorbell ring announces the whole descriptor
-  /// chain, then the engine fetches and executes each entry in order. The
-  /// per-send doorbell cost amortises across the burst (the posting-side
-  /// analogue of E18's completion modes). A dropped doorbell (NicDoorbell
-  /// fault) loses exactly the descriptor whose fetch it covered - the chain
-  /// is linked in host memory, so the engine resynchronises on the next
-  /// entry and the rest of the burst still posts.
-  /// Every descriptor in a burst has one segment.
-  [[nodiscard]] KStatus post_send_batch(ViId id, std::span<Descriptor> descs);
-  /// A scattering receive's segments after `desc.local` wait in the VI's
-  /// side ring until the receive is consumed; limits as for post_send.
-  [[nodiscard]] KStatus post_recv(ViId id, Descriptor desc,
-                                  std::span<const DataSegment> extra = {});
-  /// Burst receive pre-posting: ONE doorbell ring arms the whole chain.
-  /// Receive descriptors are only fetched on packet arrival, so - unlike
-  /// post_send_batch - nothing executes here; the doorbell cost amortises
-  /// across connection setup / credit-refill loops. Every descriptor in a
-  /// burst has one segment.
-  [[nodiscard]] KStatus post_recv_batch(ViId id, std::span<Descriptor> descs);
+  /// Post a list of send descriptors behind ONE doorbell ring; the engine
+  /// fetches (dma_startup apiece) and executes each in order before
+  /// post_send returns. A list of one is a plain post. A longer list is a
+  /// burst, traced under its own span name and counted in doorbell_batches
+  /// and descs_per_ring: the doorbell amortises across it
+  /// - the posting-side analogue of E18's completion modes. A dropped
+  /// doorbell (NicDoorbell fault, checked per descriptor) loses exactly the
+  /// descriptor whose fetch it covered - the chain is linked in host
+  /// memory, so the engine resynchronises on the next entry and the rest of
+  /// the list still posts. An empty list is a free no-op.
+  [[nodiscard]] KStatus post_send(ViId id, std::span<Descriptor> descs);
+  /// Arm a list of receive descriptors behind ONE doorbell ring. Receive
+  /// descriptors are only fetched on packet arrival, so nothing executes
+  /// here; a longer list is counted as a burst as for post_send.
+  [[nodiscard]] KStatus post_recv(ViId id, std::span<Descriptor> descs);
   [[nodiscard]] std::optional<Descriptor> poll_send(ViId id);
   [[nodiscard]] std::optional<Descriptor> poll_recv(ViId id);
-  /// Drop everything queued on the VI - posted receives with their side-ring
-  /// segments, and both completion queues - and free the rings' storage.
+  /// Drop everything queued on the VI - posted receives and both completion
+  /// queues - and free the rings' storage.
   void clear_queues(ViId id);
 
   // --- completion queues (VipCreateCQ / VipCQDone) ------------------------------
@@ -160,30 +150,26 @@ class Nic {
 
   // --- raw local DMA (used by locktest step 5: the kernel agent pokes the
   //     physical page the NIC believes belongs to the registration) ------------
+  /// Only `mh.tpt_base` and `mh.tag` count: the region is resolved from the
+  /// region table, so a copy of the handle with widened geometry reaches no
+  /// further than the registration. Fault when the access fails.
   [[nodiscard]] KStatus dma_write_local(const MemHandle& mh, simkern::VAddr addr,
                                         std::span<const std::byte> data);
   [[nodiscard]] KStatus dma_read_local(const MemHandle& mh, simkern::VAddr addr,
                                        std::span<std::byte> out);
 
-  /// The one TPT walk every DMA and PIO access goes through. Copies between
-  /// `bytes` and the range [addr, addr + bytes.size()) of `region`, whose
-  /// entries start at TPT index `base`: a span of const bytes is written
-  /// into the frames, a mutable span is filled from them. Fails when the
-  /// range lies outside the region, the region's tag is not `tag`, or a
-  /// page does not translate under `access`; it stops at that page, so part
-  /// of the copy may have happened. Counts no statistic and charges no
+  /// The one TPT walk every DMA and PIO access goes through. Resolves
+  /// `handle` in the region table and copies between `bytes` and the range
+  /// [addr, addr + bytes.size()) of that region: a span of const bytes is
+  /// written into the frames, a mutable span is filled from them. Fails
+  /// when the range lies outside the region, the region's tag is not `tag`,
+  /// or a page does not translate under `access`; it stops at that page, so
+  /// part of the copy may have happened. Counts no statistic and charges no
   /// virtual time: callers do both.
   template <typename Byte>
-  [[nodiscard]] bool tpt_copy(TptIndex base, const RegionRecord& region,
-                              simkern::VAddr addr, std::span<Byte> bytes,
-                              ProtectionTag tag, TptAccess access);
-  /// tpt_copy over the geometry a caller's handle states (local DMA, PIO).
-  template <typename Byte>
-  [[nodiscard]] bool tpt_copy(const MemHandle& mh, simkern::VAddr addr,
+  [[nodiscard]] bool tpt_copy(TptIndex handle, simkern::VAddr addr,
                               std::span<Byte> bytes, ProtectionTag tag,
-                              TptAccess access) {
-    return tpt_copy(mh.tpt_base, mh.record(), addr, bytes, tag, access);
-  }
+                              TptAccess access);
 
   // --- fabric-facing receive path ----------------------------------------------
   /// One packet on the wire. Its payload is a view of the sending NIC's
@@ -218,25 +204,11 @@ class Nic {
   void set_fault_engine(fault::FaultEngine* engine) { faults_ = engine; }
 
  private:
-  /// Gather every segment of `desc` (`local`, then `extra`) under `tag`
-  /// into `out`, in order, resolving each handle in the region table.
-  [[nodiscard]] bool gather_desc(const Descriptor& desc,
-                                 std::span<const DataSegment> extra,
-                                 ProtectionTag tag, std::span<std::byte> out);
-  /// Scatter `data` across the segments of `desc` in order.
-  [[nodiscard]] bool scatter_desc(const Descriptor& desc,
-                                  std::span<const DataSegment> extra,
-                                  ProtectionTag tag,
-                                  std::span<const std::byte> data);
-  /// Check a post's extra segments and stamp `desc`'s count and total;
-  /// false when they exceed kMaxSegments or 4 GiB.
-  [[nodiscard]] static bool stamp(Descriptor& desc,
-                                  std::span<const DataSegment> extra);
-  /// The side-ring segments of `rd`, just popped from `v`'s receive queue,
-  /// copied into `tail`; empty for a one-segment receive.
-  [[nodiscard]] std::span<const DataSegment> pop_tail(const Vi& v,
-                                                      const Descriptor& rd,
-                                                      SegmentTail& tail);
+  /// Scatter `data` (at most `seg.length` bytes) into `seg` under `tag`:
+  /// one TPT walk and one DMA engine start-up. No data touches nothing and
+  /// charges nothing.
+  [[nodiscard]] bool scatter(const DataSegment& seg, ProtectionTag tag,
+                             std::span<const std::byte> data);
   void complete_send(Vi& v, Descriptor desc, DescStatus st);
   void complete_recv(Vi& v, Descriptor desc);
   void break_vi(Vi& v);
@@ -248,8 +220,7 @@ class Nic {
       ViId id, Fifo<Descriptor> Vi::*completed);
   /// Fetch-and-execute one posted send descriptor (everything post_send does
   /// after the doorbell ring and fault check): gather, transmit, complete.
-  [[nodiscard]] KStatus submit_send(ViId id, Descriptor desc,
-                                    std::span<const DataSegment> extra);
+  void submit_send(ViId id, Descriptor desc);
 
   simkern::Kernel& host_;
   Clock& clock_;
@@ -257,9 +228,6 @@ class Nic {
   NicConfig config_;
   Tpt tpt_;
   std::vector<Vi> vis_;
-  /// Per VI: the segments after the first of each posted multi-segment
-  /// receive, in posting order (SegmentTail).
-  std::vector<Fifo<SegmentTail>> recv_tails_;
   /// Indexed by TPT base; entries [0, highest base set].
   std::vector<RegionRecord> regions_;
   std::vector<Fifo<CqEntry>> cqs_;

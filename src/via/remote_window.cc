@@ -10,27 +10,37 @@ std::optional<RemoteWindow> RemoteWindow::import(Fabric& fabric,
                                                  const MemHandle& exported) {
   if (local_node >= fabric.num_nodes() || remote_node >= fabric.num_nodes())
     return std::nullopt;
-  if (!exported.valid() || exported.length == 0) return std::nullopt;
   // Import = set up the downstream translation; validated against the
-  // exporter's live TPT state (first page suffices: contiguous range).
-  const Tpt& tpt = fabric.nic(remote_node).tpt();
-  const auto base_off = exported.record().offset_of(exported.vaddr, 1);
-  if (!base_off) return std::nullopt;
-  if (!tpt.translate(exported.tpt_base, exported.tpt_count, *base_off,
-                     exported.tag, false, false)) {
+  // exporter's live region table and TPT (first page suffices: contiguous
+  // range).
+  Nic& nic = fabric.nic(remote_node);
+  const RegionRecord rec = nic.region(exported.tpt_base);
+  if (!exported.valid() || rec.tag != exported.tag || rec.length == 0)
+    return std::nullopt;
+  if (!nic.tpt().translate(exported.tpt_base, rec.tpt_count,
+                           *rec.offset_of(rec.vaddr, 1), rec.tag, false,
+                           false)) {
     return std::nullopt;
   }
   fabric.clock().advance(fabric.costs().syscall);  // the mapping ioctl
-  return RemoteWindow(fabric, local_node, remote_node, exported);
+  return RemoteWindow(fabric, local_node, remote_node, exported.tpt_base,
+                      exported.tag);
+}
+
+RegionRecord RemoteWindow::record() const {
+  const RegionRecord rec = fabric_->nic(remote_).region(base_);
+  return rec.tag == tag_ ? rec : RegionRecord{};
 }
 
 template <typename Byte>
 KStatus RemoteWindow::access(std::uint64_t offset, std::span<Byte> bytes) {
   if (bytes.empty()) return KStatus::Ok;
-  if (offset + bytes.size() > handle_.length) return KStatus::Inval;
   // Fails once the region is deregistered or its protection changes.
-  if (!fabric_->nic(remote_).tpt_copy(handle_, handle_.vaddr + offset, bytes,
-                                      handle_.tag, TptAccess::Local)) {
+  const RegionRecord rec = record();
+  if (rec.tag == kInvalidTag) return KStatus::Fault;
+  if (offset + bytes.size() > rec.length) return KStatus::Inval;
+  if (!fabric_->nic(remote_).tpt_copy(base_, rec.vaddr + offset, bytes, tag_,
+                                      TptAccess::Local)) {
     return KStatus::Fault;
   }
   const CostModel& c = fabric_->costs();

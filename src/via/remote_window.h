@@ -29,7 +29,9 @@ class RemoteWindow {
  public:
   /// Import `exported` (a registration on `remote_node`, its handle
   /// communicated out of band) into an accessor owned by `local_node`.
-  /// Fails when the handle is not live in the remote TPT.
+  /// Only the handle's TPT base and tag count: the window resolves the
+  /// region from the exporter NIC's region table on every access. Fails
+  /// when the handle is not live there.
   [[nodiscard]] static std::optional<RemoteWindow> import(
       Fabric& fabric, NodeId local_node, NodeId remote_node,
       const MemHandle& exported);
@@ -40,12 +42,19 @@ class RemoteWindow {
   /// Remote read ("an expensive operation in the SCI environment").
   [[nodiscard]] KStatus load(std::uint64_t offset, std::span<std::byte> out);
 
-  [[nodiscard]] std::uint64_t size() const { return handle_.length; }
+  /// The registered length; 0 once the region is deregistered.
+  [[nodiscard]] std::uint64_t size() const { return record().length; }
   [[nodiscard]] NodeId remote_node() const { return remote_; }
 
  private:
-  RemoteWindow(Fabric& fabric, NodeId local, NodeId remote, MemHandle handle)
-      : fabric_(&fabric), local_(local), remote_(remote), handle_(handle) {}
+  RemoteWindow(Fabric& fabric, NodeId local, NodeId remote, TptIndex base,
+               ProtectionTag tag)
+      : fabric_(&fabric), local_(local), remote_(remote), base_(base),
+        tag_(tag) {}
+
+  /// The exporter's record of the imported region: empty once the base no
+  /// longer holds a region under the imported tag.
+  [[nodiscard]] RegionRecord record() const;
 
   /// Store `bytes` (const) into, or load them from, the exporter's frames
   /// through its NIC's TPT, charging the PIO cost of that direction.
@@ -55,7 +64,8 @@ class RemoteWindow {
   Fabric* fabric_;
   NodeId local_;
   NodeId remote_;
-  MemHandle handle_;
+  TptIndex base_;
+  ProtectionTag tag_;
 };
 
 }  // namespace vialock::via

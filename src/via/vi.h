@@ -52,7 +52,8 @@ inline constexpr CqId kInvalidCq = static_cast<CqId>(-1);
 
 /// One VI's NIC-side state: two cache lines. The scalars a transfer reads
 /// and the receive queue's header share the first line, the two per-VI
-/// completion rings the second.
+/// completion rings the second. Each ring slot is a whole one-segment
+/// descriptor: no per-VI side state travels beside the queues.
 struct alignas(64) Vi {
   ViId id = kInvalidVi;
   ProtectionTag tag = kInvalidTag;

@@ -38,14 +38,14 @@ Descriptor Vipl::build(DescOp op, DataSegment local, std::uint64_t cookie) {
 
 KStatus Vipl::post_send(ViId vi, const MemHandle& mh, simkern::VAddr addr,
                         std::uint32_t len, std::uint64_t cookie) {
-  return agent_.nic().post_send(vi,
-                                build(DescOp::Send, {mh, addr, len}, cookie));
+  Descriptor d = build(DescOp::Send, {mh, addr, len}, cookie);
+  return agent_.nic().post_send(vi, std::span(&d, 1));
 }
 
 KStatus Vipl::post_recv(ViId vi, const MemHandle& mh, simkern::VAddr addr,
                         std::uint32_t len, std::uint64_t cookie) {
-  return agent_.nic().post_recv(vi,
-                                build(DescOp::Recv, {mh, addr, len}, cookie));
+  Descriptor d = build(DescOp::Recv, {mh, addr, len}, cookie);
+  return agent_.nic().post_recv(vi, std::span(&d, 1));
 }
 
 KStatus Vipl::rdma_write(ViId vi, const MemHandle& local_mh,
@@ -59,7 +59,7 @@ KStatus Vipl::rdma_write(ViId vi, const MemHandle& local_mh,
     d.immediate = *immediate;
     d.has_immediate = true;
   }
-  return agent_.nic().post_send(vi, std::move(d));
+  return agent_.nic().post_send(vi, std::span(&d, 1));
 }
 
 KStatus Vipl::rdma_read(ViId vi, const MemHandle& local_mh,
@@ -68,37 +68,21 @@ KStatus Vipl::rdma_read(ViId vi, const MemHandle& local_mh,
                         std::uint64_t cookie) {
   Descriptor d = build(DescOp::RdmaRead, {local_mh, local_addr, len}, cookie);
   d.remote = RemoteSegment{remote_mh, remote_addr};
-  return agent_.nic().post_send(vi, std::move(d));
+  return agent_.nic().post_send(vi, std::span(&d, 1));
 }
 
 KStatus Vipl::post_send_batch(ViId vi, std::span<const SendPost> posts) {
   batch_.clear();
   for (const SendPost& p : posts)
     batch_.push_back(build(DescOp::Send, {p.mh, p.addr, p.len}, p.cookie));
-  return agent_.nic().post_send_batch(vi, batch_);
+  return agent_.nic().post_send(vi, batch_);
 }
 
 KStatus Vipl::post_recv_batch(ViId vi, std::span<const RecvPost> posts) {
   batch_.clear();
   for (const RecvPost& p : posts)
     batch_.push_back(build(DescOp::Recv, {p.mh, p.addr, p.len}, p.cookie));
-  return agent_.nic().post_recv_batch(vi, batch_);
-}
-
-KStatus Vipl::post_send_sg(ViId vi, const std::vector<DataSegment>& segs,
-                           std::uint64_t cookie) {
-  if (segs.empty() || segs.size() > Descriptor::kMaxSegments)
-    return KStatus::Inval;
-  return agent_.nic().post_send(vi, build(DescOp::Send, segs[0], cookie),
-                                std::span(segs).subspan(1));
-}
-
-KStatus Vipl::post_recv_sg(ViId vi, const std::vector<DataSegment>& segs,
-                           std::uint64_t cookie) {
-  if (segs.empty() || segs.size() > Descriptor::kMaxSegments)
-    return KStatus::Inval;
-  return agent_.nic().post_recv(vi, build(DescOp::Recv, segs[0], cookie),
-                                std::span(segs).subspan(1));
+  return agent_.nic().post_recv(vi, batch_);
 }
 
 std::optional<Descriptor> Vipl::send_done(ViId vi) {

@@ -42,6 +42,8 @@ class Vipl {
   [[nodiscard]] KStatus create_vi(ViId& out, ViAttributes attrs = {});
 
   // --- data transfer ----------------------------------------------------------
+  /// Each call builds one single-segment descriptor and posts it as a list
+  /// of one (Nic::post_send / post_recv).
   [[nodiscard]] KStatus post_send(ViId vi, const MemHandle& mh,
                                   simkern::VAddr addr, std::uint32_t len,
                                   std::uint64_t cookie = 0);
@@ -59,16 +61,6 @@ class Vipl {
                                   const MemHandle& remote_mh,
                                   simkern::VAddr remote_addr,
                                   std::uint64_t cookie = 0);
-
-  // --- scatter/gather variants ----------------------------------------------
-  /// Post a send over multiple data segments (gathered in order).
-  [[nodiscard]] KStatus post_send_sg(ViId vi,
-                                     const std::vector<DataSegment>& segs,
-                                     std::uint64_t cookie = 0);
-  /// Post a receive scattering into multiple segments (filled in order).
-  [[nodiscard]] KStatus post_recv_sg(ViId vi,
-                                     const std::vector<DataSegment>& segs,
-                                     std::uint64_t cookie = 0);
 
   /// VipSendDone / VipRecvDone (polling completion model: a PCI status read
   /// per call - cheap, but burns CPU while spinning).
@@ -90,9 +82,10 @@ class Vipl {
     std::uint32_t len = 0;
     std::uint64_t cookie = 0;
   };
-  /// Build and post a burst of sends behind a SINGLE doorbell ring: the
+  /// Build and post a list of sends behind a SINGLE doorbell ring: the
   /// per-entry descriptor-build cost still applies, but the doorbell and its
-  /// MMIO round amortise across the burst (Nic::post_send_batch).
+  /// MMIO round amortise across the list (Nic::post_send). A list of one
+  /// costs and counts exactly what post_send does.
   [[nodiscard]] KStatus post_send_batch(ViId vi,
                                         std::span<const SendPost> posts);
 
@@ -104,9 +97,9 @@ class Vipl {
     std::uint32_t len = 0;
     std::uint64_t cookie = 0;
   };
-  /// Build and pre-post a burst of receives behind a SINGLE doorbell ring
-  /// (Nic::post_recv_batch) - the connection-setup / credit-refill
-  /// amortisation the msg/svc tiers use.
+  /// Build and pre-post a list of receives behind a SINGLE doorbell ring
+  /// (Nic::post_recv) - the connection-setup / credit-refill amortisation
+  /// the msg/svc tiers use.
   [[nodiscard]] KStatus post_recv_batch(ViId vi,
                                         std::span<const RecvPost> posts);
 
@@ -131,8 +124,8 @@ class Vipl {
   KernelAgent& agent_;
   simkern::Pid pid_;
   ProtectionTag tag_ = kInvalidTag;
-  /// The descriptors of the burst being posted, kept so that a steady
-  /// stream of bursts allocates nothing (the NIC moves them out).
+  /// The descriptors of the list being posted, kept so that a steady
+  /// stream of lists allocates nothing (the NIC copies them out).
   std::vector<Descriptor> batch_;
 };
 

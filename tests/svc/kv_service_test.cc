@@ -70,7 +70,8 @@ void land_foreign_completion(via::Cluster& cluster, via::NodeId node,
   const via::ViId peer_vi = cluster.node(peer).nic().create_vi(/*tag=*/1);
   ASSERT_TRUE(ok(nic.attach_recv_cq(vi, recv_cq_of(nic))));
   ASSERT_TRUE(ok(cluster.fabric().connect(node, vi, peer, peer_vi)));
-  ASSERT_TRUE(ok(nic.post_recv(vi, via::Descriptor{})));
+  via::Descriptor recv;
+  ASSERT_TRUE(ok(nic.post_recv(vi, std::span(&recv, 1))));
   via::Nic::Packet pkt;
   pkt.src_node = peer;
   pkt.src_vi = peer_vi;

@@ -6,7 +6,8 @@
 // injected drop silently lost the healthy remainder of the burst - these
 // tests fail on that code for every drop position (head, middle, tail).
 // Also pins post_recv_batch: one doorbell arms the whole recv chain and the
-// slots drain in posted order.
+// slots drain in posted order; and a list of one, which posts exactly as a
+// single post does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -109,6 +110,56 @@ TEST_F(NicBatchTest, RecvBatchArmsRingBehindOneDoorbell) {
     EXPECT_EQ(d->cookie, 10 + i);
   }
   EXPECT_FALSE(v1->recv_done(vi1).has_value());
+}
+
+class NicBatch : public test::TwoNodeFixture {};
+
+TEST_F(NicBatch, ListOfOnePostsLikeASinglePost) {
+  // A list of one is a plain post on both work queues: no burst counted,
+  // no descs_per_ring sample, and the same virtual time as a single post.
+  const NicStats& s0 = cluster->node(n0).nic().stats();
+  const NicStats& s1 = cluster->node(n1).nic().stats();
+  const obs::Histogram& rings0 =
+      kern0().metrics().histogram("via.nic.descs_per_ring");
+  const obs::Histogram& rings1 =
+      kern1().metrics().histogram("via.nic.descs_per_ring");
+  const std::uint64_t batches0 = s0.doorbell_batches;
+  const std::uint64_t batches1 = s1.doorbell_batches;
+  const std::uint64_t samples0 = rings0.count();
+  const std::uint64_t samples1 = rings1.count();
+  const auto charge = [&](const auto& post) {
+    const Nanos before = cluster->clock().now();
+    post();
+    return cluster->clock().now() - before;
+  };
+
+  const std::vector<Vipl::RecvPost> one_recv = {{mh1, buf1 + 64, 64, 2}};
+  const Nanos single_recv =
+      charge([&] { ASSERT_TRUE(ok(v1->post_recv(vi1, mh1, buf1, 64, 1))); });
+  const Nanos listed_recv =
+      charge([&] { ASSERT_TRUE(ok(v1->post_recv_batch(vi1, one_recv))); });
+  EXPECT_EQ(listed_recv, single_recv);
+
+  const std::vector<Vipl::SendPost> one_send = {{mh0, buf0 + 64, 64, 2}};
+  const Nanos single_send =
+      charge([&] { ASSERT_TRUE(ok(v0->post_send(vi0, mh0, buf0, 64, 1))); });
+  const Nanos listed_send =
+      charge([&] { ASSERT_TRUE(ok(v0->post_send_batch(vi0, one_send))); });
+  EXPECT_EQ(listed_send, single_send);
+
+  EXPECT_EQ(s0.doorbell_batches, batches0);
+  EXPECT_EQ(s1.doorbell_batches, batches1);
+  EXPECT_EQ(rings0.count(), samples0);
+  EXPECT_EQ(rings1.count(), samples1);
+  for (std::uint64_t cookie = 1; cookie <= 2; ++cookie) {
+    const auto sent = v0->send_done(vi0);
+    const auto got = v1->recv_done(vi1);
+    ASSERT_TRUE(sent && got);
+    EXPECT_TRUE(sent->done_ok());
+    EXPECT_EQ(sent->cookie, cookie);
+    EXPECT_TRUE(got->done_ok());
+    EXPECT_EQ(got->cookie, cookie);
+  }
 }
 
 TEST_F(NicBatchTest, EmptyBatchesAreFreeNoops) {

@@ -35,6 +35,15 @@ TEST_F(NicTest, SendRecvMovesDataBetweenProcesses) {
   EXPECT_EQ(rc->transferred, 64u);
 
   EXPECT_EQ(peek64(kern1(), p1, buf1), 0xFEEDFACE12345678ULL);
+
+  // A receive larger than its message reports the message's length.
+  ASSERT_TRUE(ok(v1->post_recv(vi1, mh1, buf1 + 256, 256)));
+  ASSERT_TRUE(ok(v0->post_send(vi0, mh0, buf0, 40)));
+  ASSERT_TRUE(v0->send_done(vi0)->done_ok());
+  const auto short_rc = v1->recv_done(vi1);
+  ASSERT_TRUE(short_rc.has_value());
+  EXPECT_EQ(short_rc->status, DescStatus::Done);
+  EXPECT_EQ(short_rc->transferred, 40u);
 }
 
 TEST_F(NicTest, SendWithoutRecvDescriptorBreaksReliableConnection) {
@@ -120,6 +129,14 @@ TEST_F(NicTest, RdmaReadFetchesRemoteData) {
   ASSERT_TRUE(sc.has_value());
   EXPECT_EQ(sc->status, DescStatus::Done);
   EXPECT_EQ(peek64(kern0(), p0, buf0 + 2048), 0xCAFED00DULL);
+
+  // A read whose local landing segment lies outside its region fetches
+  // nothing into memory and completes with a protection error.
+  ASSERT_TRUE(ok(v0->rdma_read(vi0, mh0, buf0 + kBufPages * kPageSize, 8, mh1,
+                               buf1 + 1024)));
+  const auto bad = v0->send_done(vi0);
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_EQ(bad->status, DescStatus::ErrProtection);
 }
 
 TEST_F(NicTest, RdmaToForeignRemoteHandleIsProtectionError) {
@@ -194,6 +211,39 @@ TEST_F(NicTest, StaleHandleAfterDeregisterIsProtectionError) {
   ASSERT_TRUE(sc.has_value());
   EXPECT_EQ(sc->status, DescStatus::ErrProtection);
   EXPECT_GE(nic0.stats().protection_errors, 2u);
+}
+
+TEST_F(NicTest, WidenedHandleCopyCannotReachPastRegisteredRange) {
+  // The region ends 256 bytes short of its last page, so that page's TPT
+  // entry is valid past the registered range. A caller's copy of the handle
+  // with `length` widened to the page end must still stop at the range the
+  // kernel agent recorded: every access resolves the region from the NIC's
+  // region table, not from the copy.
+  const auto mem = test::must_mmap(kern1(), p1, 4);
+  const std::uint64_t registered = 4 * kPageSize - 256;
+  MemHandle mh;
+  ASSERT_TRUE(ok(v1->register_mem(mem, registered, mh)));
+  MemHandle widened = mh;
+  widened.length = 4 * kPageSize;
+  const std::uint64_t v = 0x0DDBA11;
+
+  Nic& nic1 = cluster->node(n1).nic();
+  EXPECT_TRUE(ok(nic1.dma_write_local(widened, mem + registered - 8,
+                                      test::bytes_of(v))));
+  EXPECT_EQ(nic1.dma_write_local(widened, mem + registered, test::bytes_of(v)),
+            KStatus::Fault);
+  std::uint64_t seen = 0;
+  EXPECT_EQ(nic1.dma_read_local(widened, mem + registered,
+                                std::as_writable_bytes(std::span{&seen, 1})),
+            KStatus::Fault);
+
+  auto window = RemoteWindow::import(cluster->fabric(), n0, n1, widened);
+  ASSERT_TRUE(window.has_value());
+  EXPECT_EQ(window->size(), registered);
+  EXPECT_TRUE(ok(window->store(registered - 8, test::bytes_of(v))));
+  EXPECT_FALSE(ok(window->store(registered, test::bytes_of(v))));
+  EXPECT_EQ(peek64(kern1(), p1, mem + registered), 0u)
+      << "nothing landed past the registered range";
 }
 
 TEST_F(NicTest, RdmaWriteDisabledAttributeIsEnforced) {
