@@ -270,9 +270,7 @@ KStatus Nic::post_send(ViId id, std::span<Descriptor> descs) {
   // Loss semantics: the chain lives in host memory, so a fault costs
   // exactly the descriptor whose fetch it covered - the engine
   // resynchronises on the chain's next link and the remaining descriptors
-  // still post. (The seed checked the fault once for a whole burst and
-  // dropped every descriptor behind it, so a single injected drop silently
-  // lost N-1 healthy sends - caught by NicBatch tests.)
+  // still post (NicBatchTest.MidBurstDrop*).
   for (const Descriptor& desc : descs) {
     if (doorbell_dropped()) continue;  // this descriptor alone is lost
     submit_send(id, desc);
