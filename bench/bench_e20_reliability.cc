@@ -71,7 +71,7 @@ CellResult run_cell(Protocol proto, std::uint32_t len, double drop_rate,
   Channel::Config cfg;
   cfg.preregister_heaps = true;
   cfg.user_heap_bytes = 2ULL << 20;
-  cfg.reliability.enabled = reliable;
+  cfg.reliable = reliable;
   Channel ch(cluster, n0, n1, cfg);
   if (!ok(ch.init())) std::abort();
   // Arm after setup so registration/connect never consume fault events and
@@ -119,11 +119,7 @@ std::string sweep_table(Protocol proto, std::uint32_t len,
   }
   os << "--- " << to_string(proto) << " (" << Table::bytes(len) << " x "
      << kTransfers << ") ---\n";
-  {
-    std::streambuf* old = std::cout.rdbuf(os.rdbuf());
-    t.print();
-    std::cout.rdbuf(old);
-  }
+  t.print(os);
   report.add_table(std::string(to_string(proto)), t);
   return os.str();
 }

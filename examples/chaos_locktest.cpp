@@ -81,7 +81,7 @@ ActResult run_act(const char* label, via::PolicyKind policy, bool reliable) {
 
   msg::Channel::Config cfg;
   cfg.user_heap_bytes = 2ULL << 20;
-  cfg.reliability.enabled = reliable;
+  cfg.reliable = reliable;
   msg::Channel ch(cluster, n0, n1, cfg);
   if (!ok(ch.init())) std::abort();
   cluster.inject_faults(&engine);  // armed after setup: registration and

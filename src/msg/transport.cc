@@ -148,7 +148,7 @@ KStatus Channel::init() {
     if (const KStatus st = s->vipl.open(); !ok(st)) return st;
     // Reliable-delivery mode supplies its own guarantees, so it runs over
     // unreliable VIs (the VIA "unreliable delivery" service class).
-    const via::ViAttributes attrs = config_.reliability.enabled
+    const via::ViAttributes attrs = config_.reliable
                                         ? via::ViAttributes::unreliable()
                                         : via::ViAttributes::reliable();
     if (const KStatus st = s->vipl.create_vi(s->vi, attrs); !ok(st)) return st;
@@ -357,7 +357,7 @@ KStatus Channel::timed_out(Side& from, std::uint64_t what,
   simkern::Kernel& sk = sender_node().kernel();
   sk.trace().record(cluster_.clock().now(), TraceEvent::SendTimeout,
                     static_cast<std::uint32_t>(from.vipl.pid()), what,
-                    config_.reliability.max_retries);
+                    kMaxRetries);
   // Retry budget exhausted: a terminal fault. Capture the postmortem while
   // the spans/trace/metrics still show the failing timeline.
   sk.flight_dump(reason);
@@ -416,7 +416,6 @@ bool Channel::send_ack(Side& acker, Side& waiter, std::uint32_t seq) {
 KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
                                std::span<const std::byte> payload,
                                std::vector<std::byte>& out) {
-  const Reliability& rel = config_.reliability;
   if (payload.size() + sizeof(FrameHeader) > config_.eager_slot_size)
     return KStatus::Inval;
 
@@ -443,7 +442,7 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
 
   bool delivered = false;
 
-  for (std::uint32_t attempt = 0; attempt <= rel.max_retries; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     const obs::ScopedSpan attempt_span(
         send_spans, attempt == 0 ? "msg.send" : "msg.retransmit");
     if (attempt > 0) count_retry(from, hdr.seq, attempt);
@@ -535,7 +534,7 @@ KStatus Channel::reliable_push(Side& from, Side& to, std::uint8_t kind,
 KStatus Channel::push_ctrl(Side& from, Side& to,
                            std::span<const std::byte> msg) {
   std::vector<std::byte> out;
-  const KStatus st = config_.reliability.enabled
+  const KStatus st = config_.reliable
                          ? reliable_push(from, to, kFrameCtrl, msg, out)
                          : eager_push(from, to, msg);
   if (ok(st)) ++stats_.control_msgs;
@@ -545,11 +544,10 @@ KStatus Channel::push_ctrl(Side& from, Side& to,
 KStatus Channel::acquire_with_retry(Side& side, VAddr addr, std::uint32_t len,
                                     MemHandle& out) {
   KStatus st = side.cache->acquire(addr, len, out);
-  if (!config_.reliability.enabled) return st;
+  if (!config_.reliable) return st;
   // Injected registration failures (kiobuf map rejection, allocator
   // pressure) are transient: back off and retry within the same budget.
-  for (std::uint32_t attempt = 0;
-       st == KStatus::Again && attempt < config_.reliability.max_retries;
+  for (std::uint32_t attempt = 0; st == KStatus::Again && attempt < kMaxRetries;
        ++attempt) {
     charge_timeout(attempt);
     st = side.cache->acquire(addr, len, out);
@@ -575,8 +573,7 @@ KStatus Channel::reliable_rdma(const MemHandle& src_mh, VAddr src_addr,
   // child per attempt, so retransmits parent under the original write.
   const obs::ScopedSpan rdma_span(sk.spans(), "msg.rdma");
 
-  for (std::uint32_t attempt = 0; attempt <= config_.reliability.max_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     const obs::ScopedSpan attempt_span(
         sk.spans(), attempt == 0 ? "msg.send" : "msg.retransmit");
     if (attempt > 0) count_retry(*src_, dst_addr, attempt);
@@ -671,7 +668,7 @@ KStatus Channel::handshake(std::uint64_t dst_off, std::uint32_t len,
 KStatus Channel::rdma_put(const MemHandle& src_mh, VAddr src_addr,
                           const MemHandle& dst_mh, VAddr dst_addr,
                           std::uint32_t len) {
-  if (config_.reliability.enabled)
+  if (config_.reliable)
     return reliable_rdma(src_mh, src_addr, dst_mh, dst_addr, len);
   if (const KStatus st = src_->vipl.rdma_write(
           src_->vi, src_mh, src_addr, len, dst_mh, dst_addr, /*cookie=*/0,
@@ -783,7 +780,7 @@ KStatus Channel::pio_rendezvous(std::uint64_t src_off, std::uint64_t dst_off,
   //    the descriptor path, but they are still translated through the
   //    exporter's TPT, so an injected TPT corruption can land them in the
   //    wrong frame.
-  if (config_.reliability.enabled) {
+  if (config_.reliable) {
     std::vector<std::byte> chk(len);
     if (const KStatus st =
             sk.read_user(src_pid_, src_heap_ + src_off, chk);
@@ -837,7 +834,7 @@ KStatus Channel::transfer(Protocol proto, std::uint64_t src_off,
   };
   switch (proto) {
     case Protocol::Eager:
-      return charge(config_.reliability.enabled
+      return charge(config_.reliable
                         ? reliable_eager(src_off, dst_off, len)
                         : eager(src_off, dst_off, len));
     case Protocol::Rendezvous: return charge(rendezvous(src_off, dst_off, len));

@@ -19,7 +19,7 @@
 // cluster nodes; the simulation is synchronous, so each transfer runs both
 // sides inline against the shared virtual clock.
 //
-// Reliable-delivery mode (Config::reliability.enabled): the channel runs its
+// Reliable-delivery mode (Config::reliable): the channel runs its
 // protocols over *unreliable* VIs and provides delivery guarantees itself -
 // every eager/control frame carries a sequence number and a checksum
 // (fault::checksum32, FNV-1a over 64-bit words: a change confined to one
@@ -92,16 +92,11 @@ struct ChannelStats {
 
 class Channel {
  public:
-  /// Reliable-delivery policy. With `enabled`, the channel tolerates frame
-  /// loss, corruption and connection resets at the cost of acknowledgement
-  /// traffic, checksum computation and retransmission time.
-  struct Reliability {
-    bool enabled = false;
-    std::uint32_t max_retries = 8;    ///< per frame / per RDMA payload
-  };
-
   /// transfer_auto() goes eager below this many bytes.
   static constexpr std::uint32_t kEagerThreshold = 4 * 1024;
+  /// Reliable mode's retry budget per frame / per RDMA payload (the
+  /// backoff it spends it on is kRetryTimeout / kBackoffCap, transport.cc).
+  static constexpr std::uint32_t kMaxRetries = 8;
 
   struct Config {
     std::uint32_t eager_slot_size = 8 * 1024;
@@ -115,7 +110,10 @@ class Channel {
     /// channels do this).
     simkern::Pid sender_pid = simkern::kInvalidPid;
     simkern::Pid receiver_pid = simkern::kInvalidPid;
-    Reliability reliability;
+    /// Reliable-delivery mode: the channel tolerates frame loss,
+    /// corruption and connection resets at the cost of acknowledgement
+    /// traffic, checksum computation and retransmission time.
+    bool reliable = false;
   };
 
   Channel(via::Cluster& cluster, via::NodeId sender, via::NodeId receiver,
@@ -190,7 +188,7 @@ class Channel {
                                  const via::MemHandle& dst_mh,
                                  simkern::VAddr dst_addr, std::uint32_t len);
 
-  // --- reliable-delivery machinery (active when config_.reliability.enabled)
+  // --- reliable-delivery machinery (active when config_.reliable)
   /// Control-message push (counted in control_msgs): plain eager_push, or
   /// the sequenced/acked frame path in reliable mode.
   [[nodiscard]] KStatus push_ctrl(Side& from, Side& to,

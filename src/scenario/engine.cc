@@ -991,7 +991,7 @@ msg::Channel::Config ScenarioEngine::channel_config(HostId from,
   const std::uint32_t t = spec_.tenants_per_host;
   cfg.sender_pid = tenants_[from][to % t].pid;
   cfg.receiver_pid = tenants_[to][from % t].pid;
-  cfg.reliability.enabled = spec_.reliable;
+  cfg.reliable = spec_.reliable;
   return cfg;
 }
 

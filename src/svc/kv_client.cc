@@ -97,8 +97,8 @@ KStatus KvClient::connect(KvServer& server, std::uint32_t tenant,
   }
 
   if (fresh_vi) {
-    if (!ok(vipl_->attach_recv_cq(spare.vi, recv_cq_)) ||
-        !ok(vipl_->attach_send_cq(spare.vi, send_cq_))) {
+    if (!ok(node_.nic().attach_recv_cq(spare.vi, recv_cq_)) ||
+        !ok(node_.nic().attach_send_cq(spare.vi, send_cq_))) {
       spares_.push_back(spare);
       return KStatus::Inval;
     }
@@ -189,7 +189,7 @@ KStatus KvClient::stage(std::uint32_t conn, KvRequest req,
       return KStatus::Fault;
   }
 
-  c.staged.push_back(via::Vipl::SendPost{
+  c.staged.push_back(via::Vipl::Post{
       c.rings.handle(), addr,
       static_cast<std::uint32_t>(sizeof(KvRequest) + inline_value.size()),
       cookie_of(c.gen, slot)});
@@ -256,7 +256,7 @@ std::uint32_t KvClient::flush(std::uint32_t conn) {
   Conn& c = conns_[conn];
   if (c.staged.empty()) return 0;
   const auto n = static_cast<std::uint32_t>(c.staged.size());
-  (void)vipl_->post_send_batch(c.vi, c.staged);
+  (void)vipl_->post_send(c.vi, c.staged);
   if (n > 1) ++stats_.doorbell_flushes;
   c.staged.clear();
   return n;
@@ -264,8 +264,8 @@ std::uint32_t KvClient::flush(std::uint32_t conn) {
 
 std::uint32_t KvClient::harvest_sends() {
   harvest_buf_.clear();
-  const std::uint32_t n = node_.nic().poll_cq_batch(
-      send_cq_, config_.completion_batch, harvest_buf_);
+  const std::uint32_t n =
+      node_.nic().poll_cq(send_cq_, config_.completion_batch, harvest_buf_);
   for (const via::Nic::CqEntry& e : harvest_buf_) {
     if (e.desc.status == via::DescStatus::Done) continue;
     ++stats_.send_errors;
@@ -280,8 +280,7 @@ std::uint32_t KvClient::harvest_sends() {
 std::uint32_t KvClient::harvest(std::vector<KvResult>& out) {
   (void)harvest_sends();
   harvest_buf_.clear();
-  (void)node_.nic().poll_cq_batch(recv_cq_, config_.completion_batch,
-                                  harvest_buf_);
+  (void)node_.nic().poll_cq(recv_cq_, config_.completion_batch, harvest_buf_);
   std::uint32_t produced = 0;
   for (const via::Nic::CqEntry& e : harvest_buf_) {
     const std::uint32_t id = vi_to_conn_.find(e.vi);

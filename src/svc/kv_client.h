@@ -171,7 +171,7 @@ class KvClient {
     via::SlotRing window;
     std::uint32_t inflight = 0;
     std::vector<Pending> pending;  ///< indexed by request slot
-    std::vector<via::Vipl::SendPost> staged;
+    std::vector<via::Vipl::Post> staged;
   };
 
   [[nodiscard]] simkern::VAddr rsp_slot(const Conn& c, std::uint32_t i) const {

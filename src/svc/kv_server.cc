@@ -166,8 +166,8 @@ KStatus KvServer::accept(std::uint32_t tenant, via::NodeId client_node,
   }
 
   if (fresh_vi) {
-    if (!ok(t.vipl->attach_recv_cq(spare.vi, recv_cq_)) ||
-        !ok(t.vipl->attach_send_cq(spare.vi, send_cq_))) {
+    if (!ok(node_.nic().attach_recv_cq(spare.vi, recv_cq_)) ||
+        !ok(node_.nic().attach_send_cq(spare.vi, send_cq_))) {
       t.spares.push_back(spare);
       return KStatus::Inval;
     }
@@ -240,8 +240,8 @@ std::uint32_t KvServer::service() {
 
 std::uint32_t KvServer::service_once(std::uint32_t& harvested) {
   harvest_buf_.clear();
-  harvested = node_.nic().poll_cq_batch(recv_cq_, config_.completion_batch,
-                                        harvest_buf_);
+  harvested =
+      node_.nic().poll_cq(recv_cq_, config_.completion_batch, harvest_buf_);
   if (harvested == 0) return 0;
   ++stats_.batches;
   stats_.batched_completions += harvested;
@@ -524,7 +524,7 @@ via::DescStatus KvServer::run_rdma(Conn& c, bool write,
 std::uint32_t KvServer::harvest_sends() {
   send_buf_.clear();
   const std::uint32_t n =
-      node_.nic().poll_cq_batch(send_cq_, config_.completion_batch, send_buf_);
+      node_.nic().poll_cq(send_cq_, config_.completion_batch, send_buf_);
   if (n) stats_.batched_completions += n;
   for (const via::Nic::CqEntry& e : send_buf_) {
     if (e.desc.cookie & kRdmaBit) {
@@ -575,11 +575,11 @@ void KvServer::flush_replies(std::vector<StagedReply>& replies) {
     flush_posts_.clear();
     for (std::size_t k = i; k < end; ++k) {
       const StagedReply& r = *flush_order_[k];
-      flush_posts_.push_back(via::Vipl::SendPost{
+      flush_posts_.push_back(via::Vipl::Post{
           c.ring.handle(), rsp_slot(c, r.slot), r.len,
           cookie_of(c.gen, r.slot)});
     }
-    (void)t.vipl->post_send_batch(c.vi, flush_posts_);
+    (void)t.vipl->post_send(c.vi, flush_posts_);
     if (flush_posts_.size() > 1) stats_.batched_replies += flush_posts_.size();
     i = end;
   }

@@ -13,9 +13,9 @@
 //     while Guaranteed tenants keep their reserved budget (and get
 //     cooperative reclaim run on their behalf by the charge path);
 //   * batched completions - requests from every connection funnel into one
-//     recv CQ drained with poll_cq_batch (one PCI status read per harvest,
+//     recv CQ drained with Nic::poll_cq (one PCI status read per harvest,
 //     not per request), and replies to the same VI leave behind a single
-//     batched doorbell (post_send_batch) - E18's completion modes, extended
+//     doorbell (one Vipl::post_send list) - E18's completion modes, extended
 //     to a server that could not afford per-operation MMIO at scale;
 //   * zero-copy rendezvous - small values ride inline in the eager slots,
 //     large ones move with one RDMA write (GET) / read (PUT) between the
@@ -270,7 +270,7 @@ class KvServer {
   std::vector<std::byte> value_buf_;
   std::vector<StagedReply> replies_;  ///< one service cycle's replies
   std::vector<const StagedReply*> flush_order_;  ///< flush_replies' grouping
-  std::vector<via::Vipl::SendPost> flush_posts_;
+  std::vector<via::Vipl::Post> flush_posts_;
 };
 
 }  // namespace vialock::svc

@@ -38,34 +38,6 @@ KStatus Fabric::pair(NodeId node_a, ViId vi_a, NodeId node_b, ViId vi_b,
   return KStatus::Ok;
 }
 
-KStatus Fabric::listen(NodeId node, std::uint64_t discriminator, ViId vi) {
-  if (node >= nics_.size() || !nics_[node]->vi_exists(vi)) return KStatus::Inval;
-  if (nics_[node]->vi(vi).connected()) return KStatus::Busy;
-  const auto key = std::make_pair(node, discriminator);
-  if (listeners_.contains(key)) return KStatus::Busy;
-  listeners_.emplace(key, Listener{node, vi});
-  return KStatus::Ok;
-}
-
-KStatus Fabric::connect_request(NodeId client_node, ViId client_vi,
-                                NodeId server_node,
-                                std::uint64_t discriminator) {
-  if (client_node >= nics_.size() || server_node >= nics_.size())
-    return KStatus::Inval;
-  if (!nics_[client_node]->vi_exists(client_vi)) return KStatus::Inval;
-  // A connect request crosses the wire even when it is refused.
-  clock_.advance(costs_.wire(64));
-  const auto key = std::make_pair(server_node, discriminator);
-  auto it = listeners_.find(key);
-  if (it == listeners_.end()) return KStatus::Again;
-  const Listener server = it->second;
-  const KStatus st = connect(client_node, client_vi, server.node, server.vi);
-  if (!ok(st)) return st;
-  listeners_.erase(it);
-  clock_.advance(costs_.wire(64));  // accept response
-  return KStatus::Ok;
-}
-
 KStatus Fabric::disconnect(NodeId node, ViId vi) {
   if (node >= nics_.size() || !nics_[node]->vi_exists(vi)) return KStatus::Inval;
   Vi& v = nics_[node]->vi(vi);

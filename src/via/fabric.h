@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -26,19 +24,12 @@ class Fabric {
   NodeId attach(Nic& nic);
 
   /// Connect vi_a on node_a with vi_b on node_b (both become Connected).
-  /// The out-of-band variant used when both endpoints are known.
+  /// The only way to connect: every caller knows both endpoints, so the
+  /// VIA client/server rendezvous (VipConnectWait / VipConnectRequest) is
+  /// not modelled.
   [[nodiscard]] KStatus connect(NodeId node_a, ViId vi_a, NodeId node_b,
                                 ViId vi_b);
 
-  // --- VIA client/server connection model -------------------------------------
-  /// VipConnectWait: park `vi` on `discriminator`, awaiting a client.
-  [[nodiscard]] KStatus listen(NodeId node, std::uint64_t discriminator,
-                               ViId vi);
-  /// VipConnectRequest: match a listener on (server_node, discriminator) and
-  /// connect; Again when nobody is listening (a real client would retry).
-  [[nodiscard]] KStatus connect_request(NodeId client_node, ViId client_vi,
-                                        NodeId server_node,
-                                        std::uint64_t discriminator);
   /// VipDisconnect: tear the connection down; the peer VI goes to Error (it
   /// learns of the disconnect the next time it is used), this one to Idle.
   [[nodiscard]] KStatus disconnect(NodeId node, ViId vi);
@@ -73,11 +64,6 @@ class Fabric {
   [[nodiscard]] const CostModel& costs() const { return costs_; }
 
  private:
-  struct Listener {
-    NodeId node;
-    ViId vi;
-  };
-
   /// connect() and repair(): pair two existing VIs. A repair charges the
   /// connection-management exchange and may re-pair VIs still marked
   /// connected; a fresh connect refuses them with Busy.
@@ -90,8 +76,6 @@ class Fabric {
   fault::FaultEngine* faults_ = nullptr;
   std::uint64_t packets_dropped_ = 0;
   std::uint64_t connection_resets_ = 0;
-  /// (server node, discriminator) -> parked VI.
-  std::map<std::pair<NodeId, std::uint64_t>, Listener> listeners_;
 };
 
 }  // namespace vialock::via

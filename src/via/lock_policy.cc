@@ -72,8 +72,7 @@ KStatus PageFlagLockPolicy::lock(Pid pid, VAddr addr, std::uint64_t len,
     // "they do not check if the page is possibly already locked by the
     // kernel" - if it is, we just clobbered the state; count the hazard.
     if (pg.locked()) ++kern_.mutable_stats().io_flag_collisions;
-    pg.flags |= simkern::PageFlag::Locked;
-    if (opts_.set_reserved) pg.flags |= simkern::PageFlag::Reserved;
+    pg.flags |= simkern::PageFlag::Locked | simkern::PageFlag::Reserved;
   }
   out.pid = pid;
   out.addr = addr;
@@ -88,8 +87,7 @@ void PageFlagLockPolicy::unlock(LockHandle& h) {
     auto& pg = kern_.phys().page(pfn);
     // "the PG_locked flag is reset regardless of the counter state" - even
     // if kernel I/O or another registration still needs it.
-    pg.flags &= ~simkern::PageFlag::Locked;
-    if (opts_.set_reserved) pg.flags &= ~simkern::PageFlag::Reserved;
+    pg.flags &= ~(simkern::PageFlag::Locked | simkern::PageFlag::Reserved);
     kern_.put_page(pfn);
   }
   h.active = false;

@@ -92,16 +92,11 @@ class RefcountLockPolicy final : public LockPolicy {
   [[nodiscard]] bool walks_page_tables() const override { return true; }
 };
 
-/// Giganet cLAN style: refcount + PG_locked (+ PG_reserved), unconditionally.
+/// Giganet cLAN style: refcount + PG_locked + PG_reserved (recent Giganet
+/// drivers also set PG_reserved), unconditionally.
 class PageFlagLockPolicy final : public LockPolicy {
  public:
-  struct Options {
-    bool set_reserved = true;  ///< recent Giganet drivers also set PG_reserved
-  };
-  explicit PageFlagLockPolicy(simkern::Kernel& kern)
-      : PageFlagLockPolicy(kern, Options{}) {}
-  PageFlagLockPolicy(simkern::Kernel& kern, Options opts)
-      : LockPolicy(kern), opts_(opts) {}
+  explicit PageFlagLockPolicy(simkern::Kernel& kern) : LockPolicy(kern) {}
   [[nodiscard]] std::string_view name() const override { return "pageflag"; }
   [[nodiscard]] KStatus lock(simkern::Pid pid, simkern::VAddr addr,
                              std::uint64_t len, LockHandle& out) override;
@@ -110,9 +105,6 @@ class PageFlagLockPolicy final : public LockPolicy {
   /// First deregistration strips the flags from every other registration.
   [[nodiscard]] bool supports_nesting() const override { return false; }
   [[nodiscard]] bool walks_page_tables() const override { return true; }
-
- private:
-  Options opts_;
 };
 
 /// VMA-based locking via mlock / do_mlock (paper section 3.2).

@@ -222,15 +222,8 @@ KStatus Nic::attach_recv_cq(ViId vi_id, CqId cq) {
   return KStatus::Ok;
 }
 
-std::optional<Nic::CqEntry> Nic::poll_cq(CqId cq) {
-  if (cq >= cqs_.size()) return std::nullopt;
-  clock_.advance(costs_.pci_reg_read);
-  if (cqs_[cq].empty()) return std::nullopt;
-  return cqs_[cq].pop_front();
-}
-
-std::uint32_t Nic::poll_cq_batch(CqId cq, std::uint32_t max,
-                                 std::vector<CqEntry>& out) {
+std::uint32_t Nic::poll_cq(CqId cq, std::uint32_t max,
+                           std::vector<CqEntry>& out) {
   if (cq >= cqs_.size() || max == 0) return 0;
   clock_.advance(costs_.pci_reg_read);  // one tail read for the whole harvest
   ++stats_.cq_harvests;

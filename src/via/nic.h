@@ -60,6 +60,8 @@ struct NicStats {
   std::uint64_t dma_delays = 0;         ///< DMA engine latency spike
   std::uint64_t tpt_corruptions = 0;    ///< TPT entry written with bad pfn
   std::uint64_t tpt_evictions = 0;      ///< TPT entry written invalid
+
+  bool operator==(const NicStats&) const = default;
 };
 
 /// The TPT attributes an access to registered memory must find: local DMA
@@ -122,13 +124,13 @@ class Nic {
   /// Route a VI's send / receive completions to a CQ (before any traffic).
   [[nodiscard]] KStatus attach_send_cq(ViId vi, CqId cq);
   [[nodiscard]] KStatus attach_recv_cq(ViId vi, CqId cq);
-  [[nodiscard]] std::optional<CqEntry> poll_cq(CqId cq);
-  /// Drain up to `max` completions with ONE PCI status read (the CQ tail is
-  /// read once; entries behind it live in host-memory shadow copies).
-  /// Appends to `out`, returns the number drained - the completion-side
-  /// amortisation a server harvesting thousands of connections relies on.
-  [[nodiscard]] std::uint32_t poll_cq_batch(CqId cq, std::uint32_t max,
-                                            std::vector<CqEntry>& out);
+  /// VipCQDone: drain up to `max` completions with ONE PCI status read (the
+  /// CQ tail is read once; entries behind it live in host-memory shadow
+  /// copies). Appends to `out`, returns the number drained - the
+  /// completion-side amortisation a server harvesting thousands of
+  /// connections relies on. An unknown CQ or `max == 0` reads nothing.
+  [[nodiscard]] std::uint32_t poll_cq(CqId cq, std::uint32_t max,
+                                      std::vector<CqEntry>& out);
 
   // --- TPT (programmed by the kernel agent over PCI) ----------------------------
   [[nodiscard]] Tpt& tpt() { return tpt_; }

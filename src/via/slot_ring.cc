@@ -11,11 +11,11 @@ KStatus SlotRing::open(Vipl& vipl, ViId vi, simkern::VAddr base,
   if (const KStatus st = vipl.register_mem(base, len, mh, opts); !ok(st))
     return st;
   s_ = State{&vipl, vi, base, mh, slot_size, first, tag};
-  std::vector<Vipl::RecvPost> posts;
+  std::vector<Vipl::Post> posts;
   posts.reserve(count);
   for (std::uint32_t k = 0; k < count; ++k)
     posts.push_back({mh, addr(first + k), slot_size, tag | k});
-  const KStatus st = vipl.post_recv_batch(vi, posts);
+  const KStatus st = vipl.post_recv(vi, posts);
   if (!ok(st)) close();
   return st;
 }

@@ -36,16 +36,20 @@ Descriptor Vipl::build(DescOp op, DataSegment local, std::uint64_t cookie) {
   return d;
 }
 
-KStatus Vipl::post_send(ViId vi, const MemHandle& mh, simkern::VAddr addr,
-                        std::uint32_t len, std::uint64_t cookie) {
-  Descriptor d = build(DescOp::Send, {mh, addr, len}, cookie);
-  return agent_.nic().post_send(vi, std::span(&d, 1));
+void Vipl::build_list(DescOp op, std::span<const Post> posts) {
+  batch_.clear();
+  for (const Post& p : posts)
+    batch_.push_back(build(op, {p.mh, p.addr, p.len}, p.cookie));
 }
 
-KStatus Vipl::post_recv(ViId vi, const MemHandle& mh, simkern::VAddr addr,
-                        std::uint32_t len, std::uint64_t cookie) {
-  Descriptor d = build(DescOp::Recv, {mh, addr, len}, cookie);
-  return agent_.nic().post_recv(vi, std::span(&d, 1));
+KStatus Vipl::post_send(ViId vi, std::span<const Post> posts) {
+  build_list(DescOp::Send, posts);
+  return agent_.nic().post_send(vi, batch_);
+}
+
+KStatus Vipl::post_recv(ViId vi, std::span<const Post> posts) {
+  build_list(DescOp::Recv, posts);
+  return agent_.nic().post_recv(vi, batch_);
 }
 
 KStatus Vipl::rdma_write(ViId vi, const MemHandle& local_mh,
@@ -69,20 +73,6 @@ KStatus Vipl::rdma_read(ViId vi, const MemHandle& local_mh,
   Descriptor d = build(DescOp::RdmaRead, {local_mh, local_addr, len}, cookie);
   d.remote = RemoteSegment{remote_mh, remote_addr};
   return agent_.nic().post_send(vi, std::span(&d, 1));
-}
-
-KStatus Vipl::post_send_batch(ViId vi, std::span<const SendPost> posts) {
-  batch_.clear();
-  for (const SendPost& p : posts)
-    batch_.push_back(build(DescOp::Send, {p.mh, p.addr, p.len}, p.cookie));
-  return agent_.nic().post_send(vi, batch_);
-}
-
-KStatus Vipl::post_recv_batch(ViId vi, std::span<const RecvPost> posts) {
-  batch_.clear();
-  for (const RecvPost& p : posts)
-    batch_.push_back(build(DescOp::Recv, {p.mh, p.addr, p.len}, p.cookie));
-  return agent_.nic().post_recv(vi, batch_);
 }
 
 std::optional<Descriptor> Vipl::send_done(ViId vi) {

@@ -42,14 +42,35 @@ class Vipl {
   [[nodiscard]] KStatus create_vi(ViId& out, ViAttributes attrs = {});
 
   // --- data transfer ----------------------------------------------------------
-  /// Each call builds one single-segment descriptor and posts it as a list
-  /// of one (Nic::post_send / post_recv).
+  /// One send or receive to post: a single segment of registered memory.
+  struct Post {
+    MemHandle mh;
+    simkern::VAddr addr = 0;
+    std::uint32_t len = 0;
+    std::uint64_t cookie = 0;
+  };
+  /// Build a list of sends and post it behind a SINGLE doorbell ring: the
+  /// per-entry descriptor-build cost still applies, but the doorbell and its
+  /// MMIO round amortise across the list (Nic::post_send). A list of one is
+  /// a plain post.
+  [[nodiscard]] KStatus post_send(ViId vi, std::span<const Post> posts);
+  /// Build and pre-post a list of receives behind a SINGLE doorbell ring
+  /// (Nic::post_recv) - the connection-setup / credit-refill amortisation
+  /// the msg/svc tiers use.
+  [[nodiscard]] KStatus post_recv(ViId vi, std::span<const Post> posts);
+  /// Post one descriptor: a list of one.
   [[nodiscard]] KStatus post_send(ViId vi, const MemHandle& mh,
                                   simkern::VAddr addr, std::uint32_t len,
-                                  std::uint64_t cookie = 0);
+                                  std::uint64_t cookie = 0) {
+    const Post p{mh, addr, len, cookie};
+    return post_send(vi, std::span(&p, 1));
+  }
   [[nodiscard]] KStatus post_recv(ViId vi, const MemHandle& mh,
                                   simkern::VAddr addr, std::uint32_t len,
-                                  std::uint64_t cookie = 0);
+                                  std::uint64_t cookie = 0) {
+    const Post p{mh, addr, len, cookie};
+    return post_recv(vi, std::span(&p, 1));
+  }
   [[nodiscard]] KStatus rdma_write(ViId vi, const MemHandle& local_mh,
                                    simkern::VAddr local_addr, std::uint32_t len,
                                    const MemHandle& remote_mh,
@@ -63,7 +84,9 @@ class Vipl {
                                   std::uint64_t cookie = 0);
 
   /// VipSendDone / VipRecvDone (polling completion model: a PCI status read
-  /// per call - cheap, but burns CPU while spinning).
+  /// per call - cheap, but burns CPU while spinning). Completion queues
+  /// (VipCreateCQ / VipCQDone) are NIC hardware: create, attach and harvest
+  /// them on nic().
   [[nodiscard]] std::optional<Descriptor> send_done(ViId vi);
   [[nodiscard]] std::optional<Descriptor> recv_done(ViId vi);
 
@@ -74,52 +97,14 @@ class Vipl {
   [[nodiscard]] std::optional<Descriptor> send_wait(ViId vi);
   [[nodiscard]] std::optional<Descriptor> recv_wait(ViId vi);
 
-  // --- batched submission / completion (E18's modes extended; E24) -----------
-  /// One entry of a post_send_batch burst.
-  struct SendPost {
-    MemHandle mh;
-    simkern::VAddr addr = 0;
-    std::uint32_t len = 0;
-    std::uint64_t cookie = 0;
-  };
-  /// Build and post a list of sends behind a SINGLE doorbell ring: the
-  /// per-entry descriptor-build cost still applies, but the doorbell and its
-  /// MMIO round amortise across the list (Nic::post_send). A list of one
-  /// costs and counts exactly what post_send does.
-  [[nodiscard]] KStatus post_send_batch(ViId vi,
-                                        std::span<const SendPost> posts);
-
-  /// One entry of a post_recv_batch burst (same shape as SendPost; a
-  /// distinct type keeps send/recv call sites from mixing).
-  struct RecvPost {
-    MemHandle mh;
-    simkern::VAddr addr = 0;
-    std::uint32_t len = 0;
-    std::uint64_t cookie = 0;
-  };
-  /// Build and pre-post a list of receives behind a SINGLE doorbell ring
-  /// (Nic::post_recv) - the connection-setup / credit-refill amortisation
-  /// the msg/svc tiers use.
-  [[nodiscard]] KStatus post_recv_batch(ViId vi,
-                                        std::span<const RecvPost> posts);
-
-  // --- completion queues (VipCreateCQ / VipCQDone) ---------------------------
-  [[nodiscard]] CqId create_cq() { return agent_.nic().create_cq(); }
-  [[nodiscard]] KStatus attach_send_cq(ViId vi, CqId cq) {
-    return agent_.nic().attach_send_cq(vi, cq);
-  }
-  [[nodiscard]] KStatus attach_recv_cq(ViId vi, CqId cq) {
-    return agent_.nic().attach_recv_cq(vi, cq);
-  }
-  [[nodiscard]] std::optional<Nic::CqEntry> cq_done(CqId cq) {
-    return agent_.nic().poll_cq(cq);
-  }
   [[nodiscard]] Nic& nic() { return agent_.nic(); }
   [[nodiscard]] KernelAgent& agent() { return agent_; }
 
  private:
   [[nodiscard]] Descriptor build(DescOp op, DataSegment local,
                                  std::uint64_t cookie);
+  /// Build `posts` as `op` descriptors into batch_.
+  void build_list(DescOp op, std::span<const Post> posts);
 
   KernelAgent& agent_;
   simkern::Pid pid_;

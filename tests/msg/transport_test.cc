@@ -50,7 +50,7 @@ std::vector<std::byte> pattern(std::size_t n, std::uint64_t seed) {
 /// arrives intact, over a plain or a reliable channel.
 void round_trip(Protocol proto, std::uint32_t len, bool reliable) {
   Channel::Config cfg = ChannelBox::default_config();
-  cfg.reliability.enabled = reliable;
+  cfg.reliable = reliable;
   ChannelBox box(cfg);
   const auto payload = pattern(len, 42 + len);
   ASSERT_TRUE(ok(box.channel.stage(0, payload)));
@@ -316,8 +316,7 @@ struct ReliableBox {
 
   static Channel::Config reliable_config() {
     Channel::Config cfg = ChannelBox::default_config();
-    cfg.reliability.enabled = true;
-    cfg.reliability.max_retries = 6;
+    cfg.reliable = true;
     return cfg;
   }
 
@@ -355,7 +354,7 @@ TEST(ReliableTransport, ExhaustedRetriesReturnTimedOut) {
   EXPECT_EQ(box.channel.transfer(Protocol::Eager, 0, 0, 256),
             KStatus::TimedOut);
   EXPECT_EQ(box.channel.stats().retries,
-            box.channel.config().reliability.max_retries);
+            Channel::kMaxRetries);
   EXPECT_EQ(box.channel.stats().eager_msgs, 0u);
 }
 

@@ -1,6 +1,5 @@
-// fabric_test.cc - fabric-level connection management: the VIA client/server
-// model (VipConnectWait / VipConnectRequest / VipDisconnect) plus connect()
-// edge cases.
+// fabric_test.cc - fabric-level connection management: connect() and
+// VipDisconnect edge cases.
 #include "via/fabric.h"
 
 #include <gtest/gtest.h>
@@ -26,53 +25,6 @@ class FabricTest : public test::TwoNodeFixture {
     cluster->node(n1).nic().vi(vi1).peer_vi = kInvalidVi;
   }
 };
-
-TEST_F(FabricTest, ClientServerConnectEstablishesPair) {
-  Fabric& fabric = cluster->fabric();
-  ASSERT_TRUE(ok(fabric.listen(n1, /*discriminator=*/0xCAFE, vi1)));
-  ASSERT_TRUE(ok(fabric.connect_request(n0, vi0, n1, 0xCAFE)));
-  EXPECT_TRUE(cluster->node(n0).nic().vi(vi0).connected());
-  EXPECT_TRUE(cluster->node(n1).nic().vi(vi1).connected());
-  EXPECT_EQ(cluster->node(n0).nic().vi(vi0).peer_vi, vi1);
-}
-
-TEST_F(FabricTest, ConnectRequestWithoutListenerIsAgain) {
-  EXPECT_EQ(cluster->fabric().connect_request(n0, vi0, n1, 0xBEEF),
-            KStatus::Again);
-  EXPECT_FALSE(cluster->node(n0).nic().vi(vi0).connected());
-}
-
-TEST_F(FabricTest, DiscriminatorMustMatch) {
-  Fabric& fabric = cluster->fabric();
-  ASSERT_TRUE(ok(fabric.listen(n1, 0xCAFE, vi1)));
-  EXPECT_EQ(fabric.connect_request(n0, vi0, n1, 0xF00D), KStatus::Again);
-  EXPECT_TRUE(ok(fabric.connect_request(n0, vi0, n1, 0xCAFE)));
-}
-
-TEST_F(FabricTest, ListenerIsConsumedByOneClient) {
-  Fabric& fabric = cluster->fabric();
-  ASSERT_TRUE(ok(fabric.listen(n1, 0xCAFE, vi1)));
-  ASSERT_TRUE(ok(fabric.connect_request(n0, vi0, n1, 0xCAFE)));
-  ViId vi0b = kInvalidVi;
-  ASSERT_TRUE(ok(v0->create_vi(vi0b)));
-  EXPECT_EQ(fabric.connect_request(n0, vi0b, n1, 0xCAFE), KStatus::Again);
-}
-
-TEST_F(FabricTest, DoubleListenOnSameDiscriminatorIsBusy) {
-  Fabric& fabric = cluster->fabric();
-  ASSERT_TRUE(ok(fabric.listen(n1, 0xCAFE, vi1)));
-  ViId vi1b = kInvalidVi;
-  ASSERT_TRUE(ok(v1->create_vi(vi1b)));
-  EXPECT_EQ(fabric.listen(n1, 0xCAFE, vi1b), KStatus::Busy);
-  // A different discriminator on the same node is fine.
-  EXPECT_TRUE(ok(fabric.listen(n1, 0xCAFF, vi1b)));
-}
-
-TEST_F(FabricTest, ConnectedViCannotListen) {
-  Fabric& fabric = cluster->fabric();
-  ASSERT_TRUE(ok(fabric.connect(n0, vi0, n1, vi1)));
-  EXPECT_EQ(fabric.listen(n1, 0xCAFE, vi1), KStatus::Busy);
-}
 
 TEST_F(FabricTest, DisconnectFreesLocalSideAndBreaksPeer) {
   Fabric& fabric = cluster->fabric();
@@ -110,8 +62,7 @@ TEST_F(FabricTest, ConnectRejectsBusyEndpoints) {
 
 TEST_F(FabricTest, EndToEndAfterClientServerConnect) {
   Fabric& fabric = cluster->fabric();
-  ASSERT_TRUE(ok(fabric.listen(n1, 42, vi1)));
-  ASSERT_TRUE(ok(fabric.connect_request(n0, vi0, n1, 42)));
+  ASSERT_TRUE(ok(fabric.connect(n0, vi0, n1, vi1)));
   ASSERT_TRUE(ok(test::poke64(kern0(), p0, buf0, 0x5151)));
   ASSERT_TRUE(ok(v1->post_recv(vi1, mh1, buf1, 64)));
   ASSERT_TRUE(ok(v0->post_send(vi0, mh0, buf0, 64)));

@@ -3,8 +3,8 @@
 // This binary replaces the global operator new with one that counts its
 // calls. On two connected nodes, after one warm-up round that lets every
 // queue, staging buffer and reused vector reach its working size, each kind
-// of transfer round - eager send/recv, RDMA write, RDMA read, a batched
-// post_send_batch + poll_cq_batch harvest - runs 1,000 times and must not
+// of transfer round - eager send/recv, RDMA write, RDMA read, a post_send
+// list and its poll_cq harvest - runs 1,000 times and must not
 // allocate once. A per-descriptor or per-packet allocation anywhere in the
 // Vipl -> Nic -> Fabric -> Nic path shows up as a count of 1,000 or more.
 #include <gtest/gtest.h>
@@ -47,10 +47,10 @@ class NicAllocation : public TwoNodeFixture {
     // A second VI pair whose completions route to CQs, for the batch round.
     ASSERT_TRUE(ok(v0->create_vi(bvi0)));
     ASSERT_TRUE(ok(v1->create_vi(bvi1)));
-    send_cq = v0->create_cq();
-    recv_cq = v1->create_cq();
-    ASSERT_TRUE(ok(v0->attach_send_cq(bvi0, send_cq)));
-    ASSERT_TRUE(ok(v1->attach_recv_cq(bvi1, recv_cq)));
+    send_cq = v0->nic().create_cq();
+    recv_cq = v1->nic().create_cq();
+    ASSERT_TRUE(ok(v0->nic().attach_send_cq(bvi0, send_cq)));
+    ASSERT_TRUE(ok(v1->nic().attach_recv_cq(bvi1, recv_cq)));
     ASSERT_TRUE(ok(cluster->fabric().connect(n0, bvi0, n1, bvi1)));
     for (std::uint32_t k = 0; k < kBurst; ++k) {
       sends.push_back({mh0, buf0 + k * 256, 256, k});
@@ -71,8 +71,8 @@ class NicAllocation : public TwoNodeFixture {
 
   via::ViId bvi0 = via::kInvalidVi, bvi1 = via::kInvalidVi;
   via::CqId send_cq = via::kInvalidCq, recv_cq = via::kInvalidCq;
-  std::vector<via::Vipl::SendPost> sends;
-  std::vector<via::Vipl::RecvPost> recvs;
+  std::vector<via::Vipl::Post> sends;
+  std::vector<via::Vipl::Post> recvs;
   std::vector<via::Nic::CqEntry> harvest;
 };
 
@@ -108,11 +108,11 @@ TEST_F(NicAllocation, RdmaReadAllocatesNothing) {
 
 TEST_F(NicAllocation, BatchPostAndHarvestAllocatesNothing) {
   const std::size_t n = allocations_in([&] {
-    ASSERT_TRUE(ok(v1->post_recv_batch(bvi1, recvs)));
-    ASSERT_TRUE(ok(v0->post_send_batch(bvi0, sends)));
+    ASSERT_TRUE(ok(v1->post_recv(bvi1, recvs)));
+    ASSERT_TRUE(ok(v0->post_send(bvi0, sends)));
     harvest.clear();
-    ASSERT_EQ(v0->nic().poll_cq_batch(send_cq, kBurst, harvest), kBurst);
-    ASSERT_EQ(v1->nic().poll_cq_batch(recv_cq, kBurst, harvest), kBurst);
+    ASSERT_EQ(v0->nic().poll_cq(send_cq, kBurst, harvest), kBurst);
+    ASSERT_EQ(v1->nic().poll_cq(recv_cq, kBurst, harvest), kBurst);
     for (const via::Nic::CqEntry& e : harvest) ASSERT_TRUE(e.desc.done_ok());
   });
   EXPECT_EQ(n, 0u);

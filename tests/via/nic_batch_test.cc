@@ -2,16 +2,17 @@
 //
 // The S1 regression: a doorbell drop injected mid-burst must cost exactly the
 // descriptor whose fetch it covered. The seed checked the fault once for the
-// whole post_send_batch and dropped every descriptor behind it, so one
+// whole send list and dropped every descriptor behind it, so one
 // injected drop silently lost the healthy remainder of the burst - these
 // tests fail on that code for every drop position (head, middle, tail).
-// Also pins post_recv_batch: one doorbell arms the whole recv chain and the
+// Also pins a receive list: one doorbell arms the whole recv chain and the
 // slots drain in posted order; and a list of one, which posts exactly as a
 // single post does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fault/fault.h"
@@ -46,12 +47,12 @@ class NicBatchTest : public test::TwoNodeFixture {
          .probability = 1.0,
          .after_events = victim,
          .max_triggers = 1});
-    const std::vector<Vipl::SendPost> burst = {
+    const std::vector<Vipl::Post> burst = {
         {mh0, buf0 + 0 * 64, 64, 1},
         {mh0, buf0 + 1 * 64, 64, 2},
         {mh0, buf0 + 2 * 64, 64, 3},
     };
-    ASSERT_TRUE(ok(v0->post_send_batch(vi0, burst)));
+    ASSERT_TRUE(ok(v0->post_send(vi0, burst)));
 
     const NicStats& s = cluster->node(n0).nic().stats();
     EXPECT_EQ(s.doorbells_dropped, 1u);
@@ -90,12 +91,12 @@ TEST_F(NicBatchTest, RecvBatchArmsRingBehindOneDoorbell) {
   const std::uint64_t doorbells_before = s1.doorbells;
   const std::uint64_t batches_before = s1.doorbell_batches;
 
-  const std::vector<Vipl::RecvPost> ring = {
+  const std::vector<Vipl::Post> ring = {
       {mh1, buf1 + 0 * 64, 64, 10},
       {mh1, buf1 + 1 * 64, 64, 11},
       {mh1, buf1 + 2 * 64, 64, 12},
   };
-  ASSERT_TRUE(ok(v1->post_recv_batch(vi1, ring)));
+  ASSERT_TRUE(ok(v1->post_recv(vi1, ring)));
   EXPECT_EQ(s1.doorbells, doorbells_before + 1);
   EXPECT_EQ(s1.doorbell_batches, batches_before + 1);
   EXPECT_EQ(s1.recvs_posted, 3u);
@@ -112,60 +113,87 @@ TEST_F(NicBatchTest, RecvBatchArmsRingBehindOneDoorbell) {
   EXPECT_FALSE(v1->recv_done(vi1).has_value());
 }
 
-class NicBatch : public test::TwoNodeFixture {};
-
-TEST_F(NicBatch, ListOfOnePostsLikeASinglePost) {
-  // A list of one is a plain post on both work queues: no burst counted,
-  // no descs_per_ring sample, and the same virtual time as a single post.
-  const NicStats& s0 = cluster->node(n0).nic().stats();
-  const NicStats& s1 = cluster->node(n1).nic().stats();
-  const obs::Histogram& rings0 =
-      kern0().metrics().histogram("via.nic.descs_per_ring");
-  const obs::Histogram& rings1 =
-      kern1().metrics().histogram("via.nic.descs_per_ring");
-  const std::uint64_t batches0 = s0.doorbell_batches;
-  const std::uint64_t batches1 = s1.doorbell_batches;
-  const std::uint64_t samples0 = rings0.count();
-  const std::uint64_t samples1 = rings1.count();
-  const auto charge = [&](const auto& post) {
-    const Nanos before = cluster->clock().now();
-    post();
-    return cluster->clock().now() - before;
+class NicBatch : public test::TwoNodeFixture {
+ protected:
+  /// What one receive and one matching send leave behind on a fresh cluster.
+  struct Posted {
+    Nanos recv_ns = 0;
+    Nanos send_ns = 0;
+    NicStats s0;
+    NicStats s1;
   };
 
-  const std::vector<Vipl::RecvPost> one_recv = {{mh1, buf1 + 64, 64, 2}};
-  const Nanos single_recv =
-      charge([&] { ASSERT_TRUE(ok(v1->post_recv(vi1, mh1, buf1, 64, 1))); });
-  const Nanos listed_recv =
-      charge([&] { ASSERT_TRUE(ok(v1->post_recv_batch(vi1, one_recv))); });
-  EXPECT_EQ(listed_recv, single_recv);
-
-  const std::vector<Vipl::SendPost> one_send = {{mh0, buf0 + 64, 64, 2}};
-  const Nanos single_send =
-      charge([&] { ASSERT_TRUE(ok(v0->post_send(vi0, mh0, buf0, 64, 1))); });
-  const Nanos listed_send =
-      charge([&] { ASSERT_TRUE(ok(v0->post_send_batch(vi0, one_send))); });
-  EXPECT_EQ(listed_send, single_send);
-
-  EXPECT_EQ(s0.doorbell_batches, batches0);
-  EXPECT_EQ(s1.doorbell_batches, batches1);
-  EXPECT_EQ(rings0.count(), samples0);
-  EXPECT_EQ(rings1.count(), samples1);
-  for (std::uint64_t cookie = 1; cookie <= 2; ++cookie) {
+  /// Rebuild the cluster, post one receive on n1 and one send on n0 - as
+  /// lists of one when `listed`, else through the single forms - and check
+  /// that both complete.
+  void post_one_each(bool listed, Posted& out) {
+    build();
+    const auto charge = [&](const auto& post) {
+      const Nanos before = cluster->clock().now();
+      post();
+      return cluster->clock().now() - before;
+    };
+    const Vipl::Post recv{mh1, buf1, 64, 1};
+    const Vipl::Post send{mh0, buf0, 64, 1};
+    out.recv_ns = charge([&] {
+      ASSERT_TRUE(ok(listed ? v1->post_recv(vi1, std::span(&recv, 1))
+                            : v1->post_recv(vi1, mh1, buf1, 64, 1)));
+    });
+    out.send_ns = charge([&] {
+      ASSERT_TRUE(ok(listed ? v0->post_send(vi0, std::span(&send, 1))
+                            : v0->post_send(vi0, mh0, buf0, 64, 1)));
+    });
+    out.s0 = cluster->node(n0).nic().stats();
+    out.s1 = cluster->node(n1).nic().stats();
+    EXPECT_EQ(kern0().metrics().histogram("via.nic.descs_per_ring").count(),
+              0u);
+    EXPECT_EQ(kern1().metrics().histogram("via.nic.descs_per_ring").count(),
+              0u);
     const auto sent = v0->send_done(vi0);
     const auto got = v1->recv_done(vi1);
     ASSERT_TRUE(sent && got);
     EXPECT_TRUE(sent->done_ok());
-    EXPECT_EQ(sent->cookie, cookie);
+    EXPECT_EQ(sent->cookie, 1u);
     EXPECT_TRUE(got->done_ok());
-    EXPECT_EQ(got->cookie, cookie);
+    EXPECT_EQ(got->cookie, 1u);
   }
+};
+
+TEST_F(NicBatch, ListOfOnePostsLikeASinglePost) {
+  // A list of one is a plain post on both work queues: no burst counted,
+  // no descs_per_ring sample, and the same virtual time and NicStats as the
+  // single form.
+  Posted single;
+  Posted listed;
+  post_one_each(/*listed=*/false, single);
+  post_one_each(/*listed=*/true, listed);
+  EXPECT_EQ(listed.recv_ns, single.recv_ns);
+  EXPECT_EQ(listed.send_ns, single.send_ns);
+  EXPECT_EQ(listed.s0, single.s0);
+  EXPECT_EQ(listed.s1, single.s1);
+  EXPECT_EQ(listed.s0.doorbell_batches + listed.s1.doorbell_batches, 0u);
+
+  // The completion side: a harvest of at most one completion reads the CQ
+  // tail once, even when the CQ is empty; an unknown CQ or max == 0 reads
+  // nothing.
+  Nic& nic = cluster->node(n0).nic();
+  const CqId cq = nic.create_cq();
+  std::vector<Nic::CqEntry> out;
+  const auto harvest = [&](CqId id, std::uint32_t max) {
+    const Nanos before = cluster->clock().now();
+    EXPECT_EQ(nic.poll_cq(id, max, out), 0u);
+    return cluster->clock().now() - before;
+  };
+  EXPECT_EQ(harvest(cq, 1), cluster->costs().pci_reg_read);
+  EXPECT_EQ(harvest(cq + 1, 1), 0);
+  EXPECT_EQ(harvest(cq, 0), 0);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST_F(NicBatchTest, EmptyBatchesAreFreeNoops) {
   const NicStats& s = cluster->node(n0).nic().stats();
-  ASSERT_TRUE(ok(v0->post_send_batch(vi0, {})));
-  ASSERT_TRUE(ok(v0->post_recv_batch(vi0, {})));
+  ASSERT_TRUE(ok(v0->post_send(vi0, {})));
+  ASSERT_TRUE(ok(v0->post_recv(vi0, {})));
   EXPECT_EQ(s.doorbells, 0u);
   EXPECT_EQ(s.doorbell_batches, 0u);
 }
